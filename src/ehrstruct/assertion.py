@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .preprocess import count_tokens
+from .terminology import fold_case
 
 
 class AssertionStatus(enum.Enum):
@@ -242,7 +243,7 @@ def classify(
             return AssertionStatus.ABSENT
         return AssertionStatus.CONDITIONAL
 
-    lowered = sentence.lower()
+    lowered = fold_case(sentence)
     for rule in sorted(rules, key=lambda r: r.priority):
         pattern = re.compile(r"(?<![A-Za-z0-9])" + re.escape(rule.trigger) + r"(?![A-Za-z0-9])")
         for m in pattern.finditer(lowered):

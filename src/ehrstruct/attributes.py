@@ -3,8 +3,9 @@
 Two backends ship: a deterministic rule backend (regex values/units, anatomy
 lexicon locations, adjacency modifiers, no purposes) and an LLM backend that
 marks mentions with double curly braces, prompts one attribute kind at a time,
-and aligns the echoed entity lines back to the mention order. Applicability
-filtering runs last and forces inapplicable kinds to "not applicable".
+and aligns the echoed entity lines back to the mention order. Each kind sees
+only the mentions whose semantic type it applies to; applicability filtering
+runs last and forces inapplicable kinds to "not applicable".
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .terminology import (
     UNIT,
     VALUE,
     ApplicabilityTable,
+    fold_case,
 )
 
 log = logging.getLogger(__name__)
@@ -146,7 +148,7 @@ def rule_extract_locations(
     onto the display form.
     """
     anatomy = anatomy if anatomy is not None else load_anatomy_lexicon()
-    lowered = sentence.lower()
+    lowered = fold_case(sentence)
     found: list[tuple[int, str]] = []  # (distance, display)
     for surface, display in anatomy.items():
         for m in re.finditer(
@@ -311,11 +313,6 @@ def apply_applicability(m: Mention, raw: AttributeSet, table: ApplicabilityTable
     for kind in ATTRIBUTE_KINDS:
         value = raw.get(kind)
         if kind not in applicable:
-            if value is not None and value is not NOT_APPLICABLE:
-                log.warning(
-                    "discarding %s %r for %s mention %r (not applicable)",
-                    kind, value, m.semantic_type.value, m.canonical_phrase,
-                )
             out.set(kind, NOT_APPLICABLE)
         else:
             out.set(kind, None if value is NOT_APPLICABLE else value)
@@ -329,11 +326,13 @@ def annotate_note(
     backend,
     table: ApplicabilityTable,
 ):
-    """Run the backend per chunk per applicable kind and assemble AttributeSets.
+    """Run the backend per chunk per kind over the mentions that kind applies
+    to, and assemble AttributeSets.
 
     Returns (attribute_sets parallel to mentions, dropped_lines, total_lines).
     """
     raw_sets = [AttributeSet() for _ in mentions]
+    applicable = [table.applicable_attributes(m.semantic_type) for m in mentions]
     dropped_total = 0
     lines_total = 0
     by_chunk: dict[int, list[int]] = {}
@@ -341,20 +340,16 @@ def annotate_note(
         by_chunk.setdefault(m.chunk_index, []).append(idx)
     for chunk in chunks:
         indices = by_chunk.get(chunk.chunk_index, [])
-        if not indices:
-            continue
-        chunk_mentions = [mentions[i] for i in indices]
-        kinds = set()
-        for m in chunk_mentions:
-            kinds |= table.applicable_attributes(m.semantic_type)
         for kind in ATTRIBUTE_KINDS:
-            if kind not in kinds:
+            kind_indices = [i for i in indices if kind in applicable[i]]
+            if not kind_indices:
                 continue
-            assignments, dropped, total = backend.annotate(note, chunk, chunk_mentions, kind)
+            kind_mentions = [mentions[i] for i in kind_indices]
+            assignments, dropped, total = backend.annotate(note, chunk, kind_mentions, kind)
             dropped_total += dropped
             lines_total += total
             for local_idx, value in assignments:
-                raw_sets[indices[local_idx]].set(kind, value)
+                raw_sets[kind_indices[local_idx]].set(kind, value)
     attribute_sets = [
         apply_applicability(m, raw, table) for m, raw in zip(mentions, raw_sets)
     ]

@@ -11,14 +11,12 @@ import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
 
 from .evaluate import DefaultJudge, render_table, report_files
 from .integrate import rejection_report, serialize
 from .pipeline import (
     PipelineConfig,
     build_resources,
-    load_or_build_index,
     read_notes,
     run_structure,
 )
@@ -34,6 +32,11 @@ def _open_in(path):
 
 def _open_out(path):
     return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+
+
+def _error(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -56,7 +59,10 @@ def _config_from_args(args) -> PipelineConfig:
 
 
 def cmd_structure(args) -> int:
-    cfg = _config_from_args(args)
+    try:
+        cfg = _config_from_args(args)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     problems = cfg.validate()
     if problems:
         for p in problems:
@@ -67,8 +73,7 @@ def cmd_structure(args) -> int:
         with _open_in(args.input) as fh:
             notes = read_notes(fh)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     results = run_structure(notes, res, workers=cfg.workers)
     with _open_out(args.output) as out:
         serialize(results, out, group_by_note=args.group_by_note)
@@ -93,8 +98,7 @@ def cmd_evaluate(args) -> int:
             abbrev = AbbreviationTable.load(args.abbreviations)
         report = report_files(args.gold, args.pred, judge=judge, abbrev=abbrev, macro=args.macro)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     print(render_table(report, name=args.name))
     if args.json:
         payload = report.to_dict() if hasattr(report, "to_dict") else dataclasses.asdict(report)
@@ -104,22 +108,11 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_build_index(args) -> int:
-    try:
-        index, cache_hit = load_or_build_index(args.lexicon, args.cache)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"{'cache hit' if cache_hit else 'built'}: {len(index)} surfaces")
-    return 0
-
-
 def cmd_validate_config(args) -> int:
     try:
         cfg = _config_from_args(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     problems = cfg.validate()
     for key, value in dataclasses.asdict(cfg).items():
         print(f"{key} = {value}")
@@ -132,23 +125,25 @@ def cmd_validate_config(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _config_from_args(args)
     try:
+        chunker = _config_from_args(args).chunker()
         with _open_in(args.input) as fh:
             notes = read_notes(fh)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     with _open_out(args.output) as out:
         for raw in notes:
             note = restore_linebreaks(raw)
-            for chunk in chunk_note(note, cfg.chunker()):
+            for chunk in chunk_note(note, chunker):
                 out.write(json.dumps(dataclasses.asdict(chunk), ensure_ascii=False) + "\n")
     return 0
 
 
 def cmd_recognize(args) -> int:
-    cfg = _config_from_args(args)
+    try:
+        cfg = _config_from_args(args)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     problems = [p for p in cfg.validate() if p.startswith(("lexicon", "abbreviations"))]
     if not cfg.lexicon:
         problems.append("lexicon: required")
@@ -161,8 +156,7 @@ def cmd_recognize(args) -> int:
         with _open_in(args.input) as fh:
             notes = read_notes(fh)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc)
     with _open_out(args.output) as out:
         for raw in notes:
             note = restore_linebreaks(raw)
@@ -211,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="pipeline", help="row label in the rendered table")
     p.add_argument("--json", help="also write the report as JSON to this path")
     p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("build-index", help="compile and cache the term index")
-    p.add_argument("lexicon", help="lexicon TSV")
-    p.add_argument("cache", help="index cache file")
-    p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("validate-config", help="validate config and print resolved settings")
     _add_common(p)

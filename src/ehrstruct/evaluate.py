@@ -83,26 +83,6 @@ class DefaultJudge:
         return self.normalize(a, kind) == self.normalize(b, kind)
 
 
-class LlmJudge:
-    """Equivalence decided by a chat model; falls back to normalization for
-    identical strings so replay transcripts stay small."""
-
-    PROMPT = (
-        "Do the following two {kind} expressions from a clinical note mean the "
-        "same thing? Answer only 'yes' or 'no'.\nA: {a}\nB: {b}"
-    )
-
-    def __init__(self, client):
-        self.client = client
-        self._fallback = DefaultJudge()
-
-    def equivalent(self, a: str, b: str, kind: str = "value") -> bool:
-        if self._fallback.equivalent(a, b, kind):
-            return True
-        prompt = self.PROMPT.format(kind=kind, a=a, b=b)
-        return self.client.complete(prompt).strip().lower().startswith("yes")
-
-
 @dataclass
 class KindScore:
     correct: int = 0

@@ -57,7 +57,6 @@ class StructuredEntity:
     value: object = None
     unit: object = None
     purpose: object = None
-    ambiguous: bool = False
 
 
 @dataclass
@@ -108,7 +107,6 @@ def assemble(
                 value=attrs.value,
                 unit=attrs.unit,
                 purpose=attrs.purpose,
-                ambiguous=getattr(m, "ambiguous", False),
             )
         )
     entities.sort(key=lambda e: e.span[0])
@@ -186,11 +184,6 @@ def serialize(results, sink, group_by_note: bool = False) -> None:
         else:
             for e in result.entities:
                 sink.write(json.dumps(entity_to_dict(e), ensure_ascii=False) + "\n")
-
-
-def serialize_entities(entities, sink) -> None:
-    for e in entities:
-        sink.write(json.dumps(entity_to_dict(e), ensure_ascii=False) + "\n")
 
 
 def parse_entities(source) -> list[StructuredEntity]:

@@ -14,7 +14,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import requests
@@ -60,9 +60,6 @@ class Transcript:
         self._prompts: dict[str, str] = {}
         self._order: list[str] = []
         self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._responses)
 
     def get(self, prompt: str) -> str | None:
         return self._responses.get(prompt_hash(prompt))
@@ -119,6 +116,7 @@ class ChatClient:
         self._session = session or requests.Session()
         self._semaphore = threading.Semaphore(self.cfg.max_in_flight)
         self.network_calls = 0
+        self._calls_lock = threading.Lock()
 
     def complete(self, prompt: str) -> str:
         if self.mode == "replay":
@@ -151,7 +149,8 @@ class ChatClient:
                     delay = self.cfg.backoff_base * (2 ** (attempt - 1))
                     time.sleep(delay * (1.0 + random.random() * 0.25))
                 try:
-                    self.network_calls += 1
+                    with self._calls_lock:
+                        self.network_calls += 1
                     resp = self._session.post(
                         url, json=body, headers=headers, timeout=self.cfg.timeout
                     )

@@ -7,13 +7,11 @@ byte-identical across --workers settings with a deterministic backend.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
-import pickle
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import assertion as assertion_mod
@@ -37,8 +35,6 @@ from .terminology import (
 
 log = logging.getLogger(__name__)
 
-INDEX_CACHE_VERSION = 1
-
 
 @dataclass
 class PipelineConfig:
@@ -55,7 +51,6 @@ class PipelineConfig:
     max_retries: int = 3
     max_in_flight: int = 4
     max_tokens: int = 800
-    hard_note_limit: int = 8000
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD
     workers: int = 1
 
@@ -65,7 +60,6 @@ class PipelineConfig:
         "max_retries": int,
         "max_in_flight": int,
         "max_tokens": int,
-        "hard_note_limit": int,
         "workers": int,
     }
 
@@ -86,7 +80,12 @@ class PipelineConfig:
                 if not hasattr(cfg, key) or key.startswith("_"):
                     raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
                 caster = cls._FIELD_TYPES.get(key, str)
-                setattr(cfg, key, caster(value))
+                try:
+                    setattr(cfg, key, caster(value))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key}: expected {caster.__name__}, got {value!r}"
+                    ) from None
         return cfg
 
     def validate(self) -> list[str]:
@@ -112,7 +111,7 @@ class PipelineConfig:
         return problems
 
     def chunker(self) -> ChunkerConfig:
-        return ChunkerConfig(max_tokens=self.max_tokens, hard_note_limit=self.hard_note_limit)
+        return ChunkerConfig(max_tokens=self.max_tokens)
 
     def endpoint(self) -> EndpointConfig:
         return EndpointConfig(
@@ -138,55 +137,12 @@ class PipelineResources:
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD
 
 
-def lexicon_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def load_or_build_index(lexicon_path, cache_path=None):
-    """Build the term index, using a content-hashed cache file when given.
-
-    Returns (index, cache_hit). A stale or corrupt cache triggers a rebuild.
-    """
-    lexicon_path = Path(lexicon_path)
-    current_hash = lexicon_hash(lexicon_path)
-    if cache_path is not None:
-        cache_path = Path(cache_path)
-        if cache_path.exists():
-            try:
-                with cache_path.open("rb") as fh:
-                    cached = pickle.load(fh)
-                if (
-                    cached.get("version") == INDEX_CACHE_VERSION
-                    and cached.get("lexicon_hash") == current_hash
-                ):
-                    from .terminology import LexiconEntry, SemanticType
-
-                    entries = [
-                        LexiconEntry(s, c, SemanticType.from_name(t))
-                        for s, c, t in cached["entries"]
-                    ]
-                    return build_index(entries), True
-                log.warning("index cache stale, rebuilding: %s", cache_path)
-            except Exception as exc:
-                log.warning("index cache unreadable (%s), rebuilding: %s", exc, cache_path)
-    entries, _report = load_lexicon(lexicon_path)
-    index = build_index(entries)
-    if cache_path is not None:
-        payload = {
-            "version": INDEX_CACHE_VERSION,
-            "lexicon_hash": current_hash,
-            "entries": [(e.surface, e.concept_id, e.semantic_type.value) for e in entries],
-        }
-        with cache_path.open("wb") as fh:
-            pickle.dump(payload, fh)
-    return index, False
-
-
 def build_resources(cfg: PipelineConfig, index=None) -> PipelineResources:
     if index is None:
         if not cfg.lexicon:
             raise ValueError("config must name a lexicon file")
-        index, _ = load_or_build_index(cfg.lexicon)
+        entries, _report = load_lexicon(cfg.lexicon)
+        index = build_index(entries)
     abbreviations = (
         AbbreviationTable.load(cfg.abbreviations) if cfg.abbreviations else AbbreviationTable()
     )

@@ -9,7 +9,7 @@ normalized position back to the raw text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -46,19 +46,10 @@ class Chunk:
 @dataclass
 class ChunkerConfig:
     max_tokens: int = 800
-    hard_note_limit: int = 8000
-    token_scale: float = 1.0  # tighten the budget for heavier model tokenizers
-    io_ratio_hint: str = "1:8"
 
     def __post_init__(self):
-        if self.max_tokens <= 0 or self.hard_note_limit <= 0:
-            raise ValueError("token limits must be positive")
-        if self.max_tokens > self.hard_note_limit:
-            raise ValueError("max_tokens cannot exceed hard_note_limit")
-
-    @property
-    def budget(self) -> int:
-        return max(1, int(self.max_tokens / self.token_scale))
+        if self.max_tokens <= 0:
+            raise ValueError("max_tokens must be positive")
 
 
 _LIST_MARKER = re.compile(r"^\s*(?:[-*•·●]|\d{1,3}[.)])\s")
@@ -179,7 +170,7 @@ def chunk_note(note: NormalizedNote, cfg: ChunkerConfig | None = None) -> list[C
     cover the text exactly.
     """
     cfg = cfg or ChunkerConfig()
-    budget = cfg.budget
+    budget = cfg.max_tokens
     units: list[str] = []
     for par in split_paragraphs(note.text):
         if count_tokens(par) <= budget:
@@ -190,7 +181,6 @@ def chunk_note(note: NormalizedNote, cfg: ChunkerConfig | None = None) -> list[C
     chunks: list[Chunk] = []
     buf: list[str] = []
     buf_tokens = 0
-    pos = 0
     buf_start = 0
 
     def flush(oversize: bool = False):
@@ -226,6 +216,5 @@ def chunk_note(note: NormalizedNote, cfg: ChunkerConfig | None = None) -> list[C
         else:
             buf.append(text)
             buf_tokens += tokens
-        pos += len(text)
     flush()
     return chunks

@@ -7,14 +7,14 @@ the note's offset map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .preprocess import Chunk, NormalizedNote
 from .terminology import (
     AbbreviationTable,
-    LexiconEntry,
     SemanticType,
     TermIndex,
+    fold_case,
     is_alnum,
     word_start,
 )
@@ -39,7 +39,7 @@ class Mention:
 def recognize(chunk: Chunk, index: TermIndex, note: NormalizedNote) -> list[Mention]:
     """Forward-maximum-match the chunk against the index (unfiltered)."""
     text = chunk.text
-    lowered = text.lower()
+    lowered = fold_case(text)
     mentions: list[Mention] = []
     i = 0
     n = len(text)
@@ -82,7 +82,6 @@ def brute_force_recognize(text: str, surfaces: list[str]) -> list[tuple[int, int
     At each word-boundary position tries every surface by string comparison
     and keeps the longest that ends at a word boundary, then resumes after it.
     """
-    lowered = text.lower()
     spans: list[tuple[int, int]] = []
     i = 0
     n = len(text)
@@ -92,7 +91,7 @@ def brute_force_recognize(text: str, surfaces: list[str]) -> list[tuple[int, int
             continue
         best = 0
         for s in surfaces:
-            if len(s) > best and lowered.startswith(s, i) and word_start(lowered, i + len(s)):
+            if len(s) > best and text[i : i + len(s)].lower() == s and word_start(text, i + len(s)):
                 best = len(s)
         if best:
             spans.append((i, i + best))

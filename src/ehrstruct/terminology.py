@@ -121,6 +121,16 @@ def load_lexicon(path) -> tuple[list[LexiconEntry], LoadReport]:
     return entries, report
 
 
+def fold_case(text: str) -> str:
+    """Lowercase text without changing its length, so offsets into the result
+    index the original. A character whose lowercase is longer (such as 'İ')
+    is kept as it is."""
+    lowered = text.lower()
+    if len(lowered) == len(text):
+        return lowered
+    return "".join(low if len(low := ch.lower()) == 1 else ch for ch in text)
+
+
 def is_alnum(ch: str) -> bool:
     return ch.isalnum()
 
@@ -201,17 +211,8 @@ class AbbreviationTable:
     def __init__(self, mapping: dict[str, list[Expansion]] | None = None):
         self._mapping: dict[str, list[Expansion]] = dict(mapping or {})
 
-    def __contains__(self, abbrev: str) -> bool:
-        return abbrev in self._mapping
-
-    def __len__(self) -> int:
-        return len(self._mapping)
-
     def expansions(self, abbrev: str) -> list[Expansion]:
         return list(self._mapping.get(abbrev, []))
-
-    def is_ambiguous(self, abbrev: str) -> bool:
-        return len(self._mapping.get(abbrev, [])) >= 2
 
     def add(self, abbrev: str, expansion: Expansion) -> None:
         self._mapping.setdefault(abbrev, []).append(expansion)
@@ -313,9 +314,6 @@ class ApplicabilityTable:
             raise ValueError(f"non-reportable type: {t.value}")
         return self.table[t]
 
-    def is_applicable(self, t: SemanticType, kind: str) -> bool:
-        return kind in self.applicable_attributes(t)
-
     @classmethod
     def load(cls, path) -> "ApplicabilityTable":
         """Load overrides from a key-value config: type name -> comma-separated
@@ -340,7 +338,3 @@ class ApplicabilityTable:
                 table[sem_type] = kinds
         return cls(table)
 
-
-def applicable_attributes(t: SemanticType, table: ApplicabilityTable | None = None) -> frozenset[str]:
-    """Convenience wrapper over the default applicability table."""
-    return (table or ApplicabilityTable()).applicable_attributes(t)

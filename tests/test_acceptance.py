@@ -13,11 +13,12 @@ from ehrstruct.attributes import LlmBackend, annotate_note
 from ehrstruct.cli import main
 from ehrstruct.evaluate import evaluate, match_phrases, phrase_f1
 from ehrstruct.integrate import (
+    NoteResult,
     align,
     assemble,
     entity_to_dict,
     parse_entities,
-    serialize_entities,
+    serialize,
 )
 from ehrstruct.llm_client import ChatClient, ConfigurationError, EndpointConfig, Transcript
 from ehrstruct.pipeline import PipelineResources, structure_note
@@ -287,7 +288,7 @@ def test_criterion_7_serialization_round_trip():
             )
         )
     buf = io.StringIO()
-    serialize_entities(entities, buf)
+    serialize([NoteResult("n", entities)], buf)
     buf.seek(0)
     parsed = parse_entities(buf)
     ok = len(parsed) == len(entities) and all(

@@ -47,6 +47,11 @@ class TestRuleEngine:
     def test_denies_forward(self, rules):
         assert classify_in("denies chest pain", "chest pain", rules) is AssertionStatus.ABSENT
 
+    def test_trigger_after_lengthening_lowercase(self, rules):
+        # "İ".lower() is two characters; trigger offsets must still index the sentence
+        text = "İİ denies chest pain"
+        assert classify_in(text, "chest pain", rules) is AssertionStatus.ABSENT
+
     def test_default_present(self, rules):
         assert classify_in("chest pain", "chest pain", rules) is AssertionStatus.PRESENT
 

@@ -5,6 +5,7 @@ from ehrstruct.attributes import (
     BackendError,
     LlmBackend,
     RuleBackend,
+    annotate_note,
     apply_applicability,
     llm_extract,
     load_anatomy_lexicon,
@@ -88,6 +89,11 @@ class TestLocations:
         got = rule_extract_locations(text, 0, 4)
         assert got == ["left knee"]
 
+    def test_direction_after_lengthening_lowercase(self):
+        text = "İİİİ pain in left knee"
+        s = text.index("pain")
+        assert rule_extract_locations(text, s, s + 4) == ["left knee"]
+
     def test_at_most_two_nearest_first(self):
         text = "pain radiating to chest, arm, and knee"
         got = rule_extract_locations(text, 0, 4)
@@ -162,6 +168,36 @@ class TestApplyApplicability:
                     assert value is not NOT_APPLICABLE
                 else:
                     assert value is NOT_APPLICABLE
+
+
+class TestAnnotateNote:
+    def test_each_kind_sees_only_applicable_mentions(self):
+        text = "aspirin for fever"
+        drug = mention("aspirin", text, sem=SemanticType.CHEMICAL_OR_DRUG)
+        disease = mention("fever", text, sem=SemanticType.DISEASE)
+        note = NormalizedNote("n", text, list(range(len(text))))
+        prompts = []
+
+        class Recorder:
+            def complete(self, prompt):
+                prompts.append(prompt)
+                terms = prompt.rsplit("Here are the terms:", 1)[1].splitlines()
+                return "\n".join(f"{t}: null" for t in terms if t)
+
+        sets, dropped, total = annotate_note(
+            note, [chunk_for(text)], [drug, disease], LlmBackend(Recorder()), ApplicabilityTable()
+        )
+        assert len(prompts) == len(ATTRIBUTE_KINDS)  # one call per kind, in kind order
+        prompts = dict(zip(ATTRIBUTE_KINDS, prompts))
+        purpose = prompts[PURPOSE]
+        assert purpose.endswith("terms:aspirin")
+        assert "{{aspirin}}" in purpose and "{{fever}}" not in purpose
+        location = prompts["location"]
+        assert location.endswith("terms:fever")
+        assert "{{fever}}" in location and "{{aspirin}}" not in location
+        assert dropped == 0
+        assert sets[0].locations is NOT_APPLICABLE and sets[0].purpose is None
+        assert sets[1].purpose is NOT_APPLICABLE and sets[1].locations is None
 
 
 def replay_client(pairs):

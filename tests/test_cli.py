@@ -176,28 +176,6 @@ class TestEvaluateCommand:
         assert "1.000" in capsys.readouterr().out
 
 
-class TestBuildIndex:
-    def test_cache_hit_on_second_run(self, tmp_path, lexicon_path, capsys):
-        cache = tmp_path / "index.bin"
-        assert main(["build-index", lexicon_path, str(cache)]) == 0
-        assert "built" in capsys.readouterr().out
-        assert main(["build-index", lexicon_path, str(cache)]) == 0
-        assert "cache hit" in capsys.readouterr().out
-
-    def test_corrupt_cache_rebuilds(self, tmp_path, lexicon_path, capsys):
-        cache = tmp_path / "index.bin"
-        cache.write_bytes(b"garbage")
-        assert main(["build-index", lexicon_path, str(cache)]) == 0
-        assert "built" in capsys.readouterr().out
-
-    def test_stale_cache_rebuilds(self, tmp_path, lexicon_path):
-        cache = tmp_path / "index.bin"
-        other = tmp_path / "other.tsv"
-        other.write_text("fever\tC1\tOther\n", encoding="utf-8")
-        assert main(["build-index", str(other), str(cache)]) == 0
-        assert main(["build-index", lexicon_path, str(cache)]) == 0  # hash differs
-
-
 class TestValidateConfig:
     def test_missing_lexicon_named(self, tmp_path, capsys):
         code = main(["validate-config", "--lexicon", str(tmp_path / "nope.tsv")])
@@ -219,6 +197,37 @@ class TestValidateConfig:
         assert cfg.max_tokens == 400
         assert cfg.workers == 2
         assert cfg.validate() == []
+
+
+class TestConfigErrors:
+    def write_config(self, tmp_path, lexicon_path, line):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"lexicon = {lexicon_path}\n{line}\n", encoding="utf-8")
+        return cfg_file
+
+    def test_bad_value_names_path_line_and_key(self, tmp_path, lexicon_path):
+        cfg_file = self.write_config(tmp_path, lexicon_path, "workers = four")
+        with pytest.raises(ValueError, match=r"pipeline\.cfg:2: workers: expected int, got 'four'"):
+            PipelineConfig.load(cfg_file)
+
+    def test_removed_hard_note_limit_is_unknown(self, tmp_path, lexicon_path):
+        cfg_file = self.write_config(tmp_path, lexicon_path, "hard_note_limit = 8000")
+        with pytest.raises(ValueError, match=r"pipeline\.cfg:2: unknown setting 'hard_note_limit'"):
+            PipelineConfig.load(cfg_file)
+
+    @pytest.mark.parametrize("command", ["structure", "preprocess", "recognize"])
+    def test_bad_value_exits_cleanly(self, tmp_path, lexicon_path, command, capsys):
+        cfg_file = self.write_config(tmp_path, lexicon_path, "max_tokens = many")
+        code = main([command, "--config", str(cfg_file), NOTES, str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_file}:2: max_tokens:")
+
+    @pytest.mark.parametrize("command", ["structure", "preprocess", "recognize"])
+    def test_missing_config_file_exits_1(self, tmp_path, command, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = main([command, "--config", str(missing), NOTES, str(tmp_path / "out.jsonl")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestStageCommands:

@@ -15,7 +15,7 @@ from ehrstruct.integrate import (
     entity_to_dict,
     parse_entities,
     rejection_report,
-    serialize_entities,
+    serialize,
 )
 from ehrstruct.recognition import Mention
 from ehrstruct.terminology import NOT_APPLICABLE, SemanticType
@@ -144,7 +144,7 @@ class TestSerialization:
         rng = random.Random(5)
         entities = [make_entity(rng) for _ in range(500)]
         buf = io.StringIO()
-        serialize_entities(entities, buf)
+        serialize([NoteResult("n", entities)], buf)
         buf.seek(0)
         parsed = parse_entities(buf)
         assert len(parsed) == len(entities)
@@ -169,7 +169,7 @@ class TestSerialization:
 
     def test_empty_output(self):
         buf = io.StringIO()
-        serialize_entities([], buf)
+        serialize([NoteResult("n", [])], buf)
         assert buf.getvalue() == ""
 
     def test_parse_error_reports_line(self):

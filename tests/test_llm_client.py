@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import pytest
@@ -76,6 +77,27 @@ class TestLiveMode:
             t.join()
         assert stub_server.request_count == 8
         assert stub_server.max_observed_in_flight <= 2
+
+    def test_network_calls_counted_across_threads(self, stub_server):
+        client = make_client(stub_server, max_in_flight=4)
+
+        def worker():
+            for i in range(25):
+                client.complete(f"p{i}")
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often enough to expose a lost update
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert stub_server.request_count == 100
+        assert client.network_calls == 100
 
 
 class TestReplayMode:

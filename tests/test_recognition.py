@@ -78,6 +78,16 @@ class TestRecognize:
         assert mentions[0].surface == "Chest Pain"
         assert mentions[0].canonical_phrase == "Chest Pain"
 
+    def test_lowercase_that_lengthens_keeps_offsets(self):
+        # "İ".lower() is two characters; offsets must still index the raw chunk
+        index = build_index(entries("chest pain"))
+        note, chunk = note_and_chunk("İİ chest pain today")
+        mentions = recognize(chunk, index, note)
+        assert [(m.surface, m.raw_start) for m in mentions] == [("chest pain", 3)]
+
+    def test_oracle_offsets_survive_lengthening_lowercase(self):
+        assert brute_force_recognize("İİ chest pain today", ["chest pain"]) == [(3, 13)]
+
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(1234)
         for _ in range(300):
@@ -86,6 +96,20 @@ class TestRecognize:
             note, chunk = note_and_chunk(text)
             got = [(m.norm_start, m.norm_end) for m in recognize(chunk, index, note)]
             assert got == brute_force_recognize(text, surfaces)
+
+    def test_oracle_equivalence_with_lengthening_lowercase(self):
+        rng = random.Random(4321)
+        for _ in range(100):
+            surfaces, text = random_lexicon_and_text(rng, max_entries=50)
+            words = text.split(" ")
+            for _ in range(3):
+                words.insert(rng.randint(0, len(words)), "İ" * rng.randint(1, 3))
+            text = " ".join(words)
+            index = build_index(entries(*surfaces))
+            note, chunk = note_and_chunk(text)
+            got = [(m.norm_start, m.norm_end) for m in recognize(chunk, index, note)]
+            assert got == brute_force_recognize(text, surfaces)
+            assert all(text[s:e].lower() in surfaces for s, e in got)
 
     def test_mentions_ordered_and_non_overlapping(self, sample_index):
         text = "fever and chest pain with nausea, vomiting and fever"

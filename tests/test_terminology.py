@@ -7,7 +7,6 @@ from ehrstruct.terminology import (
     ApplicabilityTable,
     LexiconFormatError,
     SemanticType,
-    applicable_attributes,
     build_index,
     load_lexicon,
 )
@@ -104,17 +103,17 @@ class TestTermIndex:
 
 class TestApplicability:
     def test_disease_has_no_purpose(self):
-        kinds = applicable_attributes(SemanticType.DISEASE)
+        kinds = ApplicabilityTable().applicable_attributes(SemanticType.DISEASE)
         assert kinds == {"location", "modifier", "value", "unit"}
         assert PURPOSE not in kinds
 
     def test_drug_has_purpose_but_no_location(self):
-        kinds = applicable_attributes(SemanticType.CHEMICAL_OR_DRUG)
+        kinds = ApplicabilityTable().applicable_attributes(SemanticType.CHEMICAL_OR_DRUG)
         assert kinds == {"modifier", "value", "unit", "purpose"}
 
     def test_other_raises(self):
         with pytest.raises(ValueError, match="non-reportable"):
-            applicable_attributes(SemanticType.OTHER)
+            ApplicabilityTable().applicable_attributes(SemanticType.OTHER)
 
     def test_totality(self):
         table = ApplicabilityTable()
