@@ -3,7 +3,7 @@ attribute backends, integration, and evaluation."""
 
 from .assertion import AssertionStatus, TriggerRule, classify, load_rules
 from .attributes import AttributeSet, LlmBackend, RuleBackend
-from .evaluate import DefaultJudge, EvalReport, evaluate, phrase_f1
+from .evaluate import EvalReport, evaluate, phrase_f1
 from .integrate import NoteResult, StructuredEntity, align, assemble
 from .llm_client import ChatClient, EndpointConfig, Transcript
 from .pipeline import PipelineConfig, build_resources, run_structure, structure_note

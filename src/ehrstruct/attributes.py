@@ -1,11 +1,14 @@
 """Per-mention attribute extraction through pluggable annotator backends.
 
-Two backends ship: a deterministic rule backend (regex values/units, anatomy
-lexicon locations, adjacency modifiers, no purposes) and an LLM backend that
-marks mentions with double curly braces, prompts one attribute kind at a time,
-and aligns the echoed entity lines back to the mention order. Each kind sees
-only the mentions whose semantic type it applies to; applicability filtering
-runs last and forces inapplicable kinds to "not applicable".
+`annotate_note` calls a backend once per chunk that has mentions, passing
+each mention's sentence (computed once per note by the pipeline) and the
+attribute kinds its semantic type allows. Two backends ship: a deterministic
+rule backend (regex values/units, anatomy lexicon locations, adjacency
+modifiers, no purposes) that fills every applicable kind from the one
+sentence, and an LLM backend that marks mentions with double curly braces,
+prompts once per attribute kind over only the mentions that kind applies to,
+and aligns the echoed entity lines back to the mention order. Applicability
+filtering runs last and forces inapplicable kinds to "not applicable".
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ import logging
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
-from .assertion import sentence_for
 from .integrate import align
 from .llm_client import ChatClient
-from .preprocess import Chunk, NormalizedNote
+from .preprocess import Chunk
 from .recognition import Mention
 from .terminology import (
     ATTRIBUTE_KINDS,
@@ -70,21 +71,10 @@ def _data_text(name: str) -> str:
     return resources.files("ehrstruct.data").joinpath(name).read_text(encoding="utf-8")
 
 
-def load_word_list(path_or_name) -> set[str]:
-    """Newline-delimited word list, lowercased; '#' comments allowed."""
-    text = Path(path_or_name).read_text(encoding="utf-8")
-    return {
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    }
-
-
-def load_anatomy_lexicon(path=None) -> dict[str, str]:
+def load_anatomy_lexicon() -> dict[str, str]:
     """surface -> display-form mapping; lines without a TAB map to themselves."""
-    text = Path(path).read_text(encoding="utf-8") if path else _data_text("anatomy.txt")
     mapping: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in _data_text("anatomy.txt").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -190,31 +180,29 @@ def rule_extract_modifiers(
 class RuleBackend:
     """Deterministic attribute annotator; purpose always comes back empty."""
 
-    name = "rule"
+    def __init__(self):
+        self.anatomy = load_anatomy_lexicon()
+        self.units = default_units()
+        self.modifier_words = default_modifier_words()
 
-    def __init__(self, anatomy=None, units=None, modifier_words=None):
-        self.anatomy = anatomy if anatomy is not None else load_anatomy_lexicon()
-        self.units = units if units is not None else default_units()
-        self.modifier_words = modifier_words if modifier_words is not None else default_modifier_words()
-
-    def annotate(self, note: NormalizedNote, chunk: Chunk, mentions: list[Mention], kind: str):
-        assignments: list[tuple[int, object]] = []
-        for idx, m in enumerate(mentions):
-            sent, s, e = sentence_for(note.text, m.norm_start, m.norm_end)
-            if kind == VALUE:
-                value, _ = rule_extract_value_unit(sent, s, e, self.units)
-            elif kind == UNIT:
-                _, value = rule_extract_value_unit(sent, s, e, self.units)
-            elif kind == LOCATION:
-                value = rule_extract_locations(sent, s, e, self.anatomy) or None
-            elif kind == MODIFIER:
-                value = rule_extract_modifiers(sent, s, e, self.modifier_words) or None
-            elif kind == PURPOSE:
-                value = None  # needs world knowledge the rule backend lacks
-            else:
-                raise ValueError(f"unknown attribute kind {kind!r}")
-            assignments.append((idx, value))
-        return assignments, 0, len(assignments)
+    def annotate(self, chunk: Chunk, mentions: list[Mention], sentences, kinds):
+        """Fill every applicable kind of each mention from its sentence."""
+        sets = []
+        for (sent, s, e), applicable in zip(sentences, kinds):
+            raw = AttributeSet()
+            if VALUE in applicable or UNIT in applicable:
+                value, unit = rule_extract_value_unit(sent, s, e, self.units)
+                if VALUE in applicable:
+                    raw.value = value
+                if UNIT in applicable:
+                    raw.unit = unit
+            if LOCATION in applicable:
+                raw.locations = rule_extract_locations(sent, s, e, self.anatomy) or None
+            if MODIFIER in applicable:
+                raw.modifiers = rule_extract_modifiers(sent, s, e, self.modifier_words) or None
+            # PURPOSE stays None: it needs world knowledge the rule backend lacks
+            sets.append(raw)
+        return sets, 0, sum(len(k) for k in kinds)
 
 
 def mark_mentions(chunk: Chunk, mentions: list[Mention]) -> str:
@@ -261,21 +249,14 @@ def parse_response_lines(response: str) -> tuple[list[tuple[str, object]], int]:
     return lines, unparsable
 
 
-def llm_extract(
-    chunk: Chunk,
-    mentions: list[Mention],
-    kind: str,
-    client: ChatClient,
-    template: str | None = None,
-):
+def llm_extract(chunk: Chunk, mentions: list[Mention], kind: str, client: ChatClient):
     """One prompt per (chunk, kind); aligns echoed entities to mention order.
 
     Returns (assignments, dropped_count, total_lines) where assignments are
     (mention_index, value) pairs.
     """
-    template = template or default_prompt_template(kind)
     marked = mark_mentions(chunk, mentions)
-    prompt = render_prompt(template, marked, kind, [m.surface for m in mentions])
+    prompt = render_prompt(default_prompt_template(kind), marked, kind, [m.surface for m in mentions])
     response = client.complete(prompt)
     lines, unparsable = parse_response_lines(response)
     if not lines:
@@ -292,18 +273,27 @@ def llm_extract(
 class LlmBackend:
     """Annotator backed by a chat-completion client (live or replay)."""
 
-    name = "llm"
-
-    def __init__(self, client: ChatClient, templates: dict[str, str] | None = None):
+    def __init__(self, client: ChatClient):
         self.client = client
-        self.templates = templates or {}
 
-    def annotate(self, note: NormalizedNote, chunk: Chunk, mentions: list[Mention], kind: str):
-        template = self.templates.get(kind)
-        assignments, dropped, total = llm_extract(chunk, mentions, kind, self.client, template)
-        if kind in _LIST_KINDS:
-            assignments = [(i, [v] if isinstance(v, str) else v) for i, v in assignments]
-        return assignments, dropped, total
+    def annotate(self, chunk: Chunk, mentions: list[Mention], sentences, kinds):
+        """One prompt per attribute kind, listing only the mentions it applies to."""
+        sets = [AttributeSet() for _ in mentions]
+        dropped_total = lines_total = 0
+        for kind in ATTRIBUTE_KINDS:
+            indices = [i for i, applicable in enumerate(kinds) if kind in applicable]
+            if not indices:
+                continue
+            assignments, dropped, total = llm_extract(
+                chunk, [mentions[i] for i in indices], kind, self.client
+            )
+            dropped_total += dropped
+            lines_total += total
+            for local_idx, value in assignments:
+                if kind in _LIST_KINDS and isinstance(value, str):
+                    value = [value]
+                sets[indices[local_idx]].set(kind, value)
+        return sets, dropped_total, lines_total
 
 
 def apply_applicability(m: Mention, raw: AttributeSet, table: ApplicabilityTable) -> AttributeSet:
@@ -320,36 +310,39 @@ def apply_applicability(m: Mention, raw: AttributeSet, table: ApplicabilityTable
 
 
 def annotate_note(
-    note: NormalizedNote,
     chunks: list[Chunk],
     mentions: list[Mention],
+    sentences: list[tuple[str, int, int]],
     backend,
     table: ApplicabilityTable,
 ):
-    """Run the backend per chunk per kind over the mentions that kind applies
-    to, and assemble AttributeSets.
+    """Call the backend once per chunk that has mentions, passing each
+    mention's (sentence, start, end) and applicable kinds, and assemble
+    AttributeSets.
 
     Returns (attribute_sets parallel to mentions, dropped_lines, total_lines).
     """
     raw_sets = [AttributeSet() for _ in mentions]
-    applicable = [table.applicable_attributes(m.semantic_type) for m in mentions]
+    kinds = [table.applicable_attributes(m.semantic_type) for m in mentions]
     dropped_total = 0
     lines_total = 0
     by_chunk: dict[int, list[int]] = {}
     for idx, m in enumerate(mentions):
         by_chunk.setdefault(m.chunk_index, []).append(idx)
     for chunk in chunks:
-        indices = by_chunk.get(chunk.chunk_index, [])
-        for kind in ATTRIBUTE_KINDS:
-            kind_indices = [i for i in indices if kind in applicable[i]]
-            if not kind_indices:
-                continue
-            kind_mentions = [mentions[i] for i in kind_indices]
-            assignments, dropped, total = backend.annotate(note, chunk, kind_mentions, kind)
-            dropped_total += dropped
-            lines_total += total
-            for local_idx, value in assignments:
-                raw_sets[kind_indices[local_idx]].set(kind, value)
+        indices = by_chunk.get(chunk.chunk_index)
+        if not indices:
+            continue
+        sets, dropped, total = backend.annotate(
+            chunk,
+            [mentions[i] for i in indices],
+            [sentences[i] for i in indices],
+            [kinds[i] for i in indices],
+        )
+        dropped_total += dropped
+        lines_total += total
+        for i, raw in zip(indices, sets):
+            raw_sets[i] = raw
     attribute_sets = [
         apply_applicability(m, raw, table) for m, raw in zip(mentions, raw_sets)
     ]

@@ -12,7 +12,7 @@ import json
 import logging
 import sys
 
-from .evaluate import DefaultJudge, render_table, report_files
+from .evaluate import render_table, report_files
 from .integrate import rejection_report, serialize
 from .pipeline import (
     PipelineConfig,
@@ -90,13 +90,12 @@ def cmd_structure(args) -> int:
 
 def cmd_evaluate(args) -> int:
     try:
-        judge = DefaultJudge()
         abbrev = None
         if args.abbreviations:
             from .terminology import AbbreviationTable
 
             abbrev = AbbreviationTable.load(args.abbreviations)
-        report = report_files(args.gold, args.pred, judge=judge, abbrev=abbrev, macro=args.macro)
+        report = report_files(args.gold, args.pred, abbrev=abbrev, macro=args.macro)
     except (OSError, ValueError) as exc:
         return _error(exc)
     print(render_table(report, name=args.name))

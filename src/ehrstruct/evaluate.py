@@ -2,8 +2,8 @@
 
 Phrase-level precision/recall/F1 with exact matching (modulo case and
 acronym/full-name equivalence), then per-attribute accuracy over the matched
-pairs. The equivalence judge is pluggable; the default is deterministic text
-normalization with unit-synonym and comparator-word tables.
+pairs. Attribute values are compared by deterministic text normalization with
+unit-synonym and comparator-word tables.
 """
 
 from __future__ import annotations
@@ -61,26 +61,25 @@ _UNIT_SYNONYMS = {
 }
 
 
-class DefaultJudge:
-    """Equivalence by normalization: lowercase, punctuation stripped, unit
-    synonyms and comparator words folded to a canonical form."""
+def normalize(text: str, kind: str = "value") -> str:
+    """Lowercase, strip punctuation, and fold unit synonyms and comparator
+    words to a canonical form."""
+    s = text.strip().lower()
+    for symbol, words in _COMPARATORS.items():
+        s = s.replace(symbol, f" {words} ")
+    s = s.replace("%", " % ")
+    s = re.sub(r"[^\w\s%./]", " ", s)
+    s = re.sub(r"\s+", " ", s).strip()
+    if s in _UNIT_SYNONYMS:
+        s = _UNIT_SYNONYMS[s]
+    else:
+        tokens = [_UNIT_SYNONYMS.get(t, t) if kind == "unit" else t for t in s.split(" ")]
+        s = " ".join(tokens)
+    return s
 
-    def normalize(self, text: str, kind: str = "value") -> str:
-        s = text.strip().lower()
-        for symbol, words in _COMPARATORS.items():
-            s = s.replace(symbol, f" {words} ")
-        s = s.replace("%", " % ")
-        s = re.sub(r"[^\w\s%./]", " ", s)
-        s = re.sub(r"\s+", " ", s).strip()
-        if s in _UNIT_SYNONYMS:
-            s = _UNIT_SYNONYMS[s]
-        else:
-            tokens = [_UNIT_SYNONYMS.get(t, t) if kind == "unit" else t for t in s.split(" ")]
-            s = " ".join(tokens)
-        return s
 
-    def equivalent(self, a: str, b: str, kind: str = "value") -> bool:
-        return self.normalize(a, kind) == self.normalize(b, kind)
+def equivalent(a: str, b: str, kind: str = "value") -> bool:
+    return normalize(a, kind) == normalize(b, kind)
 
 
 @dataclass
@@ -190,7 +189,7 @@ def _as_list(value) -> list[str]:
     return [str(value)]
 
 
-def _values_equivalent(gold_value, pred_value, kind: str, judge) -> bool:
+def _values_equivalent(gold_value, pred_value, kind: str) -> bool:
     if gold_value is NOT_APPLICABLE or pred_value is NOT_APPLICABLE:
         return gold_value is pred_value
     if kind == "status":
@@ -202,7 +201,7 @@ def _values_equivalent(gold_value, pred_value, kind: str, judge) -> bool:
         remaining = list(p_items)
         for g in g_items:
             for p in remaining:
-                if judge.equivalent(g, p, kind):
+                if equivalent(g, p, kind):
                     remaining.remove(p)
                     break
             else:
@@ -210,20 +209,19 @@ def _values_equivalent(gold_value, pred_value, kind: str, judge) -> bool:
         return True
     if gold_value is None or pred_value is None:
         return gold_value is None and pred_value is None
-    return judge.equivalent(str(gold_value), str(pred_value), kind)
+    return equivalent(str(gold_value), str(pred_value), kind)
 
 
-def attribute_accuracy(tp_pairs, kind: str, judge=None) -> float | None:
+def attribute_accuracy(tp_pairs, kind: str) -> float | None:
     """Fraction of matched pairs with equivalent values for the kind, over
     pairs where gold carries a non-NotApplicable value. None when empty."""
-    score = score_attribute(tp_pairs, kind, judge)
+    score = score_attribute(tp_pairs, kind)
     return score.accuracy
 
 
-def score_attribute(tp_pairs, kind: str, judge=None) -> KindScore:
+def score_attribute(tp_pairs, kind: str) -> KindScore:
     if kind not in ATTRIBUTE_COLUMNS:
         raise ValueError(f"unknown attribute kind {kind!r}")
-    judge = judge or DefaultJudge()
     field_name = _KIND_FIELDS[kind]
     score = KindScore()
     for g, p in tp_pairs:
@@ -231,7 +229,7 @@ def score_attribute(tp_pairs, kind: str, judge=None) -> KindScore:
         if gold_value is NOT_APPLICABLE:
             continue
         score.total += 1
-        if _values_equivalent(gold_value, getattr(p, field_name), kind, judge):
+        if _values_equivalent(gold_value, getattr(p, field_name), kind):
             score.correct += 1
     return score
 
@@ -243,9 +241,8 @@ def _group_by_note(entities):
     return groups
 
 
-def evaluate(gold_entities, pred_entities, judge=None, abbrev=None, macro: bool = False):
+def evaluate(gold_entities, pred_entities, abbrev=None, macro: bool = False):
     """Aggregate scores across notes; micro-averaged by default."""
-    judge = judge or DefaultJudge()
     gold_by_note = _group_by_note(gold_entities)
     pred_by_note = _group_by_note(pred_entities)
     note_ids = sorted(set(gold_by_note) | set(pred_by_note))
@@ -257,7 +254,7 @@ def evaluate(gold_entities, pred_entities, judge=None, abbrev=None, macro: bool 
         )
         note_report = EvalReport(tp=len(tp_pairs), fp=len(fp), fn=len(fn))
         for kind in ATTRIBUTE_COLUMNS:
-            note_report.kinds[kind] = score_attribute(tp_pairs, kind, judge)
+            note_report.kinds[kind] = score_attribute(tp_pairs, kind)
         per_note.append(note_report)
         report.tp += note_report.tp
         report.fp += note_report.fp
@@ -315,11 +312,11 @@ def render_table(report, name: str = "pipeline") -> str:
     return "\n".join(lines)
 
 
-def report_files(gold_path, pred_path, judge=None, abbrev=None, macro: bool = False):
+def report_files(gold_path, pred_path, abbrev=None, macro: bool = False):
     """Score a prediction file against a gold file; both entity JSONL."""
     with open(gold_path, encoding="utf-8") as fh:
         gold = parse_entities(fh)
     with open(pred_path, encoding="utf-8") as fh:
         pred = parse_entities(fh)
-    report, per_note = evaluate(gold, pred, judge=judge, abbrev=abbrev, macro=macro)
+    report, per_note = evaluate(gold, pred, abbrev=abbrev, macro=macro)
     return report

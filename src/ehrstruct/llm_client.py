@@ -8,7 +8,6 @@ offline.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -46,31 +45,24 @@ class EndpointConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-
-
-def prompt_hash(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
 
 
 class Transcript:
-    """Prompt -> response store for record/replay, persisted as JSONL."""
+    """Prompt -> response store for record/replay, persisted as JSONL lines
+    of {"prompt", "response"} in first-recorded order."""
 
     def __init__(self):
         self._responses: dict[str, str] = {}
-        self._prompts: dict[str, str] = {}
-        self._order: list[str] = []
         self._lock = threading.Lock()
 
     def get(self, prompt: str) -> str | None:
-        return self._responses.get(prompt_hash(prompt))
+        return self._responses.get(prompt)
 
     def put(self, prompt: str, response: str) -> None:
-        h = prompt_hash(prompt)
         with self._lock:
-            if h not in self._responses:
-                self._order.append(h)
-            self._responses[h] = response
-            self._prompts[h] = prompt
+            self._responses[prompt] = response
 
     @classmethod
     def load(cls, path) -> "Transcript":
@@ -86,12 +78,9 @@ class Transcript:
 
     def save(self, path) -> None:
         with Path(path).open("w", encoding="utf-8") as fh:
-            for h in self._order:
+            for prompt, response in self._responses.items():
                 fh.write(
-                    json.dumps(
-                        {"hash": h, "prompt": self._prompts.get(h, ""), "response": self._responses[h]},
-                        ensure_ascii=False,
-                    )
+                    json.dumps({"prompt": prompt, "response": response}, ensure_ascii=False)
                     + "\n"
                 )
 

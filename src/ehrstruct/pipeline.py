@@ -108,6 +108,11 @@ class PipelineConfig:
             problems.append("mismatch_threshold: must be >= 0")
         if self.workers < 1:
             problems.append("workers: must be >= 1")
+        for build in (self.chunker, self.endpoint):
+            try:
+                build()
+            except ValueError as exc:
+                problems.append(str(exc))
         return problems
 
     def chunker(self) -> ChunkerConfig:
@@ -173,16 +178,18 @@ def structure_note(raw: RawNote, res: PipelineResources) -> NoteResult:
     note = restore_linebreaks(raw)
     chunks = chunk_note(note, res.chunker)
     mentions = recognize_note(note, chunks, res.index, res.abbreviations)
+    sentences = [
+        assertion_mod.sentence_for(note.text, m.norm_start, m.norm_end) for m in mentions
+    ]
     statuses = []
-    for m in mentions:
-        sent, s, e = assertion_mod.sentence_for(note.text, m.norm_start, m.norm_end)
+    for m, (sent, s, e) in zip(mentions, sentences):
         par, p_start = assertion_mod.paragraph_for(note.text, m.norm_start)
         statuses.append(
             assertion_mod.classify(sent, s, e, res.rules, paragraph=par, paragraph_start=p_start)
         )
     try:
         attribute_sets, dropped, total = annotate_note(
-            note, chunks, mentions, res.backend, res.applicability
+            chunks, mentions, sentences, res.backend, res.applicability
         )
     except (BackendError, TransportError, ConfigurationError) as exc:
         log.error("note %s: backend failure: %s", raw.note_id, exc)

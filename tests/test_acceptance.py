@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from ehrstruct.assertion import AssertionStatus, classify, default_rules
-from ehrstruct.attributes import LlmBackend, annotate_note
+from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
 from ehrstruct.evaluate import evaluate, match_phrases, phrase_f1
 from ehrstruct.integrate import (

@@ -16,7 +16,7 @@ from ehrstruct.attributes import (
     rule_extract_value_unit,
 )
 from ehrstruct.llm_client import ChatClient, EndpointConfig, Transcript
-from ehrstruct.preprocess import Chunk, NormalizedNote, count_tokens
+from ehrstruct.preprocess import Chunk, count_tokens
 from ehrstruct.recognition import Mention
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
@@ -32,6 +32,11 @@ def mention(phrase, text, sem=SemanticType.SIGN_SYMPTOM_OR_FINDING, note_id="n",
     start = text.index(phrase)
     return Mention(note_id, chunk_index, start, start + len(phrase), start,
                    start + len(phrase), phrase, phrase, sem)
+
+
+def sentence(m, text):
+    """The whole text as the mention's sentence."""
+    return text, m.norm_start, m.norm_end
 
 
 def chunk_for(text, note_id="n"):
@@ -123,18 +128,19 @@ class TestRuleBackend:
     def test_purpose_always_null(self):
         text = "levothyroxine to treat thyroid hormone deficiency"
         m = mention("levothyroxine", text, sem=SemanticType.CHEMICAL_OR_DRUG)
-        note = NormalizedNote("n", text, list(range(len(text))))
         backend = RuleBackend()
-        assignments, dropped, total = backend.annotate(note, chunk_for(text), [m], PURPOSE)
+        sets, dropped, total = backend.annotate(chunk_for(text), [m], [sentence(m, text)], [{PURPOSE}])
+        assignments = [(i, s.purpose) for i, s in enumerate(sets)]
         assert assignments == [(0, None)]
         assert dropped == 0
 
     def test_deterministic(self):
         text = "Lisinopril 10 mg daily for severe hypertension"
         m = mention("Lisinopril", text, sem=SemanticType.CHEMICAL_OR_DRUG)
-        note = NormalizedNote("n", text, list(range(len(text))))
         backend = RuleBackend()
-        runs = [backend.annotate(note, chunk_for(text), [m], "value") for _ in range(3)]
+        runs = [
+            backend.annotate(chunk_for(text), [m], [sentence(m, text)], [{"value"}]) for _ in range(3)
+        ]
         assert all(r == runs[0] for r in runs)
 
 
@@ -175,7 +181,6 @@ class TestAnnotateNote:
         text = "aspirin for fever"
         drug = mention("aspirin", text, sem=SemanticType.CHEMICAL_OR_DRUG)
         disease = mention("fever", text, sem=SemanticType.DISEASE)
-        note = NormalizedNote("n", text, list(range(len(text))))
         prompts = []
 
         class Recorder:
@@ -185,7 +190,11 @@ class TestAnnotateNote:
                 return "\n".join(f"{t}: null" for t in terms if t)
 
         sets, dropped, total = annotate_note(
-            note, [chunk_for(text)], [drug, disease], LlmBackend(Recorder()), ApplicabilityTable()
+            [chunk_for(text)],
+            [drug, disease],
+            [sentence(drug, text), sentence(disease, text)],
+            LlmBackend(Recorder()),
+            ApplicabilityTable(),
         )
         assert len(prompts) == len(ATTRIBUTE_KINDS)  # one call per kind, in kind order
         prompts = dict(zip(ATTRIBUTE_KINDS, prompts))
@@ -284,8 +293,8 @@ def test_llm_backend_wraps_location_values_in_lists():
     text = "pain in the left knee"
     m = mention("pain", text)
     backend = LlmBackend(StubClient("pain: left knee"))
-    note = NormalizedNote("n", text, list(range(len(text))))
-    assignments, dropped, total = backend.annotate(note, chunk_for(text), [m], "location")
+    sets, dropped, total = backend.annotate(chunk_for(text), [m], [sentence(m, text)], [{"location"}])
+    assignments = [(i, s.locations) for i, s in enumerate(sets)]
     assert assignments == [(0, ["left knee"])]
 
 

@@ -188,6 +188,30 @@ class TestValidateConfig:
         assert "config OK" in out
         assert "mismatch_threshold" in out
 
+    def test_rejects_max_tokens_structure_rejects(self, lexicon_path, capsys):
+        code = main(["validate-config", "--lexicon", lexicon_path, "--max-tokens", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "config error: max_tokens must be positive" in captured.err
+        assert "config OK" not in captured.out
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_in_flight = 0", "max_in_flight must be >= 1"),
+            ("max_retries = -2", "max_retries must be >= 0"),
+            ("timeout = -1", "timeout must be positive"),
+        ],
+    )
+    def test_rejects_bad_endpoint_settings(self, tmp_path, lexicon_path, line, message, capsys):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"lexicon = {lexicon_path}\n{line}\n", encoding="utf-8")
+        code = main(["validate-config", "--config", str(cfg_file)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"config error: {message}" in captured.err
+        assert "config OK" not in captured.out
+
     def test_config_file_round_trip(self, tmp_path, lexicon_path):
         cfg_file = tmp_path / "pipeline.cfg"
         cfg_file.write_text(

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from ehrstruct.evaluate import (
-    DefaultJudge,
     attribute_accuracy,
+    equivalent,
     evaluate,
     match_phrases,
     phrase_f1,
@@ -97,24 +97,20 @@ class TestMatchPhrases:
 
 class TestDefaultJudge:
     def test_unit_synonym(self):
-        judge = DefaultJudge()
-        assert judge.equivalent("mmHg", "millimeters of mercury", "unit")
+        assert equivalent("mmHg", "millimeters of mercury", "unit")
 
     def test_comparator_words(self):
-        judge = DefaultJudge()
-        assert judge.equivalent("<7", "less than 7", "value")
+        assert equivalent("<7", "less than 7", "value")
 
     def test_reflexive_on_samples(self):
-        judge = DefaultJudge()
         for x in ["105", "mmHg", "left knee", "<=3", "Room Air", "10 mg"]:
             for kind in ("value", "unit", "location"):
-                assert judge.equivalent(x, x, kind)
+                assert equivalent(x, x, kind)
 
     def test_symmetric_on_samples(self):
-        judge = DefaultJudge()
         pairs = [("mmHg", "millimeters of mercury"), ("<7", "less than 7"), ("a", "b")]
         for a, b in pairs:
-            assert judge.equivalent(a, b, "unit") == judge.equivalent(b, a, "unit")
+            assert equivalent(a, b, "unit") == equivalent(b, a, "unit")
 
 
 class TestAttributeAccuracy:

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 
@@ -9,7 +10,6 @@ from ehrstruct.llm_client import (
     EndpointConfig,
     Transcript,
     TransportError,
-    prompt_hash,
 )
 
 
@@ -137,10 +137,6 @@ class TestRecordMode:
 
 
 class TestTranscript:
-    def test_hash_stable(self):
-        assert prompt_hash("abc") == prompt_hash("abc")
-        assert prompt_hash("abc") != prompt_hash("abd")
-
     def test_save_load_byte_identical_responses(self, tmp_path):
         t = Transcript()
         t.put("p1", "line one\nline two")
@@ -151,6 +147,27 @@ class TestTranscript:
         assert loaded.get("p1") == "line one\nline two"
         assert loaded.get("p2") == "unicode ° ≤"
 
+    def test_saved_lines_carry_prompt_and_response_only(self, tmp_path):
+        t = Transcript()
+        t.put("p1", "r1")
+        t.put("p2", "r2")
+        t.put("p1", "r1 again")
+        path = tmp_path / "t.jsonl"
+        t.save(path)
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert lines == [
+            {"prompt": "p1", "response": "r1 again"},
+            {"prompt": "p2", "response": "r2"},
+        ]
+
+    def test_loads_lines_with_old_hash_field(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            json.dumps({"hash": "0" * 64, "prompt": "p1", "response": "r1"}) + "\n",
+            encoding="utf-8",
+        )
+        assert Transcript.load(path).get("p1") == "r1"
+
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -158,3 +175,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EndpointConfig(max_in_flight=0)
     assert EndpointConfig().temperature == 0.0
+
+
+def test_timeout_must_be_positive():
+    for timeout in (0, -1):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            EndpointConfig(timeout=timeout)
