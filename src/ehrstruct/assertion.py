@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .preprocess import count_tokens
+from .preprocess import SECTION_HEADER, count_tokens, split_paragraphs, split_sentences
 from .terminology import fold_case
 
 
@@ -165,7 +166,6 @@ def load_rules(path=None) -> list[TriggerRule]:
 
 _ALLERGY_TOKEN = re.compile(r"\ballerg(?:y|ies)\b", re.IGNORECASE)
 _NKA_PATTERN = re.compile(r"no known (?:drug )?allergies|nkda|nka\b", re.IGNORECASE)
-_HEADER_LINE = re.compile(r"^\s*[A-Z][A-Z0-9 /&'-]*:", re.MULTILINE)
 
 
 def _allergy_scope(paragraph: str, mention_start: int) -> str | None:
@@ -182,14 +182,14 @@ def _allergy_scope(paragraph: str, mention_start: int) -> str | None:
     between = paragraph[best_open.end() : mention_start]
     if "\n\n" in between:
         return None
-    for header in _HEADER_LINE.finditer(between):
+    for header in SECTION_HEADER.finditer(between):
         if not _ALLERGY_TOKEN.search(header.group(0)):
             return None
     scope_end = len(paragraph)
     blank = paragraph.find("\n\n", mention_start)
     if blank != -1:
         scope_end = blank
-    for header in _HEADER_LINE.finditer(paragraph, mention_start):
+    for header in SECTION_HEADER.finditer(paragraph, mention_start):
         if not _ALLERGY_TOKEN.search(header.group(0)):
             scope_end = min(scope_end, header.start())
             break
@@ -254,30 +254,27 @@ def classify(
     return AssertionStatus.PRESENT
 
 
-def sentence_for(note_text: str, start: int, end: int) -> tuple[str, int, int]:
-    """Extract the sentence containing [start, end) from note text.
+def mention_contexts(note_text: str, mentions) -> list[tuple[str, int, int, str, int]]:
+    """Sentence and paragraph context of each mention, splitting the note once.
 
-    Returns (sentence, start_in_sentence, end_in_sentence). Sentences end at
-    terminal punctuation or kept line breaks.
+    Returns one (sentence, start, end, paragraph, paragraph_start) per
+    mention: the sentence containing its start, its span within that sentence
+    (the end clipped to the sentence), the paragraph holding the sentence and
+    the mention's offset within it. Sentences end at terminal punctuation or
+    kept line breaks; paragraphs at blank lines.
     """
-    from .preprocess import split_paragraphs, split_sentences
-
+    sentences: list[tuple[int, str, str, int]] = []  # (start, sentence, paragraph, its start)
     pos = 0
     for par in split_paragraphs(note_text):
-        for sent in split_sentences(par) or [par]:
-            if pos <= start < pos + len(sent):
-                return sent, start - pos, min(end, pos + len(sent)) - pos
+        par_start = pos
+        for sent in split_sentences(par):
+            sentences.append((pos, sent, par, par_start))
             pos += len(sent)
-    return note_text, start, end
-
-
-def paragraph_for(note_text: str, start: int) -> tuple[str, int]:
-    """Paragraph block containing offset start, plus the relative offset."""
-    from .preprocess import split_paragraphs
-
-    pos = 0
-    for par in split_paragraphs(note_text):
-        if pos <= start < pos + len(par):
-            return par, start - pos
-        pos += len(par)
-    return note_text, start
+    starts = [sent_start for sent_start, *_ in sentences]
+    contexts = []
+    for m in mentions:
+        i = bisect_right(starts, m.norm_start) - 1
+        sent_start, sent, par, par_start = sentences[i]
+        end = min(m.norm_end, sent_start + len(sent)) - sent_start
+        contexts.append((sent, m.norm_start - sent_start, end, par, m.norm_start - par_start))
+    return contexts

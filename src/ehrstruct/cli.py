@@ -58,15 +58,23 @@ def _config_from_args(args) -> PipelineConfig:
     return cfg
 
 
-def cmd_structure(args) -> int:
+def _checked_config(args, keys=None) -> PipelineConfig | None:
+    """Config from --config and flags, or None once its problems (those
+    starting with one of keys, if given) are printed."""
     try:
         cfg = _config_from_args(args)
     except (OSError, ValueError) as exc:
-        return _error(exc)
-    problems = cfg.validate()
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+        _error(exc)
+        return None
+    problems = [p for p in cfg.validate() if keys is None or p.startswith(keys)]
+    for p in problems:
+        print(f"config error: {p}", file=sys.stderr)
+    return None if problems else cfg
+
+
+def cmd_structure(args) -> int:
+    cfg = _checked_config(args)
+    if cfg is None:
         return 1
     try:
         res = build_resources(cfg)
@@ -124,8 +132,10 @@ def cmd_validate_config(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    cfg = _checked_config(args, ("max_tokens",))
+    if cfg is None:
+        return 1
     try:
-        chunker = _config_from_args(args).chunker()
         with _open_in(args.input) as fh:
             notes = read_notes(fh)
     except (OSError, ValueError) as exc:
@@ -133,22 +143,14 @@ def cmd_preprocess(args) -> int:
     with _open_out(args.output) as out:
         for raw in notes:
             note = restore_linebreaks(raw)
-            for chunk in chunk_note(note, chunker):
+            for chunk in chunk_note(note, cfg.max_tokens):
                 out.write(json.dumps(dataclasses.asdict(chunk), ensure_ascii=False) + "\n")
     return 0
 
 
 def cmd_recognize(args) -> int:
-    try:
-        cfg = _config_from_args(args)
-    except (OSError, ValueError) as exc:
-        return _error(exc)
-    problems = [p for p in cfg.validate() if p.startswith(("lexicon", "abbreviations"))]
-    if not cfg.lexicon:
-        problems.append("lexicon: required")
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+    cfg = _checked_config(args, ("lexicon", "abbreviations", "max_tokens"))
+    if cfg is None:
         return 1
     try:
         res = build_resources(cfg)
@@ -159,7 +161,7 @@ def cmd_recognize(args) -> int:
     with _open_out(args.output) as out:
         for raw in notes:
             note = restore_linebreaks(raw)
-            chunks = chunk_note(note, res.chunker)
+            chunks = chunk_note(note, res.max_tokens)
             for m in recognize_note(note, chunks, res.index, res.abbreviations):
                 rec = dataclasses.asdict(m)
                 rec["semantic_type"] = m.semantic_type.value

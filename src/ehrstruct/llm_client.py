@@ -37,7 +37,6 @@ class EndpointConfig:
     timeout: float = 60.0
     max_retries: int = 3
     max_in_flight: int = 4
-    temperature: float = 0.0  # pinned for determinism
     backoff_base: float = 1.0
 
     def __post_init__(self):
@@ -128,7 +127,7 @@ class ChatClient:
         body = {
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.cfg.temperature,
+            "temperature": 0.0,  # pinned for determinism
         }
         headers = {"Authorization": f"Bearer {api_key}"}
         last_error = None

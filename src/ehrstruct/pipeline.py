@@ -24,7 +24,7 @@ from .llm_client import (
     Transcript,
     TransportError,
 )
-from .preprocess import ChunkerConfig, RawNote, chunk_note, restore_linebreaks
+from .preprocess import RawNote, chunk_note, restore_linebreaks
 from .recognition import recognize_note
 from .terminology import (
     AbbreviationTable,
@@ -108,15 +108,13 @@ class PipelineConfig:
             problems.append("mismatch_threshold: must be >= 0")
         if self.workers < 1:
             problems.append("workers: must be >= 1")
-        for build in (self.chunker, self.endpoint):
-            try:
-                build()
-            except ValueError as exc:
-                problems.append(str(exc))
+        if self.max_tokens <= 0:
+            problems.append("max_tokens must be positive")
+        try:
+            self.endpoint()
+        except ValueError as exc:
+            problems.append(str(exc))
         return problems
-
-    def chunker(self) -> ChunkerConfig:
-        return ChunkerConfig(max_tokens=self.max_tokens)
 
     def endpoint(self) -> EndpointConfig:
         return EndpointConfig(
@@ -138,16 +136,15 @@ class PipelineResources:
     rules: list
     applicability: ApplicabilityTable
     backend: object
-    chunker: ChunkerConfig
+    max_tokens: int
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD
 
 
-def build_resources(cfg: PipelineConfig, index=None) -> PipelineResources:
-    if index is None:
-        if not cfg.lexicon:
-            raise ValueError("config must name a lexicon file")
-        entries, _report = load_lexicon(cfg.lexicon)
-        index = build_index(entries)
+def build_resources(cfg: PipelineConfig) -> PipelineResources:
+    if not cfg.lexicon:
+        raise ValueError("config must name a lexicon file")
+    entries, _report = load_lexicon(cfg.lexicon)
+    index = build_index(entries)
     abbreviations = (
         AbbreviationTable.load(cfg.abbreviations) if cfg.abbreviations else AbbreviationTable()
     )
@@ -168,7 +165,7 @@ def build_resources(cfg: PipelineConfig, index=None) -> PipelineResources:
         rules=rules,
         applicability=applicability,
         backend=backend,
-        chunker=cfg.chunker(),
+        max_tokens=cfg.max_tokens,
         mismatch_threshold=cfg.mismatch_threshold,
     )
 
@@ -176,20 +173,16 @@ def build_resources(cfg: PipelineConfig, index=None) -> PipelineResources:
 def structure_note(raw: RawNote, res: PipelineResources) -> NoteResult:
     """Run one note through normalize, recognize, assert, annotate, assemble."""
     note = restore_linebreaks(raw)
-    chunks = chunk_note(note, res.chunker)
+    chunks = chunk_note(note, res.max_tokens)
     mentions = recognize_note(note, chunks, res.index, res.abbreviations)
-    sentences = [
-        assertion_mod.sentence_for(note.text, m.norm_start, m.norm_end) for m in mentions
+    contexts = assertion_mod.mention_contexts(note.text, mentions)
+    statuses = [
+        assertion_mod.classify(sent, s, e, res.rules, paragraph=par, paragraph_start=p_start)
+        for sent, s, e, par, p_start in contexts
     ]
-    statuses = []
-    for m, (sent, s, e) in zip(mentions, sentences):
-        par, p_start = assertion_mod.paragraph_for(note.text, m.norm_start)
-        statuses.append(
-            assertion_mod.classify(sent, s, e, res.rules, paragraph=par, paragraph_start=p_start)
-        )
     try:
         attribute_sets, dropped, total = annotate_note(
-            chunks, mentions, sentences, res.backend, res.applicability
+            chunks, mentions, [c[:3] for c in contexts], res.backend, res.applicability
         )
     except (BackendError, TransportError, ConfigurationError) as exc:
         log.error("note %s: backend failure: %s", raw.note_id, exc)

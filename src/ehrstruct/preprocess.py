@@ -43,17 +43,8 @@ class Chunk:
     oversize: bool = False
 
 
-@dataclass
-class ChunkerConfig:
-    max_tokens: int = 800
-
-    def __post_init__(self):
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
-
-
 _LIST_MARKER = re.compile(r"^\s*(?:[-*•·●]|\d{1,3}[.)])\s")
-_HEADER = re.compile(r"^\s*[A-Z][A-Z0-9 /&'-]*:")
+SECTION_HEADER = re.compile(r"^\s*[A-Z][A-Z0-9 /&'-]*:", re.MULTILINE)
 _SENTENCE_END = re.compile(r"[.!?:]\s*$")
 
 
@@ -64,7 +55,7 @@ def _keep_break(prev_line: str, next_line: str) -> bool:
         return True
     if _LIST_MARKER.match(next_line):
         return True
-    if _HEADER.match(next_line):
+    if SECTION_HEADER.match(next_line):
         return True
     return False
 
@@ -162,18 +153,18 @@ def split_paragraphs(text: str) -> list[str]:
     return paragraphs
 
 
-def chunk_note(note: NormalizedNote, cfg: ChunkerConfig | None = None) -> list[Chunk]:
+def chunk_note(note: NormalizedNote, max_tokens: int = 800) -> list[Chunk]:
     """Greedy-pack whole paragraphs under the token budget.
 
     Over-budget paragraphs split at sentence boundaries; a single over-budget
     sentence becomes its own chunk flagged oversize. Chunks are contiguous and
     cover the text exactly.
     """
-    cfg = cfg or ChunkerConfig()
-    budget = cfg.max_tokens
+    if max_tokens <= 0:
+        raise ValueError("max_tokens must be positive")
     units: list[str] = []
     for par in split_paragraphs(note.text):
-        if count_tokens(par) <= budget:
+        if count_tokens(par) <= max_tokens:
             units.append(par)
         else:
             units.extend(split_sentences(par))
@@ -204,12 +195,12 @@ def chunk_note(note: NormalizedNote, cfg: ChunkerConfig | None = None) -> list[C
 
     for text in units:
         tokens = count_tokens(text)
-        if tokens > budget:
+        if tokens > max_tokens:
             flush()
             buf = [text]
             buf_tokens = tokens
             flush(oversize=True)
-        elif buf and buf_tokens + tokens > budget:
+        elif buf and buf_tokens + tokens > max_tokens:
             flush()
             buf = [text]
             buf_tokens = tokens

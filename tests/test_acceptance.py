@@ -23,7 +23,6 @@ from ehrstruct.integrate import (
 from ehrstruct.llm_client import ChatClient, ConfigurationError, EndpointConfig, Transcript
 from ehrstruct.pipeline import PipelineResources, structure_note
 from ehrstruct.preprocess import (
-    ChunkerConfig,
     NormalizedNote,
     RawNote,
     chunk_note,
@@ -116,7 +115,7 @@ def _case_resources(transcript):
         rules=default_rules(),
         applicability=ApplicabilityTable(),
         backend=LlmBackend(client),
-        chunker=ChunkerConfig(),
+        max_tokens=800,
     )
 
 
@@ -254,7 +253,7 @@ def test_criterion_6_chunker_properties():
             for _ in range(rng.randint(0, 12))
         )
         note = restore_linebreaks(RawNote("n", raw_text))
-        chunks = chunk_note(note, ChunkerConfig(max_tokens=rng.choice([15, 50, 800])))
+        chunks = chunk_note(note, rng.choice([15, 50, 800]))
         ok &= "".join(c.text for c in chunks) == note.text
         for c in chunks:
             ok &= c.token_count <= 800 or c.oversize

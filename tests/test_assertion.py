@@ -1,4 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrstruct.assertion import (
     AssertionStatus,
@@ -7,7 +11,9 @@ from ehrstruct.assertion import (
     classify,
     default_rules,
     load_rules,
+    mention_contexts,
 )
+from ehrstruct.preprocess import RawNote, restore_linebreaks, split_paragraphs, split_sentences
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +161,36 @@ class TestLoadRules:
         assert len(rules) >= 40
         priorities = [r.priority for r in rules]
         assert len(priorities) == len(set(priorities))
+
+
+@st.composite
+def notes_with_spans(draw):
+    raw = draw(st.text(alphabet="aZ9 .!?:'\n-é", min_size=1, max_size=300))
+    text = restore_linebreaks(RawNote("n", raw)).text
+    starts = draw(st.lists(st.integers(0, len(text) - 1), max_size=8))
+    spans = [(s, draw(st.integers(s + 1, len(text)))) for s in starts]
+    return text, spans
+
+
+@given(notes_with_spans())
+@settings(max_examples=300, deadline=None)
+def test_mention_contexts_agree_with_the_splitters(note):
+    text, spans = note
+    pieces = []  # (offset, sentence, paragraph offset, paragraph)
+    pos = 0
+    for par in split_paragraphs(text):
+        par_start = pos
+        for sent in split_sentences(par):
+            pieces.append((pos, sent, par_start, par))
+            pos += len(sent)
+    mentions = [SimpleNamespace(norm_start=s, norm_end=e) for s, e in spans]
+    contexts = mention_contexts(text, mentions)
+    assert len(contexts) == len(spans)
+    for (start, end), (sentence, s, e, paragraph, p) in zip(spans, contexts):
+        offset, expected, par_start, expected_par = next(
+            piece for piece in pieces if piece[0] <= start < piece[0] + len(piece[1])
+        )
+        assert (sentence, s) == (expected, start - offset)
+        assert (paragraph, p) == (expected_par, start - par_start)
+        assert sentence[s:e] == text[start : min(end, offset + len(sentence))]
+        assert paragraph[p : p + e - s] == sentence[s:e]

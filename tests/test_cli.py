@@ -247,6 +247,17 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"error: {cfg_file}:2: max_tokens:")
 
     @pytest.mark.parametrize("command", ["structure", "preprocess", "recognize"])
+    def test_zero_max_tokens_exits_1_with_one_line(self, tmp_path, lexicon_path, command, capsys):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"lexicon = {lexicon_path}\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        code = main([command, "--config", str(cfg_file), "--max-tokens", "0", NOTES, str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: max_tokens must be positive"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["structure", "preprocess", "recognize"])
     def test_missing_config_file_exits_1(self, tmp_path, command, capsys):
         missing = tmp_path / "missing.cfg"
         code = main([command, "--config", str(missing), NOTES, str(tmp_path / "out.jsonl")])

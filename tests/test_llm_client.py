@@ -174,7 +174,25 @@ def test_config_validation():
         EndpointConfig(max_retries=-1)
     with pytest.raises(ValueError):
         EndpointConfig(max_in_flight=0)
-    assert EndpointConfig().temperature == 0.0
+
+
+def test_request_pins_temperature_to_zero():
+    posted = []
+
+    class FakeResponse:
+        status_code = 200
+
+        def json(self):
+            return {"choices": [{"message": {"content": "ok"}}]}
+
+    class FakeSession:
+        def post(self, url, json, headers, timeout):
+            posted.append(json)
+            return FakeResponse()
+
+    client = ChatClient(EndpointConfig(), session=FakeSession())
+    assert client.complete("p") == "ok"
+    assert [body["temperature"] for body in posted] == [0.0]
 
 
 def test_timeout_must_be_positive():

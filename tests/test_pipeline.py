@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrstruct import assertion, pipeline
+from ehrstruct import pipeline, preprocess
 from ehrstruct.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -38,33 +38,38 @@ def test_output_does_not_depend_on_note_order(tmp_path, lexicon_args, reorder):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
-def test_sentence_computed_once_per_mention(monkeypatch, lexicon_path, abbrev_path):
-    calls = []
+def test_paragraph_splits_per_note_do_not_depend_on_mentions(monkeypatch, lexicon_path, abbrev_path):
+    splits = []
     mentions = []
-    original_sentence_for = assertion.sentence_for
+    original_split = preprocess.split_paragraphs
     original_recognize = pipeline.recognize_note
 
-    def counting_sentence_for(*args):
-        calls.append(args)
-        return original_sentence_for(*args)
+    def counting_split(*args):
+        splits.append(args)
+        return original_split(*args)
 
     def counting_recognize(*args):
         found = original_recognize(*args)
         mentions.extend(found)
         return found
 
-    # Replace every binding of sentence_for in the package, not only the
-    # assertion module's, so a consumer that imported it by name is counted.
+    # Replace every binding of split_paragraphs in the package, not only the
+    # preprocess module's, so a consumer that imported it by name is counted.
     for name, module in list(sys.modules.items()):
-        if name.startswith("ehrstruct") and getattr(module, "sentence_for", None) is original_sentence_for:
-            monkeypatch.setattr(module, "sentence_for", counting_sentence_for)
+        if name.startswith("ehrstruct") and getattr(module, "split_paragraphs", None) is original_split:
+            monkeypatch.setattr(module, "split_paragraphs", counting_split)
     monkeypatch.setattr(pipeline, "recognize_note", counting_recognize)
 
     cfg = pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path)
     res = pipeline.build_resources(cfg)
     with NOTES.open(encoding="utf-8") as fh:
         notes = pipeline.read_notes(fh)
+    per_note = []
     for note in notes:
+        splits.clear()
+        mentions.clear()
         pipeline.structure_note(note, res)
-    assert mentions
-    assert len(calls) == len(mentions)
+        per_note.append((len(mentions), len(splits)))
+    assert len({m for m, _ in per_note}) > 1, "fixture notes should differ in mention count"
+    # once to chunk the note, once to find every mention's sentence and paragraph
+    assert {n for _, n in per_note} == {2}

@@ -1,11 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehrstruct.preprocess import (
     Chunk,
-    ChunkerConfig,
     NormalizedNote,
     RawNote,
     chunk_note,
@@ -108,13 +108,18 @@ def make_note(text):
 
 class TestChunkNote:
     def test_empty_note(self):
-        assert chunk_note(make_note(""), ChunkerConfig()) == []
+        assert chunk_note(make_note(""), 800) == []
+
+    @pytest.mark.parametrize("max_tokens", [0, -1])
+    def test_budget_must_be_positive(self, max_tokens):
+        with pytest.raises(ValueError, match="max_tokens must be positive"):
+            chunk_note(make_note("word"), max_tokens)
 
     def test_greedy_paragraph_packing(self):
         para = " ".join(f"w{i}" for i in range(300))
         text = para + "\n\n" + para + "\n\n" + para
         assert count_tokens(para) == 300
-        chunks = chunk_note(make_note(text), ChunkerConfig(max_tokens=800))
+        chunks = chunk_note(make_note(text), 800)
         # greedy simulation: P1+P2 fit (just over 600 with the breaks), P3 alone
         assert len(chunks) == 2
         assert chunks[0].text.endswith(para + "\n\n")
@@ -124,14 +129,14 @@ class TestChunkNote:
         sentence = "Word " * 99 + "end. "
         para = ("".join(sentence for _ in range(9))).strip() + "."
         note = make_note(para)
-        chunks = chunk_note(note, ChunkerConfig(max_tokens=800))
+        chunks = chunk_note(note, 800)
         assert len(chunks) == 2
         assert not any(c.oversize for c in chunks)
         assert "".join(c.text for c in chunks) == para
 
     def test_single_oversize_sentence_flagged(self):
         text = "word " * 900
-        chunks = chunk_note(make_note(text.strip()), ChunkerConfig(max_tokens=800))
+        chunks = chunk_note(make_note(text.strip()), 800)
         assert len(chunks) == 1
         assert chunks[0].oversize
 
@@ -143,11 +148,11 @@ class TestChunkNote:
                 " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 40)))
                 for _ in range(rng.randint(0, 10))
             )
-            cfg = ChunkerConfig(max_tokens=rng.choice([10, 30, 800]))
-            chunks = chunk_note(make_note(text), cfg)
+            max_tokens = rng.choice([10, 30, 800])
+            chunks = chunk_note(make_note(text), max_tokens)
             assert "".join(c.text for c in chunks) == text
             for c in chunks:
-                assert c.token_count <= cfg.max_tokens or c.oversize
+                assert c.token_count <= max_tokens or c.oversize
                 assert text[c.norm_start : c.norm_end] == c.text
 
 
@@ -155,7 +160,7 @@ class TestChunkNote:
 @settings(max_examples=100, deadline=None)
 def test_chunk_coverage_property(text):
     note = make_note(text)
-    chunks = chunk_note(note, ChunkerConfig(max_tokens=20))
+    chunks = chunk_note(note, 20)
     assert "".join(c.text for c in chunks) == text
     for c in chunks:
         assert c.token_count <= 20 or c.oversize
