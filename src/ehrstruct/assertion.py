@@ -219,10 +219,12 @@ def classify(
 ) -> AssertionStatus:
     """Classify the mention at sentence[start:end].
 
-    Order: Title rule, allergy rule, highest-priority matching trigger,
-    default Present. paragraph (with paragraph_start = mention offset within
-    it) supplies block context for the allergy rule; it defaults to the
-    sentence itself.
+    Order: Title rule, allergy rule, first matching trigger, default Present.
+    rules must be in ascending priority order, as load_rules and
+    default_rules return them, so the first match is the highest-priority
+    one. paragraph (with paragraph_start = mention offset within it)
+    supplies block context for the allergy rule; it defaults to the sentence
+    itself.
     """
     if not (0 <= start < end <= len(sentence)):
         raise ValueError("mention span not inside sentence")
@@ -244,7 +246,11 @@ def classify(
         return AssertionStatus.CONDITIONAL
 
     lowered = fold_case(sentence)
-    for rule in sorted(rules, key=lambda r: r.priority):
+    for rule in rules:
+        # The pattern is the escaped literal between lookarounds, so it can
+        # only match where the literal is a substring.
+        if rule.trigger not in lowered:
+            continue
         pattern = re.compile(r"(?<![A-Za-z0-9])" + re.escape(rule.trigger) + r"(?![A-Za-z0-9])")
         for m in pattern.finditer(lowered):
             if m.start() >= start and m.end() <= end:

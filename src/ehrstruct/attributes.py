@@ -141,6 +141,8 @@ def rule_extract_locations(
     lowered = fold_case(sentence)
     found: list[tuple[int, str]] = []  # (distance, display)
     for surface, display in anatomy.items():
+        if surface not in lowered:
+            continue  # the pattern below can only match the literal
         for m in re.finditer(
             r"(?<![A-Za-z0-9])" + re.escape(surface) + r"(?![A-Za-z0-9])", lowered
         ):

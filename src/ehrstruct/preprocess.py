@@ -74,16 +74,16 @@ def restore_linebreaks(raw: RawNote) -> NormalizedNote:
     offset_map: list[int] = []
     pos = 0
     for idx, line in enumerate(lines):
-        for j, ch in enumerate(line):
-            out.append(ch)
-            offset_map.append(pos + j)
+        out.append(line)
+        offset_map.extend(range(pos, pos + len(line)))
         pos += len(line)
         if idx < len(lines) - 1:  # the '\n' at raw offset pos
             if _keep_break(line, lines[idx + 1]):
                 out.append("\n")
                 offset_map.append(pos)
             else:
-                prev_is_space = bool(out) and out[-1] == " "
+                # line is not blank here, or the break would have been kept
+                prev_is_space = line.endswith(" ")
                 next_is_space = lines[idx + 1][:1] == " "
                 if not prev_is_space and not next_is_space:
                     out.append(" ")
@@ -128,27 +128,19 @@ def split_sentences(text: str) -> list[str]:
     return [p for p in pieces if p]
 
 
+# A paragraph ends after a run of two or more newlines, or a newline that
+# ends the text.
+_PARAGRAPH_END = re.compile(r"\n(?:\n+|\Z)")
+
+
 def split_paragraphs(text: str) -> list[str]:
     """Split at blank-line boundaries, exactly covering the input."""
-    if not text:
-        return []
     paragraphs: list[str] = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] == "\n":
-            # consume the newline plus any following blank lines
-            j = i + 1
-            while j < n and text[j] in "\n":
-                j += 1
-            if j > i + 1 or j == n:
-                paragraphs.append(text[start:j])
-                start = j
-                i = j
-                continue
-        i += 1
-    if start < n:
+    for m in _PARAGRAPH_END.finditer(text):
+        paragraphs.append(text[start : m.end()])
+        start = m.end()
+    if start < len(text):
         paragraphs.append(text[start:])
     return paragraphs
 

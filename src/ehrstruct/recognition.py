@@ -7,6 +7,7 @@ the note's offset map.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .preprocess import Chunk, NormalizedNote
@@ -15,9 +16,12 @@ from .terminology import (
     SemanticType,
     TermIndex,
     fold_case,
-    is_alnum,
     word_start,
 )
+
+# A maximal run of characters for which str.isalnum() is true: [^\W_]
+# matches exactly the code points isalnum() accepts.
+_WORD_RUN = re.compile(r"[^\W_]+")
 
 
 @dataclass
@@ -41,17 +45,13 @@ def recognize(chunk: Chunk, index: TermIndex, note: NormalizedNote) -> list[Ment
     text = chunk.text
     lowered = fold_case(text)
     mentions: list[Mention] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if not is_alnum(text[i]) or not word_start(text, i):
-            i += 1
+    resume = 0  # end of the last match; a match never ends inside a word
+    for word in _WORD_RUN.finditer(text):
+        i = word.start()
+        if i < resume:
             continue
         length = index.longest_match(lowered, i)
         if length is None:
-            # skip the rest of this word
-            while i < n and is_alnum(text[i]):
-                i += 1
             continue
         surface = text[i : i + length]
         entry = index.entry_for(lowered[i : i + length])
@@ -72,7 +72,7 @@ def recognize(chunk: Chunk, index: TermIndex, note: NormalizedNote) -> list[Ment
                 concept_id=entry.concept_id,
             )
         )
-        i += length
+        resume = i + length
     return mentions
 
 
@@ -86,7 +86,7 @@ def brute_force_recognize(text: str, surfaces: list[str]) -> list[tuple[int, int
     i = 0
     n = len(text)
     while i < n:
-        if not is_alnum(text[i]) or not word_start(text, i):
+        if not text[i].isalnum() or not word_start(text, i):
             i += 1
             continue
         best = 0
@@ -97,7 +97,7 @@ def brute_force_recognize(text: str, surfaces: list[str]) -> list[tuple[int, int
             spans.append((i, i + best))
             i += best
         else:
-            while i < n and is_alnum(text[i]):
+            while i < n and text[i].isalnum():
                 i += 1
     return spans
 

@@ -131,17 +131,13 @@ def fold_case(text: str) -> str:
     return "".join(low if len(low := ch.lower()) == 1 else ch for ch in text)
 
 
-def is_alnum(ch: str) -> bool:
-    return ch.isalnum()
-
-
 def word_start(text: str, i: int) -> bool:
     """True when position i does not fall inside an alphanumeric run."""
     if i <= 0:
         return True
     if i >= len(text):
         return True
-    return not (is_alnum(text[i - 1]) and is_alnum(text[i]))
+    return not (text[i - 1].isalnum() and text[i].isalnum())
 
 
 class TermIndex:

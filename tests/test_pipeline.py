@@ -1,16 +1,18 @@
 """Whole-pipeline properties of `structure` with the rule backend."""
 
+import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from ehrstruct import pipeline, preprocess
+from ehrstruct import integrate, pipeline, preprocess
 from ehrstruct.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NOTES = FIXTURES / "sample_notes.jsonl"
 GOLDEN = FIXTURES / "sample_entities.golden.jsonl"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
@@ -36,6 +38,43 @@ def test_output_does_not_depend_on_note_order(tmp_path, lexicon_args, reorder):
     out = tmp_path / "out.jsonl"
     assert main(["structure", *lexicon_args, str(shuffled), str(out)]) == 0
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The benchmark's note generator (read only)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import corpus
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return corpus
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_output_does_not_depend_on_chunks_workers_or_order_on_generated_notes(
+    corpus, lexicon_path, abbrev_path, seed
+):
+    data = Path(lexicon_path).parent
+    lexicon = corpus.sample_lexicon(data)
+    abbrev_types = corpus.read_abbreviation_types(abbrev_path)
+    classes = (corpus.LengthClass(500, 6), corpus.LengthClass(2000, 3), corpus.LengthClass(8000, 1))
+    # every fifth note opens with a dotted capital I
+    generated = corpus.make_corpus(seed, "invariance", classes, lexicon, abbrev_types, fault_every=5)
+    notes = [preprocess.RawNote(n.note_id, n.text) for n in generated]
+
+    def structure(notes, max_tokens=800, workers=1):
+        cfg = pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path, max_tokens=max_tokens)
+        out = io.StringIO()
+        integrate.serialize(pipeline.run_structure(notes, pipeline.build_resources(cfg), workers), out)
+        return out.getvalue()
+
+    expected = structure(notes)
+    assert expected.count("\n") >= sum(len(n.gold) for n in generated) > 0
+    assert structure(notes, max_tokens=50) == expected
+    assert structure(notes, max_tokens=1) == expected
+    assert structure(notes, workers=4) == expected
+    assert structure(notes[::-1]) == expected
 
 
 def test_paragraph_splits_per_note_do_not_depend_on_mentions(monkeypatch, lexicon_path, abbrev_path):

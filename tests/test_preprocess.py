@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehrstruct.preprocess import (
     Chunk,
     NormalizedNote,
     RawNote,
+    _keep_break,
     chunk_note,
     count_tokens,
     restore_linebreaks,
@@ -172,3 +173,77 @@ def test_restore_idempotent_property(text):
     once = restore_linebreaks(RawNote("n", text))
     twice = restore_linebreaks(RawNote("n", once.text))
     assert twice.text == once.text
+
+
+def reference_split_paragraphs(text):
+    """split_paragraphs as a loop over characters."""
+    if not text:
+        return []
+    paragraphs = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] == "\n":
+            j = i + 1
+            while j < n and text[j] == "\n":
+                j += 1
+            if j > i + 1 or j == n:
+                paragraphs.append(text[start:j])
+                start = j
+                i = j
+                continue
+        i += 1
+    if start < n:
+        paragraphs.append(text[start:])
+    return paragraphs
+
+
+@given(st.text(alphabet="ab \n", max_size=200))
+@example("\n")
+@example("\n\n\n")
+@example("a\n")
+@example("a\nb\n\n\nc\n\n")
+@settings(max_examples=300, deadline=None)
+def test_split_paragraphs_matches_character_loop(text):
+    assert split_paragraphs(text) == reference_split_paragraphs(text)
+
+
+def reference_restore_linebreaks(text):
+    """restore_linebreaks as a loop over characters: (text, offset_map)."""
+    lines = text.split("\n")
+    out = []
+    offset_map = []
+    pos = 0
+    for idx, line in enumerate(lines):
+        for j, ch in enumerate(line):
+            out.append(ch)
+            offset_map.append(pos + j)
+        pos += len(line)
+        if idx < len(lines) - 1:
+            if _keep_break(line, lines[idx + 1]):
+                out.append("\n")
+                offset_map.append(pos)
+            else:
+                prev_is_space = bool(out) and out[-1] == " "
+                next_is_space = lines[idx + 1][:1] == " "
+                if not prev_is_space and not next_is_space:
+                    out.append(" ")
+                    offset_map.append(pos)
+            pos += 1
+    return "".join(out), offset_map
+
+
+_LINES = ("", " ", "  ", "a", "a ", " a", "ab cd", "done.", "- item", "1) first", "HEADER:", "x  ")
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="ab .\n-ABC:", max_size=300),
+        st.lists(st.sampled_from(_LINES), max_size=12).map("\n".join),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_restore_linebreaks_matches_character_loop(text):
+    note = restore_linebreaks(RawNote("n", text))
+    assert (note.text, note.offset_map) == reference_restore_linebreaks(text)

@@ -32,13 +32,17 @@ def random_lexicon_and_text(rng, max_entries=200, max_text=2000):
     vocab = [
         "pain", "chest", "fever", "acute", "left", "lobe", "mass", "renal",
         "bowel", "heart", "rate", "high", "x", "a1c", "edema", "scan",
+        # '_' and 'é' are where Unicode and ASCII word rules differ; the
+        # rest start with a digit or end in punctuation
+        "_", "é", "2nd", "x-", "r/o",
     ]
     n = rng.randint(1, max_entries)
     surfaces = set()
     while len(surfaces) < n:
         surfaces.add(" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4))))
     words = [rng.choice(vocab + [",", "(", ")", "/", "and"]) for _ in range(rng.randint(0, 300))]
-    text = " ".join(words)[:max_text]
+    # mostly spaces, sometimes nothing, so words and punctuation also touch
+    text = "".join(w + rng.choice(("", " ", " ", " ")) for w in words)[:max_text]
     return sorted(surfaces), text
 
 
