@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .preprocess import SECTION_HEADER, count_tokens, split_paragraphs, split_sentences
+from .preprocess import SECTION_HEADER, count_tokens
 from .terminology import fold_case
 
 
@@ -260,27 +260,22 @@ def classify(
     return AssertionStatus.PRESENT
 
 
-def mention_contexts(note_text: str, mentions) -> list[tuple[str, int, int, str, int]]:
-    """Sentence and paragraph context of each mention, splitting the note once.
+def mention_contexts(note_text: str, segmentation, mentions) -> list[tuple[str, int, int, str, int]]:
+    """Sentence and paragraph context of each mention, from the note's
+    segmentation (`preprocess.segment`, which keeps every mention inside one
+    sentence).
 
     Returns one (sentence, start, end, paragraph, paragraph_start) per
-    mention: the sentence containing its start, its span within that sentence
-    (the end clipped to the sentence), the paragraph holding the sentence and
-    the mention's offset within it. Sentences end at terminal punctuation or
-    kept line breaks; paragraphs at blank lines.
+    mention: the sentence holding it, its span within that sentence, the
+    paragraph holding the sentence and the mention's offset within it.
     """
-    sentences: list[tuple[int, str, str, int]] = []  # (start, sentence, paragraph, its start)
-    pos = 0
-    for par in split_paragraphs(note_text):
-        par_start = pos
-        for sent in split_sentences(par):
-            sentences.append((pos, sent, par, par_start))
-            pos += len(sent)
-    starts = [sent_start for sent_start, *_ in sentences]
+    starts = [sent.start for sent in segmentation]
+    paragraphs: dict[int, str] = {}  # one slice per paragraph, shared by its mentions
     contexts = []
     for m in mentions:
-        i = bisect_right(starts, m.norm_start) - 1
-        sent_start, sent, par, par_start = sentences[i]
-        end = min(m.norm_end, sent_start + len(sent)) - sent_start
-        contexts.append((sent, m.norm_start - sent_start, end, par, m.norm_start - par_start))
+        sent = segmentation[bisect_right(starts, m.norm_start) - 1]
+        if sent.par_start not in paragraphs:
+            paragraphs[sent.par_start] = note_text[sent.par_start : sent.par_end]
+        s, e, p = m.norm_start - sent.start, m.norm_end - sent.start, m.norm_start - sent.par_start
+        contexts.append((note_text[sent.start : sent.end], s, e, paragraphs[sent.par_start], p))
     return contexts

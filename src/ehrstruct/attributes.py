@@ -1,26 +1,28 @@
 """Per-mention attribute extraction through pluggable annotator backends.
 
-`annotate_note` calls a backend once per chunk that has mentions, passing
-each mention's sentence (computed once per note by the pipeline) and the
-attribute kinds its semantic type allows. Two backends ship: a deterministic
-rule backend (regex values/units, anatomy lexicon locations, adjacency
-modifiers, no purposes) that fills every applicable kind from the one
-sentence, and an LLM backend that marks mentions with double curly braces,
-prompts once per attribute kind over only the mentions that kind applies to,
-and aligns the echoed entity lines back to the mention order. Applicability
-filtering runs last and forces inapplicable kinds to "not applicable".
+`annotate_note` calls a backend once per note with the note's segmentation,
+each mention's sentence and the attribute kinds its semantic type allows.
+The rule backend (regex values/units, anatomy lexicon locations, adjacency
+modifiers, no purposes) fills every applicable kind from the one sentence.
+The LLM backend packs the segmentation into chunks under its token budget,
+marks each chunk's mentions with double curly braces, prompts once per
+attribute kind over the mentions that kind applies to, and aligns the echoed
+entity lines back to mention order. Applicability filtering runs last and
+forces inapplicable kinds to "not applicable".
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
+from itertools import groupby
 
 from .integrate import align
 from .llm_client import ChatClient
-from .preprocess import Chunk
+from .preprocess import Chunk, NormalizedNote, Sentence, chunk_note
 from .recognition import Mention
 from .terminology import (
     ATTRIBUTE_KINDS,
@@ -187,7 +189,7 @@ class RuleBackend:
         self.units = default_units()
         self.modifier_words = default_modifier_words()
 
-    def annotate(self, chunk: Chunk, mentions: list[Mention], sentences, kinds):
+    def annotate(self, note: NormalizedNote, segmentation, mentions: list[Mention], sentences, kinds):
         """Fill every applicable kind of each mention from its sentence."""
         sets = []
         for (sent, s, e), applicable in zip(sentences, kinds):
@@ -275,26 +277,35 @@ def llm_extract(chunk: Chunk, mentions: list[Mention], kind: str, client: ChatCl
 class LlmBackend:
     """Annotator backed by a chat-completion client (live or replay)."""
 
-    def __init__(self, client: ChatClient):
+    def __init__(self, client: ChatClient, max_tokens: int = 800):
         self.client = client
+        self.max_tokens = max_tokens
 
-    def annotate(self, chunk: Chunk, mentions: list[Mention], sentences, kinds):
-        """One prompt per attribute kind, listing only the mentions it applies to."""
+    def annotate(self, note: NormalizedNote, segmentation, mentions: list[Mention], sentences, kinds):
+        """Pack the segmentation into chunks under the token budget; then, for
+        each chunk with mentions, one prompt per attribute kind listing only
+        the chunk's mentions that kind applies to."""
+        chunks = chunk_note(note, segmentation, self.max_tokens)
+        starts = [chunk.norm_start for chunk in chunks]
         sets = [AttributeSet() for _ in mentions]
         dropped_total = lines_total = 0
-        for kind in ATTRIBUTE_KINDS:
-            indices = [i for i, applicable in enumerate(kinds) if kind in applicable]
-            if not indices:
-                continue
-            assignments, dropped, total = llm_extract(
-                chunk, [mentions[i] for i in indices], kind, self.client
-            )
-            dropped_total += dropped
-            lines_total += total
-            for local_idx, value in assignments:
-                if kind in _LIST_KINDS and isinstance(value, str):
-                    value = [value]
-                sets[indices[local_idx]].set(kind, value)
+        # mentions are in document order, so each chunk's mentions are adjacent
+        chunk_of = [bisect_right(starts, m.norm_start) - 1 for m in mentions]
+        for chunk_idx, in_chunk in groupby(range(len(mentions)), key=chunk_of.__getitem__):
+            in_chunk = list(in_chunk)
+            for kind in ATTRIBUTE_KINDS:
+                indices = [i for i in in_chunk if kind in kinds[i]]
+                if not indices:
+                    continue
+                assignments, dropped, total = llm_extract(
+                    chunks[chunk_idx], [mentions[i] for i in indices], kind, self.client
+                )
+                dropped_total += dropped
+                lines_total += total
+                for local_idx, value in assignments:
+                    if kind in _LIST_KINDS and isinstance(value, str):
+                        value = [value]
+                    sets[indices[local_idx]].set(kind, value)
         return sets, dropped_total, lines_total
 
 
@@ -312,40 +323,20 @@ def apply_applicability(m: Mention, raw: AttributeSet, table: ApplicabilityTable
 
 
 def annotate_note(
-    chunks: list[Chunk],
+    note: NormalizedNote,
+    segmentation: list[Sentence],
     mentions: list[Mention],
     sentences: list[tuple[str, int, int]],
     backend,
     table: ApplicabilityTable,
 ):
-    """Call the backend once per chunk that has mentions, passing each
+    """Call the backend once for the note, passing its segmentation, each
     mention's (sentence, start, end) and applicable kinds, and assemble
     AttributeSets.
 
     Returns (attribute_sets parallel to mentions, dropped_lines, total_lines).
     """
-    raw_sets = [AttributeSet() for _ in mentions]
     kinds = [table.applicable_attributes(m.semantic_type) for m in mentions]
-    dropped_total = 0
-    lines_total = 0
-    by_chunk: dict[int, list[int]] = {}
-    for idx, m in enumerate(mentions):
-        by_chunk.setdefault(m.chunk_index, []).append(idx)
-    for chunk in chunks:
-        indices = by_chunk.get(chunk.chunk_index)
-        if not indices:
-            continue
-        sets, dropped, total = backend.annotate(
-            chunk,
-            [mentions[i] for i in indices],
-            [sentences[i] for i in indices],
-            [kinds[i] for i in indices],
-        )
-        dropped_total += dropped
-        lines_total += total
-        for i, raw in zip(indices, sets):
-            raw_sets[i] = raw
-    attribute_sets = [
-        apply_applicability(m, raw, table) for m, raw in zip(mentions, raw_sets)
-    ]
-    return attribute_sets, dropped_total, lines_total
+    raw_sets, dropped, total = backend.annotate(note, segmentation, mentions, sentences, kinds)
+    attribute_sets = [apply_applicability(m, raw, table) for m, raw in zip(mentions, raw_sets)]
+    return attribute_sets, dropped, total

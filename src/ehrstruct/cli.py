@@ -20,7 +20,7 @@ from .pipeline import (
     read_notes,
     run_structure,
 )
-from .preprocess import chunk_note, restore_linebreaks
+from .preprocess import chunk_note, restore_linebreaks, segment
 from .recognition import recognize_note
 
 log = logging.getLogger(__name__)
@@ -143,13 +143,13 @@ def cmd_preprocess(args) -> int:
     with _open_out(args.output) as out:
         for raw in notes:
             note = restore_linebreaks(raw)
-            for chunk in chunk_note(note, cfg.max_tokens):
+            for chunk in chunk_note(note, segment(note.text), cfg.max_tokens):
                 out.write(json.dumps(dataclasses.asdict(chunk), ensure_ascii=False) + "\n")
     return 0
 
 
 def cmd_recognize(args) -> int:
-    cfg = _checked_config(args, ("lexicon", "abbreviations", "max_tokens"))
+    cfg = _checked_config(args, ("lexicon", "abbreviations"))
     if cfg is None:
         return 1
     try:
@@ -160,21 +160,20 @@ def cmd_recognize(args) -> int:
         return _error(exc)
     with _open_out(args.output) as out:
         for raw in notes:
-            note = restore_linebreaks(raw)
-            chunks = chunk_note(note, res.max_tokens)
-            for m in recognize_note(note, chunks, res.index, res.abbreviations):
+            for m in recognize_note(restore_linebreaks(raw), res.index, res.abbreviations):
                 rec = dataclasses.asdict(m)
                 rec["semantic_type"] = m.semantic_type.value
                 out.write(json.dumps(rec, ensure_ascii=False) + "\n")
     return 0
 
 
-def _add_common(parser, lexicon=True):
+def _add_common(parser, lexicon=True, max_tokens=True):
     parser.add_argument("--config", help="plain-text key = value configuration file")
     if lexicon:
         parser.add_argument("--lexicon", help="lexicon TSV (surface, concept_id, semantic_type)")
         parser.add_argument("--abbreviations", help="abbreviation table TSV")
-    parser.add_argument("--max-tokens", type=int, dest="max_tokens", help="chunk token budget")
+    if max_tokens:
+        parser.add_argument("--max-tokens", type=int, dest="max_tokens", help="chunk token budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("recognize", help="emit recognized mentions as JSONL")
-    _add_common(p)
+    _add_common(p, max_tokens=False)
     p.add_argument("input")
     p.add_argument("output")
     p.set_defaults(func=cmd_recognize)

@@ -1,5 +1,10 @@
 """End-to-end orchestration: notes JSONL in, structured entities out.
 
+Each note is normalized and recognized as a whole, then segmented once into
+sentences and paragraphs with no boundary inside a mention. Assertion and the
+attribute backend read that segmentation; only the LLM backend packs it into
+chunks, to size its prompts.
+
 Per-note processing is independent and runs on a thread pool; output order is
 by note_id then span start regardless of worker count, so runs are
 byte-identical across --workers settings with a deterministic backend.
@@ -24,7 +29,7 @@ from .llm_client import (
     Transcript,
     TransportError,
 )
-from .preprocess import RawNote, chunk_note, restore_linebreaks
+from .preprocess import RawNote, restore_linebreaks, segment
 from .recognition import recognize_note
 from .terminology import (
     AbbreviationTable,
@@ -136,7 +141,6 @@ class PipelineResources:
     rules: list
     applicability: ApplicabilityTable
     backend: object
-    max_tokens: int
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD
 
 
@@ -158,31 +162,31 @@ def build_resources(cfg: PipelineConfig) -> PipelineResources:
         transcript = Transcript.load(cfg.transcript) if cfg.transcript else None
         mode = "replay" if cfg.backend == "replay" else "live"
         client = ChatClient(cfg.endpoint(), mode=mode, transcript=transcript)
-        backend = LlmBackend(client)
+        backend = LlmBackend(client, max_tokens=cfg.max_tokens)
     return PipelineResources(
         index=index,
         abbreviations=abbreviations,
         rules=rules,
         applicability=applicability,
         backend=backend,
-        max_tokens=cfg.max_tokens,
         mismatch_threshold=cfg.mismatch_threshold,
     )
 
 
 def structure_note(raw: RawNote, res: PipelineResources) -> NoteResult:
-    """Run one note through normalize, recognize, assert, annotate, assemble."""
+    """Run one note through normalize, recognize, segment, assert, annotate,
+    assemble."""
     note = restore_linebreaks(raw)
-    chunks = chunk_note(note, res.max_tokens)
-    mentions = recognize_note(note, chunks, res.index, res.abbreviations)
-    contexts = assertion_mod.mention_contexts(note.text, mentions)
+    mentions = recognize_note(note, res.index, res.abbreviations)
+    segmentation = segment(note.text, [(m.norm_start, m.norm_end) for m in mentions])
+    contexts = assertion_mod.mention_contexts(note.text, segmentation, mentions)
     statuses = [
         assertion_mod.classify(sent, s, e, res.rules, paragraph=par, paragraph_start=p_start)
         for sent, s, e, par, p_start in contexts
     ]
     try:
         attribute_sets, dropped, total = annotate_note(
-            chunks, mentions, [c[:3] for c in contexts], res.backend, res.applicability
+            note, segmentation, mentions, [c[:3] for c in contexts], res.backend, res.applicability
         )
     except (BackendError, TransportError, ConfigurationError) as exc:
         log.error("note %s: backend failure: %s", raw.note_id, exc)

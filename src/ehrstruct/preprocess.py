@@ -1,4 +1,4 @@
-"""Note normalization, tokenization, and token-budget chunking.
+"""Note normalization, tokenization, segmentation and token-budget chunking.
 
 Clinical notes are full of hard-wrapped lines that break sentences. The
 normalizer keeps structural line breaks (paragraph ends, list items, section
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -145,59 +147,72 @@ def split_paragraphs(text: str) -> list[str]:
     return paragraphs
 
 
-def chunk_note(note: NormalizedNote, max_tokens: int = 800) -> list[Chunk]:
-    """Greedy-pack whole paragraphs under the token budget.
+class Sentence(NamedTuple):  # a sentence span and the span of its paragraph
+    start: int
+    end: int
+    par_start: int
+    par_end: int
 
-    Over-budget paragraphs split at sentence boundaries; a single over-budget
+
+def segment(text: str, spans=()) -> list[Sentence]:
+    """Split the text into sentences within paragraphs, once per note.
+
+    The sentences cover the text exactly and are the pieces of
+    `split_sentences` within each piece of `split_paragraphs`, except that no
+    boundary falls strictly inside one of the given (start, end) spans: the
+    pieces on either side of such a cut stay one.
+    """
+    blocked = {cut for start, end in spans for cut in range(start + 1, end)}
+    sentences: list[Sentence] = []
+    par_start = par_end = 0
+    for par in split_paragraphs(text):
+        par_end += len(par)
+        if par_end in blocked:
+            continue  # the next paragraph joins this one
+        start = end = par_start
+        for sent in split_sentences(text[par_start:par_end]):
+            end += len(sent)
+            if end not in blocked:
+                sentences.append(Sentence(start, end, par_start, par_end))
+                start = end
+        par_start = par_end
+    return sentences
+
+
+def chunk_note(note: NormalizedNote, segmentation, max_tokens: int = 800) -> list[Chunk]:
+    """Greedy-pack whole paragraphs of the note's segmentation under the
+    token budget.
+
+    Over-budget paragraphs split at their sentences; a single over-budget
     sentence becomes its own chunk flagged oversize. Chunks are contiguous and
     cover the text exactly.
     """
     if max_tokens <= 0:
         raise ValueError("max_tokens must be positive")
-    units: list[str] = []
-    for par in split_paragraphs(note.text):
-        if count_tokens(par) <= max_tokens:
-            units.append(par)
+    text = note.text
+    units: list[tuple[int, int]] = []  # (end, tokens) of contiguous pieces
+    for (par_start, par_end), group in groupby(segmentation, key=lambda s: (s.par_start, s.par_end)):
+        tokens = count_tokens(text[par_start:par_end])
+        if tokens <= max_tokens:
+            units.append((par_end, tokens))
         else:
-            units.extend(split_sentences(par))
+            units.extend((s.end, count_tokens(text[s.start : s.end])) for s in group)
 
     chunks: list[Chunk] = []
-    buf: list[str] = []
-    buf_tokens = 0
-    buf_start = 0
 
-    def flush(oversize: bool = False):
-        nonlocal buf, buf_tokens, buf_start
-        if buf:
-            text = "".join(buf)
-            chunks.append(
-                Chunk(
-                    note_id=note.note_id,
-                    chunk_index=len(chunks),
-                    norm_start=buf_start,
-                    norm_end=buf_start + len(text),
-                    text=text,
-                    token_count=buf_tokens,
-                    oversize=oversize,
-                )
-            )
-            buf_start += len(text)
-            buf = []
-            buf_tokens = 0
+    def add(start: int, end: int, tokens: int, oversize: bool = False) -> None:
+        chunks.append(Chunk(note.note_id, len(chunks), start, end, text[start:end], tokens, oversize))
 
-    for text in units:
-        tokens = count_tokens(text)
-        if tokens > max_tokens:
-            flush()
-            buf = [text]
-            buf_tokens = tokens
-            flush(oversize=True)
-        elif buf and buf_tokens + tokens > max_tokens:
-            flush()
-            buf = [text]
-            buf_tokens = tokens
-        else:
-            buf.append(text)
-            buf_tokens += tokens
-    flush()
+    start = end = tokens = 0  # the open chunk is text[start:end]
+    for unit_end, unit_tokens in units:
+        if end > start and tokens + unit_tokens > max_tokens:
+            add(start, end, tokens)
+            start, tokens = end, 0
+        end = unit_end
+        tokens += unit_tokens
+        if unit_tokens > max_tokens:
+            add(start, end, tokens, oversize=True)
+            start, tokens = end, 0
+    if end > start:
+        add(start, end, tokens)
     return chunks

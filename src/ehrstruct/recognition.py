@@ -1,4 +1,4 @@
-"""Forward maximum matching over normalized chunks.
+"""Forward maximum matching over the whole normalized note.
 
 Scans left to right, emitting the longest lexicon match at each word-boundary
 position and resuming after it. Matched spans map back to raw-text offsets via
@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .preprocess import Chunk, NormalizedNote
+from .preprocess import NormalizedNote
 from .terminology import (
     AbbreviationTable,
     SemanticType,
@@ -27,7 +27,6 @@ _WORD_RUN = re.compile(r"[^\W_]+")
 @dataclass
 class Mention:
     note_id: str
-    chunk_index: int
     norm_start: int
     norm_end: int
     raw_start: int
@@ -40,9 +39,10 @@ class Mention:
     ambiguous: bool = False
 
 
-def recognize(chunk: Chunk, index: TermIndex, note: NormalizedNote) -> list[Mention]:
-    """Forward-maximum-match the chunk against the index (unfiltered)."""
-    text = chunk.text
+def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
+    """Forward-maximum-match the whole normalized note against the index
+    (unfiltered)."""
+    text = note.text
     lowered = fold_case(text)
     mentions: list[Mention] = []
     resume = 0  # end of the last match; a match never ends inside a word
@@ -55,15 +55,12 @@ def recognize(chunk: Chunk, index: TermIndex, note: NormalizedNote) -> list[Ment
             continue
         surface = text[i : i + length]
         entry = index.entry_for(lowered[i : i + length])
-        norm_start = chunk.norm_start + i
-        norm_end = norm_start + length
-        raw_start, raw_end = note.raw_span(norm_start, norm_end)
+        raw_start, raw_end = note.raw_span(i, i + length)
         mentions.append(
             Mention(
-                note_id=chunk.note_id,
-                chunk_index=chunk.chunk_index,
-                norm_start=norm_start,
-                norm_end=norm_end,
+                note_id=note.note_id,
+                norm_start=i,
+                norm_end=i + length,
                 raw_start=raw_start,
                 raw_end=raw_end,
                 surface=surface,
@@ -121,9 +118,10 @@ def expand_abbreviation(m: Mention, table: AbbreviationTable) -> Mention:
 
 
 def assign_ordinals(mentions: list[Mention]) -> list[Mention]:
-    """Number repeated canonical phrases within a note, in document order."""
+    """Number repeated canonical phrases within a note; mentions are in
+    document order."""
     counts: dict[str, int] = {}
-    for m in sorted(mentions, key=lambda m: m.norm_start):
+    for m in mentions:
         key = m.canonical_phrase.lower()
         counts[key] = counts.get(key, 0) + 1
         m.occurrence_ordinal = counts[key]
@@ -132,17 +130,13 @@ def assign_ordinals(mentions: list[Mention]) -> list[Mention]:
 
 def recognize_note(
     note: NormalizedNote,
-    chunks: list[Chunk],
     index: TermIndex,
     abbreviations: AbbreviationTable | None = None,
 ) -> list[Mention]:
-    """Full per-note recognition: match, filter, expand, order."""
-    mentions: list[Mention] = []
-    for chunk in chunks:
-        mentions.extend(recognize(chunk, index, note))
-    mentions = filter_reportable(mentions)
+    """Full per-note recognition: match, filter, expand, number, in
+    document order."""
+    mentions = filter_reportable(recognize(note, index))
     if abbreviations is not None:
         for m in mentions:
             expand_abbreviation(m, abbreviations)
-    mentions.sort(key=lambda m: m.norm_start)
     return assign_ordinals(mentions)

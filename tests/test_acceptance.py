@@ -27,9 +27,9 @@ from ehrstruct.preprocess import (
     RawNote,
     chunk_note,
     restore_linebreaks,
+    segment,
 )
 from ehrstruct.recognition import brute_force_recognize, recognize
-from ehrstruct.preprocess import Chunk
 from ehrstruct.terminology import (
     NOT_APPLICABLE,
     AbbreviationTable,
@@ -67,8 +67,7 @@ def test_criterion_1_fmm_oracle_equivalence():
             [LexiconEntry(s, f"C{i}", SemanticType.DISEASE) for i, s in enumerate(surfaces)]
         )
         note = NormalizedNote("n", text, list(range(len(text))))
-        chunk = Chunk("n", 0, 0, len(text), text, 0)
-        got = [(m.norm_start, m.norm_end) for m in recognize(chunk, index, note)]
+        got = [(m.norm_start, m.norm_end) for m in recognize(note, index)]
         if got != brute_force_recognize(text, surfaces):
             mismatches += 1
     elapsed = time.monotonic() - start_time
@@ -114,8 +113,7 @@ def _case_resources(transcript):
         abbreviations=AbbreviationTable(),
         rules=default_rules(),
         applicability=ApplicabilityTable(),
-        backend=LlmBackend(client),
-        max_tokens=800,
+        backend=LlmBackend(client, max_tokens=800),
     )
 
 
@@ -217,7 +215,7 @@ def test_criterion_5_alignment_invariants():
     from ehrstruct.attributes import AttributeSet
 
     def mk(phrase, start):
-        return Mention("n", 0, start, start + 1, start, start + 1, phrase, phrase,
+        return Mention("n", start, start + 1, start, start + 1, phrase, phrase,
                        SemanticType.DISEASE)
 
     ok = True
@@ -253,7 +251,7 @@ def test_criterion_6_chunker_properties():
             for _ in range(rng.randint(0, 12))
         )
         note = restore_linebreaks(RawNote("n", raw_text))
-        chunks = chunk_note(note, rng.choice([15, 50, 800]))
+        chunks = chunk_note(note, segment(note.text), rng.choice([15, 50, 800]))
         ok &= "".join(c.text for c in chunks) == note.text
         for c in chunks:
             ok &= c.token_count <= 800 or c.oversize

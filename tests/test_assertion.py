@@ -13,7 +13,7 @@ from ehrstruct.assertion import (
     load_rules,
     mention_contexts,
 )
-from ehrstruct.preprocess import RawNote, restore_linebreaks, split_paragraphs, split_sentences
+from ehrstruct.preprocess import RawNote, restore_linebreaks, segment, split_paragraphs, split_sentences
 
 
 @pytest.fixture(scope="module")
@@ -165,10 +165,17 @@ class TestLoadRules:
 
 @st.composite
 def notes_with_spans(draw):
+    """A normalized note and spans that each lie inside one of its sentences,
+    as every recognized mention does."""
     raw = draw(st.text(alphabet="aZ9 .!?:'\n-é", min_size=1, max_size=300))
     text = restore_linebreaks(RawNote("n", raw)).text
+    sentence_ends = []
+    pos = 0
+    for sent in (s for par in split_paragraphs(text) for s in split_sentences(par)):
+        pos += len(sent)
+        sentence_ends += [pos] * len(sent)
     starts = draw(st.lists(st.integers(0, len(text) - 1), max_size=8))
-    spans = [(s, draw(st.integers(s + 1, len(text)))) for s in starts]
+    spans = [(s, draw(st.integers(s + 1, sentence_ends[s]))) for s in starts]
     return text, spans
 
 
@@ -184,7 +191,7 @@ def test_mention_contexts_agree_with_the_splitters(note):
             pieces.append((pos, sent, par_start, par))
             pos += len(sent)
     mentions = [SimpleNamespace(norm_start=s, norm_end=e) for s, e in spans]
-    contexts = mention_contexts(text, mentions)
+    contexts = mention_contexts(text, segment(text, spans), mentions)
     assert len(contexts) == len(spans)
     for (start, end), (sentence, s, e, paragraph, p) in zip(spans, contexts):
         offset, expected, par_start, expected_par = next(

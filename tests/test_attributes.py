@@ -16,7 +16,7 @@ from ehrstruct.attributes import (
     rule_extract_value_unit,
 )
 from ehrstruct.llm_client import ChatClient, EndpointConfig, Transcript
-from ehrstruct.preprocess import Chunk, count_tokens
+from ehrstruct.preprocess import Chunk, NormalizedNote, count_tokens, segment
 from ehrstruct.recognition import Mention
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
@@ -28,9 +28,9 @@ from ehrstruct.terminology import (
 )
 
 
-def mention(phrase, text, sem=SemanticType.SIGN_SYMPTOM_OR_FINDING, note_id="n", chunk_index=0):
+def mention(phrase, text, sem=SemanticType.SIGN_SYMPTOM_OR_FINDING, note_id="n"):
     start = text.index(phrase)
-    return Mention(note_id, chunk_index, start, start + len(phrase), start,
+    return Mention(note_id, start, start + len(phrase), start,
                    start + len(phrase), phrase, phrase, sem)
 
 
@@ -41,6 +41,10 @@ def sentence(m, text):
 
 def chunk_for(text, note_id="n"):
     return Chunk(note_id, 0, 0, len(text), text, count_tokens(text))
+
+
+def note_for(text, note_id="n"):
+    return NormalizedNote(note_id, text, list(range(len(text))))
 
 
 class TestValueUnit:
@@ -129,7 +133,9 @@ class TestRuleBackend:
         text = "levothyroxine to treat thyroid hormone deficiency"
         m = mention("levothyroxine", text, sem=SemanticType.CHEMICAL_OR_DRUG)
         backend = RuleBackend()
-        sets, dropped, total = backend.annotate(chunk_for(text), [m], [sentence(m, text)], [{PURPOSE}])
+        sets, dropped, total = backend.annotate(
+            note_for(text), segment(text), [m], [sentence(m, text)], [{PURPOSE}]
+        )
         assignments = [(i, s.purpose) for i, s in enumerate(sets)]
         assert assignments == [(0, None)]
         assert dropped == 0
@@ -139,7 +145,8 @@ class TestRuleBackend:
         m = mention("Lisinopril", text, sem=SemanticType.CHEMICAL_OR_DRUG)
         backend = RuleBackend()
         runs = [
-            backend.annotate(chunk_for(text), [m], [sentence(m, text)], [{"value"}]) for _ in range(3)
+            backend.annotate(note_for(text), segment(text), [m], [sentence(m, text)], [{"value"}])
+            for _ in range(3)
         ]
         assert all(r == runs[0] for r in runs)
 
@@ -190,7 +197,8 @@ class TestAnnotateNote:
                 return "\n".join(f"{t}: null" for t in terms if t)
 
         sets, dropped, total = annotate_note(
-            [chunk_for(text)],
+            note_for(text),
+            segment(text),
             [drug, disease],
             [sentence(drug, text), sentence(disease, text)],
             LlmBackend(Recorder()),
@@ -293,9 +301,24 @@ def test_llm_backend_wraps_location_values_in_lists():
     text = "pain in the left knee"
     m = mention("pain", text)
     backend = LlmBackend(StubClient("pain: left knee"))
-    sets, dropped, total = backend.annotate(chunk_for(text), [m], [sentence(m, text)], [{"location"}])
+    sets, dropped, total = backend.annotate(
+        note_for(text), segment(text), [m], [sentence(m, text)], [{"location"}]
+    )
     assignments = [(i, s.locations) for i, s in enumerate(sets)]
     assert assignments == [(0, ["left knee"])]
+
+
+def test_llm_backend_prompts_each_chunk_with_its_own_mentions():
+    text = "Fever noted. Chest pain today."
+    fever, chest_pain = mention("Fever", text), mention("Chest pain", text)
+    client = StubClient("x: null")
+    LlmBackend(client, max_tokens=1).annotate(
+        note_for(text), segment(text), [fever, chest_pain], [], [{"location"}, {"location"}]
+    )
+    # one chunk per sentence; a mention that opens a chunk belongs to it
+    assert len(client.prompts) == 2
+    assert "{{Fever}} noted. " in client.prompts[0] and "Chest" not in client.prompts[0]
+    assert "{{Chest pain}} today." in client.prompts[1] and "Fever" not in client.prompts[1]
 
 
 def test_anatomy_lexicon_has_display_mapping():

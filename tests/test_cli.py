@@ -246,7 +246,7 @@ class TestConfigErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg_file}:2: max_tokens:")
 
-    @pytest.mark.parametrize("command", ["structure", "preprocess", "recognize"])
+    @pytest.mark.parametrize("command", ["structure", "preprocess"])
     def test_zero_max_tokens_exits_1_with_one_line(self, tmp_path, lexicon_path, command, capsys):
         cfg_file = tmp_path / "pipeline.cfg"
         cfg_file.write_text(f"lexicon = {lexicon_path}\n", encoding="utf-8")
@@ -278,3 +278,11 @@ class TestStageCommands:
         assert main(["recognize", *lexicon_args, NOTES, str(out)]) == 0
         mentions = [json.loads(l) for l in out.read_text().splitlines()]
         assert any(m["canonical_phrase"] == "hepatosplenomegaly" for m in mentions)
+
+    def test_recognize_has_no_chunk_budget(self, tmp_path, lexicon_args):
+        out = tmp_path / "mentions.jsonl"
+        with pytest.raises(SystemExit):
+            main(["recognize", *lexicon_args, "--max-tokens", "5", NOTES, str(out)])
+        assert main(["recognize", *lexicon_args, NOTES, str(out)]) == 0
+        mentions = [json.loads(l) for l in out.read_text().splitlines()]
+        assert mentions and not any("chunk_index" in m for m in mentions)

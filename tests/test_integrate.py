@@ -23,7 +23,7 @@ from ehrstruct.terminology import NOT_APPLICABLE, SemanticType
 
 def mention(phrase, start=0, note_id="n", surface=None):
     surface = surface if surface is not None else phrase
-    return Mention(note_id, 0, start, start + len(surface), start, start + len(surface),
+    return Mention(note_id, start, start + len(surface), start, start + len(surface),
                    surface, phrase, SemanticType.DISEASE)
 
 

@@ -1,12 +1,19 @@
 """Whole-pipeline properties of `structure` with the rule backend."""
 
+import dataclasses
 import io
+import json
+import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ehrstruct import integrate, pipeline, preprocess
+from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -79,36 +86,157 @@ def test_output_does_not_depend_on_chunks_workers_or_order_on_generated_notes(
 
 def test_paragraph_splits_per_note_do_not_depend_on_mentions(monkeypatch, lexicon_path, abbrev_path):
     splits = []
+    chunkings = []
     mentions = []
     original_split = preprocess.split_paragraphs
+    original_chunk = preprocess.chunk_note
     original_recognize = pipeline.recognize_note
 
     def counting_split(*args):
         splits.append(args)
         return original_split(*args)
 
+    def counting_chunk(*args):
+        chunkings.append(args)
+        return original_chunk(*args)
+
     def counting_recognize(*args):
         found = original_recognize(*args)
         mentions.extend(found)
         return found
 
-    # Replace every binding of split_paragraphs in the package, not only the
-    # preprocess module's, so a consumer that imported it by name is counted.
+    # Replace every binding of split_paragraphs and chunk_note in the package,
+    # not only the preprocess module's, so a consumer that imported one by
+    # name is counted.
     for name, module in list(sys.modules.items()):
-        if name.startswith("ehrstruct") and getattr(module, "split_paragraphs", None) is original_split:
+        if not name.startswith("ehrstruct"):
+            continue
+        if getattr(module, "split_paragraphs", None) is original_split:
             monkeypatch.setattr(module, "split_paragraphs", counting_split)
+        if getattr(module, "chunk_note", None) is original_chunk:
+            monkeypatch.setattr(module, "chunk_note", counting_chunk)
     monkeypatch.setattr(pipeline, "recognize_note", counting_recognize)
 
-    cfg = pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path)
-    res = pipeline.build_resources(cfg)
+    rule = pipeline.build_resources(pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path))
+    client = RecordingClient()
+    llm = dataclasses.replace(rule, backend=LlmBackend(client))
     with NOTES.open(encoding="utf-8") as fh:
         notes = pipeline.read_notes(fh)
-    per_note = []
-    for note in notes:
-        splits.clear()
-        mentions.clear()
-        pipeline.structure_note(note, res)
-        per_note.append((len(mentions), len(splits)))
-    assert len({m for m, _ in per_note}) > 1, "fixture notes should differ in mention count"
-    # once to chunk the note, once to find every mention's sentence and paragraph
-    assert {n for _, n in per_note} == {2}
+    for res in (rule, llm):
+        per_note = []
+        for note in notes:
+            splits.clear()
+            chunkings.clear()
+            mentions.clear()
+            assert not pipeline.structure_note(note, res).rejected
+            per_note.append((len(mentions), len(splits)))
+            # only the LLM backend cuts chunks, to size its prompts
+            assert len(chunkings) == (res is llm)
+        assert len({m for m, _ in per_note}) > 1, "fixture notes should differ in mention count"
+        # once, to segment the note; every later stage reads that segmentation
+        assert {n for _, n in per_note} == {1}
+    assert client.prompts
+
+
+class RecordingClient:
+    """Answers every prompt with a null line per listed term, recording it."""
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt):
+        self.prompts.append(prompt)
+        terms = prompt.rsplit("Here are the terms:", 1)[1].splitlines()
+        return "\n".join(f"{t}: null" for t in terms if t)
+
+
+ST_JOHNS_NOTE = "Patient takes St. John's wort daily for mood. Denies chest pain."
+
+
+@pytest.fixture
+def st_johns_lexicon(tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    path.write_text(
+        "st. john's wort\tC1\tChemical or Drug\nchest pain\tC2\tSign, Symptom, or Finding\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_term_spanning_a_sentence_cut_is_found_whatever_the_chunk_size(tmp_path, st_johns_lexicon):
+    notes = tmp_path / "notes.jsonl"
+    notes.write_text(json.dumps({"note_id": "n1", "text": ST_JOHNS_NOTE}) + "\n", encoding="utf-8")
+    outputs = []
+    for max_tokens in (800, 50, 1):
+        out = tmp_path / f"out-{max_tokens}.jsonl"
+        args = ["structure", "--lexicon", st_johns_lexicon, "--max-tokens", str(max_tokens)]
+        assert main([*args, str(notes), str(out)]) == 0
+        outputs.append(out.read_bytes())
+    entities = [json.loads(line) for line in outputs[0].decode().splitlines()]
+    assert [(e["surface"], e["span"]) for e in entities][0] == ("St. John's wort", {"start": 14, "end": 29})
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_llm_prompt_marks_a_sentence_spanning_term_whole(st_johns_lexicon):
+    client = RecordingClient()
+    res = pipeline.build_resources(pipeline.PipelineConfig(lexicon=st_johns_lexicon))
+    res = dataclasses.replace(res, backend=LlmBackend(client, max_tokens=1))
+    result = pipeline.structure_note(preprocess.RawNote("n1", ST_JOHNS_NOTE), res)
+    assert not result.rejected
+    assert [p for p in client.prompts if "{{St. John's wort}}" in p]
+
+
+_PIECES = (
+    "chest pain", "Chest\nPain", "high fever", "HSM", "RA", "heart failure", "St. John's wort",
+    "St.", "Dr.", "denies", "no", "left knee", "105", "mg", ".", "?", "İ", "İİ", "é", "_",
+    "\r", "\r\n", "\n", "\n\n", "\n\n\n", "- ", "1. ", "* ", "ALLERGIES:", "FAMILY HISTORY:",
+)
+
+generated_notes = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_PIECES), st.text(max_size=4)),
+        st.sampled_from(["", " ", " ", "  ", "\n"]),
+    ),
+    max_size=60,
+).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+
+
+@pytest.fixture(scope="module")
+def sample_plus_st_johns(tmp_path_factory, lexicon_path, abbrev_path):
+    """The sample lexicon plus one surface that holds a sentence cut."""
+    path = tmp_path_factory.mktemp("lexicon") / "lexicon.tsv"
+    extra = "st. john's wort\tC9\tChemical or Drug\n"
+    path.write_text(Path(lexicon_path).read_text(encoding="utf-8") + extra, encoding="utf-8")
+    return pipeline.build_resources(pipeline.PipelineConfig(lexicon=str(path), abbreviations=abbrev_path))
+
+
+def read_as_normalized(raw):
+    """A raw span as normalization renders it: a line break next to a space
+    disappears, any other becomes a space."""
+    return re.sub(r"(?<= )\n|\n(?= )", "", raw).replace("\n", " ")
+
+
+@given(generated_notes)
+@example("Patient takes St. John's wort daily. Denies chest pain.")
+@example("İİ chest\r\npain\n\n\n- HSM\nALLERGIES:\nSt. John's\nwort")
+@settings(max_examples=200, deadline=None)
+def test_structure_note_on_generated_text(sample_plus_st_johns, text):
+    res = sample_plus_st_johns
+    calls = []
+
+    def recording_segment(note_text, spans):
+        sentences = preprocess.segment(note_text, spans)
+        calls.append((note_text, sentences))
+        return sentences
+
+    with mock.patch.object(pipeline, "segment", recording_segment):
+        result = pipeline.structure_note(preprocess.RawNote("n", text), res)
+    assert not result.rejected
+    for entity in result.entities:
+        start, end = entity.span
+        assert read_as_normalized(text[start:end]) == entity.surface
+    note = preprocess.restore_linebreaks(preprocess.RawNote("n", text))
+    [(segmented, sentences)] = calls
+    assert segmented == note.text
+    for m in pipeline.recognize_note(note, res.index, res.abbreviations):
+        assert any(s.start <= m.norm_start and m.norm_end <= s.end for s in sentences)

@@ -12,6 +12,7 @@ from ehrstruct.preprocess import (
     chunk_note,
     count_tokens,
     restore_linebreaks,
+    segment,
     split_paragraphs,
     split_sentences,
 )
@@ -107,20 +108,25 @@ def make_note(text):
     return NormalizedNote("n", text, list(range(len(text))))
 
 
+def chunk_text(text, max_tokens):
+    """Chunks of a note holding text, segmented with no mention spans."""
+    return chunk_note(make_note(text), segment(text), max_tokens)
+
+
 class TestChunkNote:
     def test_empty_note(self):
-        assert chunk_note(make_note(""), 800) == []
+        assert chunk_text("", 800) == []
 
     @pytest.mark.parametrize("max_tokens", [0, -1])
     def test_budget_must_be_positive(self, max_tokens):
         with pytest.raises(ValueError, match="max_tokens must be positive"):
-            chunk_note(make_note("word"), max_tokens)
+            chunk_text("word", max_tokens)
 
     def test_greedy_paragraph_packing(self):
         para = " ".join(f"w{i}" for i in range(300))
         text = para + "\n\n" + para + "\n\n" + para
         assert count_tokens(para) == 300
-        chunks = chunk_note(make_note(text), 800)
+        chunks = chunk_text(text, 800)
         # greedy simulation: P1+P2 fit (just over 600 with the breaks), P3 alone
         assert len(chunks) == 2
         assert chunks[0].text.endswith(para + "\n\n")
@@ -129,15 +135,14 @@ class TestChunkNote:
     def test_oversize_paragraph_splits_at_sentences(self):
         sentence = "Word " * 99 + "end. "
         para = ("".join(sentence for _ in range(9))).strip() + "."
-        note = make_note(para)
-        chunks = chunk_note(note, 800)
+        chunks = chunk_text(para, 800)
         assert len(chunks) == 2
         assert not any(c.oversize for c in chunks)
         assert "".join(c.text for c in chunks) == para
 
     def test_single_oversize_sentence_flagged(self):
         text = "word " * 900
-        chunks = chunk_note(make_note(text.strip()), 800)
+        chunks = chunk_text(text.strip(), 800)
         assert len(chunks) == 1
         assert chunks[0].oversize
 
@@ -150,7 +155,7 @@ class TestChunkNote:
                 for _ in range(rng.randint(0, 10))
             )
             max_tokens = rng.choice([10, 30, 800])
-            chunks = chunk_note(make_note(text), max_tokens)
+            chunks = chunk_text(text, max_tokens)
             assert "".join(c.text for c in chunks) == text
             for c in chunks:
                 assert c.token_count <= max_tokens or c.oversize
@@ -160,8 +165,7 @@ class TestChunkNote:
 @given(st.text(alphabet=st.characters(blacklist_categories=["Cs"]), max_size=400))
 @settings(max_examples=100, deadline=None)
 def test_chunk_coverage_property(text):
-    note = make_note(text)
-    chunks = chunk_note(note, 20)
+    chunks = chunk_text(text, 20)
     assert "".join(c.text for c in chunks) == text
     for c in chunks:
         assert c.token_count <= 20 or c.oversize
@@ -247,3 +251,109 @@ _LINES = ("", " ", "  ", "a", "a ", " a", "ab cd", "done.", "- item", "1) first"
 def test_restore_linebreaks_matches_character_loop(text):
     note = restore_linebreaks(RawNote("n", text))
     assert (note.text, note.offset_map) == reference_restore_linebreaks(text)
+
+
+def reference_chunk_note(note, max_tokens):
+    """chunk_note as it was before the segmentation was shared: it splits the
+    note itself with split_paragraphs and split_sentences."""
+    units = []
+    for par in split_paragraphs(note.text):
+        if count_tokens(par) <= max_tokens:
+            units.append(par)
+        else:
+            units.extend(split_sentences(par))
+
+    chunks = []
+    buf = []
+    buf_tokens = 0
+    buf_start = 0
+
+    def flush(oversize=False):
+        nonlocal buf, buf_tokens, buf_start
+        if buf:
+            text = "".join(buf)
+            chunks.append(
+                Chunk(note.note_id, len(chunks), buf_start, buf_start + len(text), text, buf_tokens, oversize)
+            )
+            buf_start += len(text)
+            buf = []
+            buf_tokens = 0
+
+    for text in units:
+        tokens = count_tokens(text)
+        if tokens > max_tokens:
+            flush()
+            buf = [text]
+            buf_tokens = tokens
+            flush(oversize=True)
+        elif buf and buf_tokens + tokens > max_tokens:
+            flush()
+            buf = [text]
+            buf_tokens = tokens
+        else:
+            buf.append(text)
+            buf_tokens += tokens
+    flush()
+    return chunks
+
+
+_WORDS = (
+    "", "a", "bc", "Word", "ends.", "Why?", "Yes!", "3.5", "(x)", "said.\"", "- item", "HEAD:", "\n", "\n\n",
+)
+
+note_texts = st.one_of(
+    st.text(alphabet="ab AZ9.!?:'\")\n-\t", max_size=400),
+    st.lists(st.sampled_from(_WORDS), max_size=80).map(" ".join),
+)
+
+
+@pytest.mark.parametrize("max_tokens", [1, 10, 30, 800])
+@given(note_texts)
+@settings(max_examples=150, deadline=None)
+def test_chunk_note_matches_the_splitter_packing(max_tokens, text):
+    assert chunk_text(text, max_tokens) == reference_chunk_note(make_note(text), max_tokens)
+
+
+@st.composite
+def texts_with_spans(draw):
+    text = draw(note_texts)
+    if not text:
+        return text, []
+    starts = draw(st.lists(st.integers(0, len(text) - 1), max_size=8))
+    return text, [(s, draw(st.integers(s + 1, len(text)))) for s in starts]
+
+
+@given(texts_with_spans())
+@settings(max_examples=300, deadline=None)
+def test_segment_covers_the_text(note):
+    text, spans = note
+    sentences = segment(text, spans)
+    assert [s.start for s in sentences[:1]] == ([0] if text else [])
+    for a, b in zip(sentences, sentences[1:]):
+        assert a.end == b.start
+        assert (a.par_start, a.par_end) == (b.par_start, b.par_end) or a.par_end == b.par_start
+    for s in sentences:
+        assert s.par_start <= s.start < s.end <= s.par_end
+    assert "".join(text[s.start : s.end] for s in sentences) == text
+
+
+@given(note_texts)
+@settings(max_examples=300, deadline=None)
+def test_segment_without_spans_equals_the_splitters(text):
+    got = [(text[s.start : s.end], text[s.par_start : s.par_end]) for s in segment(text)]
+    assert got == [(sent, par) for par in split_paragraphs(text) for sent in split_sentences(par)]
+
+
+@given(texts_with_spans())
+@settings(max_examples=300, deadline=None)
+def test_segment_never_cuts_inside_a_span(note):
+    text, spans = note
+    sentences = segment(text, spans)
+    cuts = {s.start for s in sentences} | {s.par_start for s in sentences}
+    assert not [c for c in cuts for start, end in spans if start < c < end]
+    # Spans without a line break, as every mention is, only remove cuts.
+    if not any("\n" in text[start:end] for start, end in spans):
+        plain = {s.start for s in segment(text)}
+        assert {s.start for s in sentences} == {
+            c for c in plain if not any(start < c < end for start, end in spans)
+        }

@@ -1,6 +1,6 @@
 import random
 
-from ehrstruct.preprocess import Chunk, NormalizedNote, count_tokens
+from ehrstruct.preprocess import NormalizedNote
 from ehrstruct.recognition import (
     Mention,
     brute_force_recognize,
@@ -18,10 +18,8 @@ from ehrstruct.terminology import (
 )
 
 
-def note_and_chunk(text):
-    note = NormalizedNote("n", text, list(range(len(text))))
-    chunk = Chunk("n", 0, 0, len(text), text, count_tokens(text))
-    return note, chunk
+def note_for(text):
+    return NormalizedNote("n", text, list(range(len(text))))
 
 
 def entries(*surfaces, sem=SemanticType.DISEASE):
@@ -49,44 +47,44 @@ def random_lexicon_and_text(rng, max_entries=200, max_text=2000):
 class TestRecognize:
     def test_case_study_sentence(self, sample_index):
         text = "concerning for partial small bowel obstruction and/or ileus"
-        note, chunk = note_and_chunk(text)
-        mentions = recognize(chunk, sample_index, note)
+        note = note_for(text)
+        mentions = recognize(note, sample_index)
         phrases = [m.surface for m in mentions]
         assert "small bowel obstruction" in phrases
         assert "ileus" in phrases
         # oracle agreement on the exact spans
         surfaces = ["small bowel obstruction", "bowel obstruction", "ileus"]
         index = build_index(entries(*surfaces))
-        got = [(m.norm_start, m.norm_end) for m in recognize(chunk, index, note)]
+        got = [(m.norm_start, m.norm_end) for m in recognize(note, index)]
         assert got == brute_force_recognize(text, surfaces)
 
     def test_longest_match(self):
         index = build_index(entries("heart", "heart failure"))
-        note, chunk = note_and_chunk("heart failure")
-        mentions = recognize(chunk, index, note)
+        note = note_for("heart failure")
+        mentions = recognize(note, index)
         assert [m.surface for m in mentions] == ["heart failure"]
 
     def test_empty_lexicon(self):
-        note, chunk = note_and_chunk("anything at all")
-        assert recognize(chunk, build_index([]), note) == []
+        note = note_for("anything at all")
+        assert recognize(note, build_index([])) == []
 
     def test_no_match_inside_words(self):
         index = build_index(entries("ra"))
-        note, chunk = note_and_chunk("thoRAcic films")
-        assert recognize(chunk, index, note) == []
+        note = note_for("thoRAcic films")
+        assert recognize(note, index) == []
 
     def test_case_insensitive_with_raw_casing_kept(self):
         index = build_index(entries("chest pain"))
-        note, chunk = note_and_chunk("c/o Chest Pain today")
-        mentions = recognize(chunk, index, note)
+        note = note_for("c/o Chest Pain today")
+        mentions = recognize(note, index)
         assert mentions[0].surface == "Chest Pain"
         assert mentions[0].canonical_phrase == "Chest Pain"
 
     def test_lowercase_that_lengthens_keeps_offsets(self):
-        # "İ".lower() is two characters; offsets must still index the raw chunk
+        # "İ".lower() is two characters; offsets must still index the raw note
         index = build_index(entries("chest pain"))
-        note, chunk = note_and_chunk("İİ chest pain today")
-        mentions = recognize(chunk, index, note)
+        note = note_for("İİ chest pain today")
+        mentions = recognize(note, index)
         assert [(m.surface, m.raw_start) for m in mentions] == [("chest pain", 3)]
 
     def test_oracle_offsets_survive_lengthening_lowercase(self):
@@ -97,8 +95,8 @@ class TestRecognize:
         for _ in range(300):
             surfaces, text = random_lexicon_and_text(rng, max_entries=50)
             index = build_index(entries(*surfaces))
-            note, chunk = note_and_chunk(text)
-            got = [(m.norm_start, m.norm_end) for m in recognize(chunk, index, note)]
+            note = note_for(text)
+            got = [(m.norm_start, m.norm_end) for m in recognize(note, index)]
             assert got == brute_force_recognize(text, surfaces)
 
     def test_oracle_equivalence_with_lengthening_lowercase(self):
@@ -110,28 +108,28 @@ class TestRecognize:
                 words.insert(rng.randint(0, len(words)), "İ" * rng.randint(1, 3))
             text = " ".join(words)
             index = build_index(entries(*surfaces))
-            note, chunk = note_and_chunk(text)
-            got = [(m.norm_start, m.norm_end) for m in recognize(chunk, index, note)]
+            note = note_for(text)
+            got = [(m.norm_start, m.norm_end) for m in recognize(note, index)]
             assert got == brute_force_recognize(text, surfaces)
             assert all(text[s:e].lower() in surfaces for s, e in got)
 
     def test_mentions_ordered_and_non_overlapping(self, sample_index):
         text = "fever and chest pain with nausea, vomiting and fever"
-        note, chunk = note_and_chunk(text)
-        mentions = recognize(chunk, sample_index, note)
+        note = note_for(text)
+        mentions = recognize(note, sample_index)
         for a, b in zip(mentions, mentions[1:]):
             assert a.norm_end <= b.norm_start
 
     def test_offset_fidelity(self, sample_index):
         text = "Severe Chest Pain and HSM"
-        note, chunk = note_and_chunk(text)
-        for m in recognize(chunk, sample_index, note):
+        note = note_for(text)
+        for m in recognize(note, sample_index):
             assert m.surface.lower() == text[m.norm_start : m.norm_end].lower()
 
 
 class TestFilterReportable:
     def make(self, sem):
-        return Mention("n", 0, 0, 1, 0, 1, "x", "x", sem)
+        return Mention("n", 0, 1, 0, 1, "x", "x", sem)
 
     def test_other_removed(self):
         assert filter_reportable([self.make(SemanticType.OTHER)]) == []
@@ -154,7 +152,7 @@ class TestFilterReportable:
 
 class TestExpandAbbreviation:
     def mention(self, surface):
-        return Mention("n", 0, 0, len(surface), 0, len(surface), surface, surface,
+        return Mention("n", 0, len(surface), 0, len(surface), surface, surface,
                        SemanticType.SIGN_SYMPTOM_OR_FINDING)
 
     def test_hsm(self, abbrev_table):
@@ -185,9 +183,7 @@ class TestExpandAbbreviation:
 
 def test_occurrence_ordinals(sample_index, abbrev_table):
     text = "fever today. HSM noted. fever again with hepatosplenomegaly."
-    note = NormalizedNote("n", text, list(range(len(text))))
-    chunk = Chunk("n", 0, 0, len(text), text, count_tokens(text))
-    mentions = recognize_note(note, [chunk], sample_index, abbrev_table)
+    mentions = recognize_note(note_for(text), sample_index, abbrev_table)
     by_phrase = [(m.canonical_phrase.lower(), m.occurrence_ordinal) for m in mentions]
     assert ("fever", 1) in by_phrase and ("fever", 2) in by_phrase
     # HSM expands, so the later full form is occurrence 2 of the same phrase
