@@ -5,10 +5,13 @@ each mention's sentence and the attribute kinds its semantic type allows.
 The rule backend (regex values/units, anatomy lexicon locations, adjacency
 modifiers, no purposes) fills every applicable kind from the one sentence.
 The LLM backend packs the segmentation into chunks under its token budget,
-marks each chunk's mentions with double curly braces, prompts once per
-attribute kind over the mentions that kind applies to, and aligns the echoed
-entity lines back to mention order. Applicability filtering runs last and
-forces inapplicable kinds to "not applicable".
+marks each chunk's mentions with double curly braces and renders one prompt
+per attribute kind over the mentions that kind applies to. It sends all of a
+note's prompts at once (`ChatClient.complete_all`), then parses the answers
+and aligns the echoed entity lines back to mention order on the calling
+thread, in prompt order, so output and warnings do not depend on the order
+answers arrive in. Applicability filtering runs last and forces inapplicable
+kinds to "not applicable".
 """
 
 from __future__ import annotations
@@ -253,15 +256,20 @@ def parse_response_lines(response: str) -> tuple[list[tuple[str, object]], int]:
     return lines, unparsable
 
 
-def llm_extract(chunk: Chunk, mentions: list[Mention], kind: str, client: ChatClient):
-    """One prompt per (chunk, kind); aligns echoed entities to mention order.
+def llm_prompt(chunk: Chunk, mentions: list[Mention], kind: str) -> str:
+    """The (chunk, kind) prompt: the chunk with its mentions marked, then
+    the mention surfaces one per line."""
+    marked = mark_mentions(chunk, mentions)
+    return render_prompt(default_prompt_template(kind), marked, kind, [m.surface for m in mentions])
+
+
+def llm_extract(response: str, mentions: list[Mention], kind: str):
+    """Parse one (chunk, kind) answer and align its echoed entities to
+    mention order.
 
     Returns (assignments, dropped_count, total_lines) where assignments are
     (mention_index, value) pairs.
     """
-    marked = mark_mentions(chunk, mentions)
-    prompt = render_prompt(default_prompt_template(kind), marked, kind, [m.surface for m in mentions])
-    response = client.complete(prompt)
     lines, unparsable = parse_response_lines(response)
     if not lines:
         raise BackendError(f"unusable {kind} response: no parsable entity lines")
@@ -282,30 +290,33 @@ class LlmBackend:
         self.max_tokens = max_tokens
 
     def annotate(self, note: NormalizedNote, segmentation, mentions: list[Mention], sentences, kinds):
-        """Pack the segmentation into chunks under the token budget; then, for
-        each chunk with mentions, one prompt per attribute kind listing only
-        the chunk's mentions that kind applies to."""
+        """Pack the segmentation into chunks under the token budget; render,
+        for each chunk with mentions, one prompt per attribute kind listing
+        only the chunk's mentions that kind applies to; send them all at
+        once, and read the answers back in chunk order, then kind order."""
         chunks = chunk_note(note, segmentation, self.max_tokens)
         starts = [chunk.norm_start for chunk in chunks]
-        sets = [AttributeSet() for _ in mentions]
-        dropped_total = lines_total = 0
         # mentions are in document order, so each chunk's mentions are adjacent
         chunk_of = [bisect_right(starts, m.norm_start) - 1 for m in mentions]
+        batch = []  # (kind, mention indices, prompt)
         for chunk_idx, in_chunk in groupby(range(len(mentions)), key=chunk_of.__getitem__):
             in_chunk = list(in_chunk)
             for kind in ATTRIBUTE_KINDS:
                 indices = [i for i in in_chunk if kind in kinds[i]]
-                if not indices:
-                    continue
-                assignments, dropped, total = llm_extract(
-                    chunks[chunk_idx], [mentions[i] for i in indices], kind, self.client
-                )
-                dropped_total += dropped
-                lines_total += total
-                for local_idx, value in assignments:
-                    if kind in _LIST_KINDS and isinstance(value, str):
-                        value = [value]
-                    sets[indices[local_idx]].set(kind, value)
+                if indices:
+                    prompt = llm_prompt(chunks[chunk_idx], [mentions[i] for i in indices], kind)
+                    batch.append((kind, indices, prompt))
+        responses = self.client.complete_all([prompt for _, _, prompt in batch])
+        sets = [AttributeSet() for _ in mentions]
+        dropped_total = lines_total = 0
+        for (kind, indices, _), response in zip(batch, responses):
+            assignments, dropped, total = llm_extract(response, [mentions[i] for i in indices], kind)
+            dropped_total += dropped
+            lines_total += total
+            for local_idx, value in assignments:
+                if kind in _LIST_KINDS and isinstance(value, str):
+                    value = [value]
+                sets[indices[local_idx]].set(kind, value)
         return sets, dropped_total, lines_total
 
 

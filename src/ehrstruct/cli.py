@@ -85,6 +85,11 @@ def cmd_structure(args) -> int:
     results = run_structure(notes, res, workers=cfg.workers)
     with _open_out(args.output) as out:
         serialize(results, out, group_by_note=args.group_by_note)
+    if cfg.backend == "llm" and cfg.transcript:
+        try:
+            res.backend.client.transcript.save(cfg.transcript)
+        except OSError as exc:
+            return _error(exc)
     rejected = rejection_report(results)
     if args.rejections:
         with _open_out(args.rejections) as out:
@@ -188,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="notes JSONL ('-' for stdin)")
     p.add_argument("output", help="entities JSONL ('-' for stdout)")
     p.add_argument("--backend", choices=["rule", "llm", "replay"])
-    p.add_argument("--transcript", help="record/replay transcript JSONL")
+    p.add_argument(
+        "--transcript", help="transcript JSONL: written by --backend llm, read by --backend replay"
+    )
     p.add_argument("--assertion-rules", dest="assertion_rules", help="trigger rule TSV")
     p.add_argument("--applicability", help="applicability override config")
     p.add_argument("--mismatch-threshold", type=float, dest="mismatch_threshold")

@@ -4,6 +4,13 @@ Supports three modes: live (HTTP with retry/backoff and a bounded in-flight
 semaphore), record (live plus transcript capture), and replay (transcript
 only, zero network). Replay keeps the whole test suite deterministic and
 offline.
+
+`complete` sends one prompt. `complete_all` sends a batch at once on a
+short-lived pool of up to `max_in_flight` threads and returns the answers in
+prompt order; the one semaphore still bounds the calls in flight across every
+caller, and the HTTP connection pool holds `max_in_flight` connections. Once a
+prompt of the batch fails, the prompts not yet sent are dropped and the first
+failure in prompt order is raised. Replay answers a batch serially.
 """
 
 from __future__ import annotations
@@ -13,10 +20,12 @@ import os
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import requests
+from requests.adapters import HTTPAdapter
 
 DEFAULT_API_KEY_ENV = "GENIE_API_KEY"
 
@@ -27,6 +36,10 @@ class TransportError(RuntimeError):
 
 class ConfigurationError(RuntimeError):
     """Missing credentials or a request the server rejects outright."""
+
+
+class _Cancelled(Exception):
+    """Another prompt of the batch failed before this one was sent."""
 
 
 @dataclass
@@ -50,7 +63,8 @@ class EndpointConfig:
 
 class Transcript:
     """Prompt -> response store for record/replay, persisted as JSONL lines
-    of {"prompt", "response"} in first-recorded order."""
+    of {"prompt", "response"} sorted by prompt, so that a saved transcript
+    does not depend on the order the answers came back in."""
 
     def __init__(self):
         self._responses: dict[str, str] = {}
@@ -76,8 +90,10 @@ class Transcript:
         return t
 
     def save(self, path) -> None:
+        with self._lock:
+            records = sorted(self._responses.items())
         with Path(path).open("w", encoding="utf-8") as fh:
-            for prompt, response in self._responses.items():
+            for prompt, response in records:
                 fh.write(
                     json.dumps({"prompt": prompt, "response": response}, ensure_ascii=False)
                     + "\n"
@@ -101,23 +117,57 @@ class ChatClient:
         self.cfg = cfg or EndpointConfig()
         self.mode = mode
         self.transcript = transcript if transcript is not None else Transcript()
-        self._session = session or requests.Session()
+        if session is None:
+            # One pooled connection per call in flight: a smaller pool opens
+            # and discards a connection for every call beyond its size.
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=self.cfg.max_in_flight)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
         self._semaphore = threading.Semaphore(self.cfg.max_in_flight)
         self.network_calls = 0
         self._calls_lock = threading.Lock()
 
-    def complete(self, prompt: str) -> str:
+    def complete(self, prompt: str, cancel: threading.Event | None = None) -> str:
+        """The answer to one prompt. A live call that finds `cancel` set when
+        it gets its in-flight slot, or before a retry, sends nothing more."""
         if self.mode == "replay":
             recorded = self.transcript.get(prompt)
             if recorded is None:
                 raise ConfigurationError("prompt not found in replay transcript")
             return recorded
-        response = self._complete_live(prompt)
+        response = self._complete_live(prompt, cancel)
         if self.mode == "record":
             self.transcript.put(prompt, response)
         return response
 
-    def _complete_live(self, prompt: str) -> str:
+    def complete_all(self, prompts: list[str]) -> list[str]:
+        """The answers to `prompts`, in prompt order, sent concurrently on a
+        pool of min(len(prompts), max_in_flight) threads; replay answers them
+        serially. When a prompt fails, the prompts not yet sent are dropped
+        and the first failure in prompt order is raised."""
+        threads = min(len(prompts), self.cfg.max_in_flight)
+        if self.mode == "replay" or threads <= 1:
+            return [self.complete(prompt) for prompt in prompts]
+        failed = threading.Event()
+
+        def one(prompt):
+            try:
+                return self.complete(prompt, cancel=failed)
+            except BaseException:
+                failed.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(one, prompt) for prompt in prompts]
+        for future in futures:
+            exc = future.exception()
+            if exc is not None and not isinstance(exc, _Cancelled):
+                raise exc
+        return [future.result() for future in futures]
+
+    def _complete_live(self, prompt: str, cancel: threading.Event | None) -> str:
         api_key = os.environ.get(self.cfg.api_key_env)
         if not api_key:
             raise ConfigurationError(
@@ -136,6 +186,8 @@ class ChatClient:
                 if attempt:
                     delay = self.cfg.backoff_base * (2 ** (attempt - 1))
                     time.sleep(delay * (1.0 + random.random() * 0.25))
+                if cancel is not None and cancel.is_set():
+                    raise _Cancelled
                 try:
                     with self._calls_lock:
                         self.network_calls += 1

@@ -7,7 +7,11 @@ chunks, to size its prompts.
 
 Per-note processing is independent and runs on a thread pool; output order is
 by note_id then span start regardless of worker count, so runs are
-byte-identical across --workers settings with a deterministic backend.
+byte-identical across --workers settings with a deterministic backend. With
+the LLM backend each worker also sends its note's prompts concurrently, and
+one client-wide bound, `max_in_flight`, caps the calls in flight across all
+workers. `--backend llm` with a transcript records every answer, for the
+caller to save; `--backend replay` answers from a saved transcript.
 """
 
 from __future__ import annotations
@@ -107,6 +111,10 @@ class PipelineConfig:
                 problems.append("transcript: replay backend requires a transcript file")
             elif not Path(self.transcript).exists():
                 problems.append(f"transcript: file not found: {self.transcript}")
+        elif self.backend == "llm" and self.transcript:
+            directory = Path(self.transcript).parent
+            if not directory.is_dir():
+                problems.append(f"transcript: directory not found: {directory}")
         if self.backend == "llm" and not os.environ.get(self.api_key_env):
             problems.append(f"api_key_env: {self.api_key_env} is not set (backend=llm)")
         if self.mismatch_threshold < 0:
@@ -159,9 +167,10 @@ def build_resources(cfg: PipelineConfig) -> PipelineResources:
     if cfg.backend == "rule":
         backend = RuleBackend()
     else:
-        transcript = Transcript.load(cfg.transcript) if cfg.transcript else None
-        mode = "replay" if cfg.backend == "replay" else "live"
-        client = ChatClient(cfg.endpoint(), mode=mode, transcript=transcript)
+        if cfg.backend == "replay":
+            client = ChatClient(cfg.endpoint(), mode="replay", transcript=Transcript.load(cfg.transcript))
+        else:
+            client = ChatClient(cfg.endpoint(), mode="record" if cfg.transcript else "live")
         backend = LlmBackend(client, max_tokens=cfg.max_tokens)
     return PipelineResources(
         index=index,

@@ -147,6 +147,9 @@ def test_criterion_3_attribute_case_fixtures():
             self.transcript.put(prompt, response)
             return response
 
+        def complete_all(self, prompts):
+            return [self.complete(prompt) for prompt in prompts]
+
     recorder = Recorder()
     res = _case_resources(Transcript())
     res.backend = LlmBackend(recorder)

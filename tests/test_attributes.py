@@ -8,6 +8,7 @@ from ehrstruct.attributes import (
     annotate_note,
     apply_applicability,
     llm_extract,
+    llm_prompt,
     load_anatomy_lexicon,
     mark_mentions,
     parse_response_lines,
@@ -196,6 +197,9 @@ class TestAnnotateNote:
                 terms = prompt.rsplit("Here are the terms:", 1)[1].splitlines()
                 return "\n".join(f"{t}: null" for t in terms if t)
 
+            def complete_all(self, batch):
+                return [self.complete(prompt) for prompt in batch]
+
         sets, dropped, total = annotate_note(
             note_for(text),
             segment(text),
@@ -235,6 +239,9 @@ class StubClient:
         self.prompts.append(prompt)
         return self.response
 
+    def complete_all(self, prompts):
+        return [self.complete(prompt) for prompt in prompts]
+
 
 class TestLlmExtract:
     def setup_method(self):
@@ -243,27 +250,25 @@ class TestLlmExtract:
         self.mentions = [mention("fever", self.text), mention("hypoxemia", self.text)]
 
     def test_parses_and_aligns(self):
-        client = StubClient("fever: null\nhypoxemia: Left Lower Lobe")
-        assignments, dropped, total = llm_extract(self.chunk, self.mentions, "location", client)
+        response = "fever: null\nhypoxemia: Left Lower Lobe"
+        assignments, dropped, total = llm_extract(response, self.mentions, "location")
         assert assignments == [(0, None), (1, "Left Lower Lobe")]
         assert dropped == 0
         assert total == 2
 
     def test_extra_line_dropped(self):
-        client = StubClient("fever: null\nxyz: chest\nhypoxemia: Left Lower Lobe")
-        assignments, dropped, total = llm_extract(self.chunk, self.mentions, "location", client)
+        response = "fever: null\nxyz: chest\nhypoxemia: Left Lower Lobe"
+        assignments, dropped, total = llm_extract(response, self.mentions, "location")
         assert assignments == [(0, None), (1, "Left Lower Lobe")]
         assert dropped == 1
         assert total == 3
 
     def test_empty_response_errors(self):
         with pytest.raises(BackendError):
-            llm_extract(self.chunk, self.mentions, "location", StubClient("\n\n"))
+            llm_extract("\n\n", self.mentions, "location")
 
     def test_prompt_marks_mentions_with_braces(self):
-        client = StubClient("fever: null\nhypoxemia: null")
-        llm_extract(self.chunk, self.mentions, "location", client)
-        prompt = client.prompts[0]
+        prompt = llm_prompt(self.chunk, self.mentions, "location")
         assert "{{fever}}" in prompt
         assert "{{hypoxemia}}" in prompt
         assert "double curly braces" in prompt
@@ -271,8 +276,8 @@ class TestLlmExtract:
 
     def test_shuffling_adversary_stays_monotone(self):
         # echoes mentions out of order; alignment must stay order-monotone
-        client = StubClient("hypoxemia: lung\nfever: head")
-        assignments, dropped, total = llm_extract(self.chunk, self.mentions, "location", client)
+        response = "hypoxemia: lung\nfever: head"
+        assignments, dropped, total = llm_extract(response, self.mentions, "location")
         mention_idxs = [i for i, _ in assignments]
         assert all(a < b for a, b in zip(mention_idxs, mention_idxs[1:]))
         assert len(assignments) + dropped == total

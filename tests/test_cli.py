@@ -98,6 +98,9 @@ def _make_transcript(notes_path, reply):
             self.transcript.put(prompt, response)
             return response
 
+        def complete_all(self, prompts):
+            return [self.complete(prompt) for prompt in prompts]
+
     from ehrstruct.attributes import LlmBackend
 
     cfg = PipelineConfig(lexicon=str(_lexicon()))

@@ -1,9 +1,11 @@
 import json
+import logging
 import sys
 import threading
 
 import pytest
 
+from ehrstruct import llm_client
 from ehrstruct.llm_client import (
     ChatClient,
     ConfigurationError,
@@ -100,6 +102,48 @@ class TestLiveMode:
         assert client.network_calls == 100
 
 
+class TestCompleteAll:
+    def test_answers_in_prompt_order_when_they_arrive_out_of_order(self, stub_server):
+        stub_server.reply = lambda prompt: f"echo:{prompt}"
+        stub_server.delay = lambda prompt: 0.05 if int(prompt[1:]) % 2 == 0 else 0.0
+        client = make_client(stub_server, max_in_flight=4)
+        prompts = [f"p{i}" for i in range(10)]
+        assert client.complete_all(prompts) == [f"echo:{p}" for p in prompts]
+        assert stub_server.prompts != prompts  # the odd prompts overtook the even ones
+        assert stub_server.max_observed_in_flight == 4
+
+    def test_first_failure_in_prompt_order_is_raised(self, stub_server):
+        # p1 is rejected at once, p0 only after p1: p0's error is the one raised
+        stub_server.fault = lambda prompt: {"p0": 500, "p1": 400}.get(prompt)
+        stub_server.delay = lambda prompt: 0.2 if prompt == "p0" else 0.0
+        client = make_client(stub_server, max_in_flight=2, max_retries=0)
+        with pytest.raises(TransportError, match="HTTP 500"):
+            client.complete_all(["p0", "p1", "p2", "p3"])
+        assert sorted(stub_server.prompts) == ["p0", "p1"]
+
+    def test_replay_is_serial(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("replay started a thread pool")
+
+        monkeypatch.setattr(llm_client, "ThreadPoolExecutor", no_pool)
+        transcript = Transcript()
+        for i in range(6):
+            transcript.put(f"p{i}", f"r{i}")
+        client = make_client(None, mode="replay", transcript=transcript, max_in_flight=4)
+        assert client.complete_all([f"p{i}" for i in (5, 0, 3)]) == ["r5", "r0", "r3"]
+        assert client.complete_all([]) == []
+
+    def test_connection_pool_holds_max_in_flight_connections(self, stub_server, caplog):
+        stub_server.delay = 0.05
+        client = make_client(stub_server, max_in_flight=16)
+        with caplog.at_level(logging.WARNING, logger="urllib3"):
+            answers = client.complete_all([f"p{i}" for i in range(48)])
+        assert answers == ["ok"] * 48
+        assert stub_server.max_observed_in_flight == 16
+        assert stub_server.connections == 16
+        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+
+
 class TestReplayMode:
     def test_recorded_response_no_network(self):
         transcript = Transcript()
@@ -159,6 +203,18 @@ class TestTranscript:
             {"prompt": "p1", "response": "r1 again"},
             {"prompt": "p2", "response": "r2"},
         ]
+
+    def test_saved_lines_sorted_by_prompt(self, tmp_path):
+        paths = []
+        for order in (["b", "c", "a"], ["c", "a", "b"]):
+            t = Transcript()
+            for prompt in order:
+                t.put(prompt, prompt.upper())
+            paths.append(tmp_path / f"{''.join(order)}.jsonl")
+            t.save(paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        lines = [json.loads(line)["prompt"] for line in paths[0].read_text(encoding="utf-8").splitlines()]
+        assert lines == ["a", "b", "c"]
 
     def test_loads_lines_with_old_hash_field(self, tmp_path):
         path = tmp_path / "t.jsonl"

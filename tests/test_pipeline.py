@@ -149,6 +149,9 @@ class RecordingClient:
         terms = prompt.rsplit("Here are the terms:", 1)[1].splitlines()
         return "\n".join(f"{t}: null" for t in terms if t)
 
+    def complete_all(self, prompts):
+        return [self.complete(prompt) for prompt in prompts]
+
 
 ST_JOHNS_NOTE = "Patient takes St. John's wort daily for mood. Denies chest pain."
 
