@@ -16,6 +16,7 @@ kinds to "not applicable".
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from bisect import bisect_right
@@ -223,7 +224,11 @@ def mark_mentions(chunk: Chunk, mentions: list[Mention]) -> str:
 
 
 def default_prompt_template(kind: str) -> str:
-    name = "prompt_location.txt" if kind == LOCATION else "prompt_generic.txt"
+    return _prompt_template("prompt_location.txt" if kind == LOCATION else "prompt_generic.txt")
+
+
+@functools.cache
+def _prompt_template(name: str) -> str:
     return _data_text(name)
 
 

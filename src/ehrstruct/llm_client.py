@@ -181,11 +181,11 @@ class ChatClient:
         }
         headers = {"Authorization": f"Bearer {api_key}"}
         last_error = None
-        with self._semaphore:
-            for attempt in range(self.cfg.max_retries + 1):
-                if attempt:
-                    delay = self.cfg.backoff_base * (2 ** (attempt - 1))
-                    time.sleep(delay * (1.0 + random.random() * 0.25))
+        for attempt in range(self.cfg.max_retries + 1):
+            if attempt:  # back off outside the slot, so others can use it
+                delay = self.cfg.backoff_base * (2 ** (attempt - 1))
+                time.sleep(delay * (1.0 + random.random() * 0.25))
+            with self._semaphore:
                 if cancel is not None and cancel.is_set():
                     raise _Cancelled
                 try:

@@ -7,21 +7,17 @@ the note's offset map.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .preprocess import NormalizedNote
 from .terminology import (
+    WORD_RUN,
     AbbreviationTable,
     SemanticType,
     TermIndex,
     fold_case,
     word_start,
 )
-
-# A maximal run of characters for which str.isalnum() is true: [^\W_]
-# matches exactly the code points isalnum() accepts.
-_WORD_RUN = re.compile(r"[^\W_]+")
 
 
 @dataclass
@@ -46,11 +42,12 @@ def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
     lowered = fold_case(text)
     mentions: list[Mention] = []
     resume = 0  # end of the last match; a match never ends inside a word
-    for word in _WORD_RUN.finditer(text):
+    # fold_case keeps isalnum(), so lowered has the same runs as text
+    for word in WORD_RUN.finditer(lowered):
         i = word.start()
         if i < resume:
             continue
-        length = index.longest_match(lowered, i)
+        length = index.longest_match(lowered, i, word.group())
         if length is None:
             continue
         surface = text[i : i + length]

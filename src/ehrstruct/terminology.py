@@ -1,4 +1,4 @@
-"""Lexicon loading, trie-based term index, and semantic-type metadata.
+"""Lexicon loading, head-word term index, and semantic-type metadata.
 
 The lexicon is a 3-column TSV (surface, concept_id, semantic_type). Surfaces
 are lowercased at load; matching is case-insensitive with raw casing preserved
@@ -9,6 +9,7 @@ word boundaries only.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,26 +93,26 @@ def load_lexicon(path) -> tuple[list[LexiconEntry], LoadReport]:
     path = Path(path)
     report = LoadReport()
     entries: list[LexiconEntry] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[str] = set()
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
             if not line.strip():
                 continue
             report.total_lines += 1
-            fields = line.split("\t")
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != 3:
                 raise LexiconFormatError(
                     path, lineno, f"expected 3 tab-separated fields, got {len(fields)}"
                 )
-            surface, concept_id, type_name = (f.strip() for f in fields)
+            surface, concept_id, type_name = fields
+            surface = surface.strip().lower()
             if not surface:
                 raise LexiconFormatError(path, lineno, "empty surface")
-            surface = surface.lower()
-            sem_type = SemanticType.from_name(type_name)
+            concept_id, type_name = concept_id.strip(), type_name.strip()
+            sem_type = _NAME_TO_TYPE.get(type_name, SemanticType.OTHER)
             if sem_type is SemanticType.OTHER and type_name != SemanticType.OTHER.value:
                 report.unknown_types += 1
-            key = (surface, concept_id)
+            key = f"{surface}\t{concept_id}"  # fields hold no tab
             if key in seen:
                 report.duplicates += 1
                 continue
@@ -131,6 +132,11 @@ def fold_case(text: str) -> str:
     return "".join(low if len(low := ch.lower()) == 1 else ch for ch in text)
 
 
+# A maximal run of characters for which str.isalnum() is true: [^\W_]
+# matches exactly the code points isalnum() accepts.
+WORD_RUN = re.compile(r"[^\W_]+")
+
+
 def word_start(text: str, i: int) -> bool:
     """True when position i does not fall inside an alphanumeric run."""
     if i <= 0:
@@ -141,50 +147,45 @@ def word_start(text: str, i: int) -> bool:
 
 
 class TermIndex:
-    """Character trie over lexicon surfaces supporting longest-match queries.
+    """Surface dictionary supporting longest-match queries.
 
-    Immutable after build; safe to share across threads. All queries expect
-    already-lowercased text.
+    A surface can match at a position, ending at a word boundary, only if its
+    leading alphanumeric run equals the text's run there, so the index keys
+    each surface's distinct lengths by that head word and a query tries only
+    those. Immutable after build; safe to share across threads. All queries
+    expect already-lowercased text.
     """
 
-    _END = "\0"
-
     def __init__(self, entries: list[LexiconEntry]):
-        root: dict = {}
         # First loaded entry wins for a surface; later concept_ids are alternates.
-        surface_entry: dict[str, LexiconEntry] = {}
+        by_surface: dict[str, LexiconEntry] = {}
         for entry in entries:
-            if entry.surface not in surface_entry:
-                surface_entry[entry.surface] = entry
-            node = root
-            for ch in entry.surface:
-                node = node.setdefault(ch, {})
-            node[self._END] = entry.surface
-        self._root = root
-        self._by_surface = surface_entry
-        self._size = len(surface_entry)
+            by_surface.setdefault(entry.surface, entry)
+        lengths: dict[str, set[int]] = {}
+        for surface in by_surface:
+            if surface:  # an empty surface never matches
+                head = m.group() if (m := WORD_RUN.match(surface)) else ""
+                lengths.setdefault(head, set()).add(len(surface))
+        self._by_surface = by_surface
+        self._lengths = {h: sorted(ls, reverse=True) for h, ls in lengths.items()}
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._by_surface)
 
     def entry_for(self, surface: str) -> LexiconEntry | None:
         return self._by_surface.get(surface)
 
-    def longest_match(self, text: str, start: int) -> int | None:
+    def longest_match(self, text: str, start: int, head: str | None = None) -> int | None:
         """Length of the longest surface matching text[start:] that ends at a
-        word boundary, or None. text must be lowercased."""
-        node = self._root
-        best: int | None = None
-        i = start
-        n = len(text)
-        while i < n:
-            node = node.get(text[i])
-            if node is None:
-                break
-            i += 1
-            if self._END in node and word_start(text, i):
-                best = i - start
-        return best
+        word boundary, or None. text must be lowercased; head, when given, is
+        the alphanumeric run of text that begins at start."""
+        if head is None:
+            head = m.group() if (m := WORD_RUN.match(text, start)) else ""
+        for length in self._lengths.get(head, ()):
+            end = start + length
+            if end <= len(text) and word_start(text, end) and text[start:end] in self._by_surface:
+                return length
+        return None
 
 
 def build_index(entries: list[LexiconEntry]) -> TermIndex:

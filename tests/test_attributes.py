@@ -1,5 +1,8 @@
+from importlib import resources
+
 import pytest
 
+from ehrstruct import attributes
 from ehrstruct.attributes import (
     AttributeSet,
     BackendError,
@@ -12,6 +15,7 @@ from ehrstruct.attributes import (
     load_anatomy_lexicon,
     mark_mentions,
     parse_response_lines,
+    render_prompt,
     rule_extract_locations,
     rule_extract_modifiers,
     rule_extract_value_unit,
@@ -324,6 +328,30 @@ def test_llm_backend_prompts_each_chunk_with_its_own_mentions():
     assert len(client.prompts) == 2
     assert "{{Fever}} noted. " in client.prompts[0] and "Chest" not in client.prompts[0]
     assert "{{Chest pain}} today." in client.prompts[1] and "Fever" not in client.prompts[1]
+
+
+def test_prompt_templates_read_once(monkeypatch):
+    text = "Fever noted. Chest pain today."
+    mentions = [mention("Fever", text), mention("Chest pain", text)]
+    data = resources.files("ehrstruct.data")
+    expected = {
+        kind: render_prompt(
+            data.joinpath("prompt_location.txt" if kind == "location" else "prompt_generic.txt")
+            .read_text(encoding="utf-8"),
+            mark_mentions(chunk_for(text), mentions),
+            kind,
+            ["Fever", "Chest pain"],
+        )
+        for kind in ATTRIBUTE_KINDS
+    }
+    reads = []
+    read = attributes._data_text
+    monkeypatch.setattr(attributes, "_data_text", lambda name: reads.append(name) or read(name))
+    attributes._prompt_template.cache_clear()
+    for _ in range(3):
+        for kind in ATTRIBUTE_KINDS:
+            assert llm_prompt(chunk_for(text), mentions, kind) == expected[kind]
+    assert sorted(reads) == ["prompt_generic.txt", "prompt_location.txt"]
 
 
 def test_anatomy_lexicon_has_display_mapping():

@@ -60,6 +60,19 @@ class TestStructure:
         assert len(records) == 3
         assert all("entities" in r for r in records)
 
+    def test_nul_in_note_text(self, tmp_path, lexicon_args):
+        notes = tmp_path / "nul.jsonl"
+        notes.write_text(
+            json.dumps({"note_id": "n1", "text": "Patient has fever\u0000 today."}) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.jsonl"
+        assert main(["structure", *lexicon_args, str(notes), str(out)]) == 0
+        records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
+        assert [(r["note_id"], r["phrase"], r["span"]) for r in records] == [
+            ("n1", "fever", {"start": 12, "end": 17})
+        ]
+
     def test_rejection_exit_code(self, tmp_path, lexicon_args):
         # a mismatch threshold of -0 with forced drops is hard to hit with the
         # rule backend, so use a replay transcript that yields garbage lines

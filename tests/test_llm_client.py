@@ -2,6 +2,7 @@ import json
 import logging
 import sys
 import threading
+import time
 
 import pytest
 
@@ -79,6 +80,23 @@ class TestLiveMode:
             t.join()
         assert stub_server.request_count == 8
         assert stub_server.max_observed_in_flight <= 2
+
+    def test_backoff_does_not_hold_an_in_flight_slot(self, stub_server):
+        stub_server.script = [500, 200]  # only the first request fails
+        client = make_client(stub_server, max_in_flight=1)
+        client.cfg.backoff_base = 1.0
+        backing_off = threading.Thread(target=client.complete, args=("retried",))
+        backing_off.start()
+        deadline = time.monotonic() + 5
+        while stub_server.request_count < 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        t0 = time.monotonic()
+        assert client.complete("healthy") == "ok"
+        waited = time.monotonic() - t0
+        backing_off.join(timeout=10)
+        assert not backing_off.is_alive()
+        assert stub_server.prompts == ["retried", "healthy", "retried"]
+        assert waited < 0.5  # the backoff sleeps at least 1 s
 
     def test_network_calls_counted_across_threads(self, stub_server):
         client = make_client(stub_server, max_in_flight=4)

@@ -113,6 +113,13 @@ class TestRecognize:
             assert got == brute_force_recognize(text, surfaces)
             assert all(text[s:e].lower() in surfaces for s, e in got)
 
+    def test_nul_after_term_does_not_crash(self, sample_index):
+        # NUL is an ordinary non-alphanumeric character, also right after a term
+        text = "Patient has fever\x00 today."
+        mentions = recognize(note_for(text), sample_index)
+        assert [(m.surface, m.norm_start) for m in mentions] == [("fever", 12)]
+        assert brute_force_recognize(text, ["fever"]) == [(12, 17)]
+
     def test_mentions_ordered_and_non_overlapping(self, sample_index):
         text = "fever and chest pain with nausea, vomiting and fever"
         note = note_for(text)

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
     PURPOSE,
     REPORTABLE_TYPES,
     ApplicabilityTable,
+    LexiconEntry,
     LexiconFormatError,
     SemanticType,
     build_index,
@@ -60,6 +63,39 @@ class TestLoadLexicon:
             load_lexicon(path)
         assert exc.value.lineno == 2
 
+    def test_fields_stripped_and_counted(self, tmp_path):
+        path = write_lexicon(
+            tmp_path,
+            [
+                " Fever \t C1 \t Sign, Symptom, or Finding ",
+                "",
+                "fever\tC1\tSign, Symptom, or Finding",
+                "fever\tC2\t Other ",
+                "rash\tC3\tNot A Real Type",
+            ],
+        )
+        entries, report = load_lexicon(path)
+        assert [(e.surface, e.concept_id, e.semantic_type) for e in entries] == [
+            ("fever", "C1", SemanticType.SIGN_SYMPTOM_OR_FINDING),
+            ("fever", "C2", SemanticType.OTHER),
+            ("rash", "C3", SemanticType.OTHER),
+        ]
+        assert (report.total_lines, report.entries, report.duplicates, report.unknown_types) == (
+            4, 3, 1, 1,
+        )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("a\tb", ":1: expected 3 tab-separated fields, got 2"),
+            ("a\tb\tc\td", ":1: expected 3 tab-separated fields, got 4"),
+            (" \tC1\tOther", ":1: empty surface"),
+        ],
+    )
+    def test_format_errors(self, tmp_path, line, message):
+        with pytest.raises(LexiconFormatError, match=message):
+            load_lexicon(write_lexicon(tmp_path, [line]))
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
             load_lexicon(tmp_path / "missing.tsv")
@@ -89,6 +125,11 @@ class TestTermIndex:
         assert index.longest_match("ra level", 0) == 2
         assert index.longest_match("rapid", 0) is None
 
+    def test_first_entry_wins_for_a_surface(self, tmp_path):
+        path = write_lexicon(tmp_path, ["fever\tC1\tOther", "Fever\tC2\tOther"])
+        entries, _ = load_lexicon(path)
+        assert build_index(entries).entry_for("fever").concept_id == "C1"
+
     def test_loaded_surface_lookup_succeeds(self, sample_index, sample_entries):
         for e in sample_entries:
             assert sample_index.longest_match(e.surface, 0) is not None
@@ -99,6 +140,46 @@ class TestTermIndex:
         probes = ["heart failure", "hsm noted", "no ileus today", "xyzzy"]
         for text in probes:
             assert a.longest_match(text, 0) == b.longest_match(text, 0)
+
+
+# Pieces where matching is easy to get wrong: 'i\u0307' is what 'İ' lowercases
+# to, and U+0307 is not alphanumeric; '_' and '\0' are not alphanumeric
+# either; 'é' and '2' are; 'st.' and '-x' end or start in punctuation.
+_PIECES = ["a", "b", "ab", "é", "2", " ", ".", "-", "_", "\0", "i\u0307", "İ", "st.", "-x"]
+_pieces = st.lists(st.sampled_from(_PIECES), max_size=5).map("".join)
+
+
+def _brute_longest_match(text, start, surfaces):
+    """Longest surface equal to text[start:start+len] that ends where no
+    alphanumeric pair straddles the end; None when there is none."""
+    best = None
+    for s in surfaces:
+        end = start + len(s)
+        if not s or text[start:end] != s:
+            continue
+        if 0 < end < len(text) and text[end - 1].isalnum() and text[end].isalnum():
+            continue
+        if best is None or len(s) > best:
+            best = len(s)
+    return best
+
+
+@given(
+    surfaces=st.lists(_pieces, max_size=12),
+    text=st.lists(st.one_of(_pieces, st.sampled_from(_PIECES)), max_size=12).map("".join),
+)
+@example(surfaces=["fever"], text="fever\0 today")  # NUL right after a surface
+@example(surfaces=[""], text=" a.")  # an empty surface never matches, not even with length 0
+@settings(max_examples=400, deadline=None)
+def test_longest_match_agrees_with_brute_force(surfaces, text):
+    index = build_index([LexiconEntry(s, f"C{i}", SemanticType.DISEASE) for i, s in enumerate(surfaces)])
+    for start in range(len(text) + 1):
+        expected = _brute_longest_match(text, start, surfaces)
+        run_end = start
+        while run_end < len(text) and text[run_end].isalnum():
+            run_end += 1
+        assert index.longest_match(text, start) == expected
+        assert index.longest_match(text, start, text[start:run_end]) == expected
 
 
 class TestApplicability:
