@@ -2,7 +2,7 @@
 attribute backends, integration, and evaluation."""
 
 from .assertion import AssertionStatus, TriggerRule, classify, load_rules
-from .attributes import AttributeSet, LlmBackend, RuleBackend
+from .attributes import LlmBackend, RuleBackend
 from .evaluate import EvalReport, evaluate, phrase_f1
 from .integrate import NoteResult, StructuredEntity, align, assemble
 from .llm_client import ChatClient, EndpointConfig, Transcript

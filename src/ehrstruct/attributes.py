@@ -2,16 +2,18 @@
 
 `annotate_note` calls a backend once per note with the note's segmentation,
 each mention's sentence and the attribute kinds its semantic type allows.
-The rule backend (regex values/units, anatomy lexicon locations, adjacency
-modifiers, no purposes) fills every applicable kind from the one sentence.
-The LLM backend packs the segmentation into chunks under its token budget,
-marks each chunk's mentions with double curly braces and renders one prompt
-per attribute kind over the mentions that kind applies to. It sends all of a
-note's prompts at once (`ChatClient.complete_all`), then parses the answers
-and aligns the echoed entity lines back to mention order on the calling
-thread, in prompt order, so output and warnings do not depend on the order
-answers arrive in. Applicability filtering runs last and forces inapplicable
-kinds to "not applicable".
+A backend answers one record per mention, a dict from each of those kinds to
+a value or None. `annotate_note` then sets every other kind to "not
+applicable": applicability is decided there, once, and an answer for a kind
+that does not apply is discarded. The rule backend (regex values/units,
+anatomy lexicon locations, adjacency modifiers, no purposes) fills every
+applicable kind from the one sentence. The LLM backend packs the
+segmentation into chunks under its token budget, marks each chunk's mentions
+with double curly braces and renders one prompt per attribute kind over the
+mentions that kind applies to. It sends all of a note's prompts at once
+(`ChatClient.complete_all`), then parses the answers and aligns the echoed
+entity lines back to mention order on the calling thread, in prompt order,
+so output and warnings do not depend on the order answers arrive in.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 import logging
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from importlib import resources
 from itertools import groupby
 
@@ -33,7 +34,6 @@ from .terminology import (
     LOCATION,
     MODIFIER,
     NOT_APPLICABLE,
-    PURPOSE,
     UNIT,
     VALUE,
     ApplicabilityTable,
@@ -46,29 +46,6 @@ log = logging.getLogger(__name__)
 class BackendError(RuntimeError):
     """The annotator backend produced no usable output."""
 
-
-@dataclass
-class AttributeSet:
-    locations: object = None
-    modifiers: object = None
-    value: object = None
-    unit: object = None
-    purpose: object = None
-
-    def get(self, kind: str):
-        return getattr(self, _FIELD_BY_KIND[kind])
-
-    def set(self, kind: str, value) -> None:
-        setattr(self, _FIELD_BY_KIND[kind], value)
-
-
-_FIELD_BY_KIND = {
-    LOCATION: "locations",
-    MODIFIER: "modifiers",
-    VALUE: "value",
-    UNIT: "unit",
-    PURPOSE: "purpose",
-}
 
 _LIST_KINDS = {LOCATION, MODIFIER}
 
@@ -195,22 +172,18 @@ class RuleBackend:
 
     def annotate(self, note: NormalizedNote, segmentation, mentions: list[Mention], sentences, kinds):
         """Fill every applicable kind of each mention from its sentence."""
-        sets = []
+        records = []
         for (sent, s, e), applicable in zip(sentences, kinds):
-            raw = AttributeSet()
+            found = {}
             if VALUE in applicable or UNIT in applicable:
-                value, unit = rule_extract_value_unit(sent, s, e, self.units)
-                if VALUE in applicable:
-                    raw.value = value
-                if UNIT in applicable:
-                    raw.unit = unit
+                found[VALUE], found[UNIT] = rule_extract_value_unit(sent, s, e, self.units)
             if LOCATION in applicable:
-                raw.locations = rule_extract_locations(sent, s, e, self.anatomy) or None
+                found[LOCATION] = rule_extract_locations(sent, s, e, self.anatomy) or None
             if MODIFIER in applicable:
-                raw.modifiers = rule_extract_modifiers(sent, s, e, self.modifier_words) or None
+                found[MODIFIER] = rule_extract_modifiers(sent, s, e, self.modifier_words) or None
             # PURPOSE stays None: it needs world knowledge the rule backend lacks
-            sets.append(raw)
-        return sets, 0, sum(len(k) for k in kinds)
+            records.append({kind: found.get(kind) for kind in ATTRIBUTE_KINDS if kind in applicable})
+        return records, 0, sum(len(k) for k in kinds)
 
 
 def mark_mentions(chunk: Chunk, mentions: list[Mention]) -> str:
@@ -312,7 +285,7 @@ class LlmBackend:
                     prompt = llm_prompt(chunks[chunk_idx], [mentions[i] for i in indices], kind)
                     batch.append((kind, indices, prompt))
         responses = self.client.complete_all([prompt for _, _, prompt in batch])
-        sets = [AttributeSet() for _ in mentions]
+        records = [{kind: None for kind in ATTRIBUTE_KINDS if kind in applicable} for applicable in kinds]
         dropped_total = lines_total = 0
         for (kind, indices, _), response in zip(batch, responses):
             assignments, dropped, total = llm_extract(response, [mentions[i] for i in indices], kind)
@@ -321,21 +294,8 @@ class LlmBackend:
             for local_idx, value in assignments:
                 if kind in _LIST_KINDS and isinstance(value, str):
                     value = [value]
-                sets[indices[local_idx]].set(kind, value)
-        return sets, dropped_total, lines_total
-
-
-def apply_applicability(m: Mention, raw: AttributeSet, table: ApplicabilityTable) -> AttributeSet:
-    """Force inapplicable kinds to NotApplicable; applicable-but-missing to Null."""
-    applicable = table.applicable_attributes(m.semantic_type)
-    out = AttributeSet()
-    for kind in ATTRIBUTE_KINDS:
-        value = raw.get(kind)
-        if kind not in applicable:
-            out.set(kind, NOT_APPLICABLE)
-        else:
-            out.set(kind, None if value is NOT_APPLICABLE else value)
-    return out
+                records[indices[local_idx]][kind] = value
+        return records, dropped_total, lines_total
 
 
 def annotate_note(
@@ -347,12 +307,16 @@ def annotate_note(
     table: ApplicabilityTable,
 ):
     """Call the backend once for the note, passing its segmentation, each
-    mention's (sentence, start, end) and applicable kinds, and assemble
-    AttributeSets.
+    mention's (sentence, start, end) and applicable kinds, and complete each
+    answer into a record of every attribute kind: a kind that does not apply
+    is "not applicable", an applicable one the backend left out is None.
 
-    Returns (attribute_sets parallel to mentions, dropped_lines, total_lines).
+    Returns (records parallel to mentions, dropped_lines, total_lines).
     """
     kinds = [table.applicable_attributes(m.semantic_type) for m in mentions]
-    raw_sets, dropped, total = backend.annotate(note, segmentation, mentions, sentences, kinds)
-    attribute_sets = [apply_applicability(m, raw, table) for m, raw in zip(mentions, raw_sets)]
-    return attribute_sets, dropped, total
+    answers, dropped, total = backend.annotate(note, segmentation, mentions, sentences, kinds)
+    records = [
+        {kind: answer.get(kind) if kind in applicable else NOT_APPLICABLE for kind in ATTRIBUTE_KINDS}
+        for answer, applicable in zip(answers, kinds)
+    ]
+    return records, dropped, total

@@ -17,6 +17,7 @@ from .integrate import rejection_report, serialize
 from .pipeline import (
     PipelineConfig,
     build_resources,
+    load_terms,
     read_notes,
     run_structure,
 )
@@ -158,14 +159,14 @@ def cmd_recognize(args) -> int:
     if cfg is None:
         return 1
     try:
-        res = build_resources(cfg)
+        index, abbreviations = load_terms(cfg)
         with _open_in(args.input) as fh:
             notes = read_notes(fh)
     except (OSError, ValueError) as exc:
         return _error(exc)
     with _open_out(args.output) as out:
         for raw in notes:
-            for m in recognize_note(restore_linebreaks(raw), res.index, res.abbreviations):
+            for m in recognize_note(restore_linebreaks(raw), index, abbreviations):
                 rec = dataclasses.asdict(m)
                 rec["semantic_type"] = m.semantic_type.value
                 out.write(json.dumps(rec, ensure_ascii=False) + "\n")

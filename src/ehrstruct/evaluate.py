@@ -11,18 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .integrate import StructuredEntity, parse_entities
+from .integrate import ATTRIBUTE_FIELDS, StructuredEntity, parse_entities
 from .terminology import NOT_APPLICABLE, AbbreviationTable
 
 ATTRIBUTE_COLUMNS = ("location", "modifier", "value", "unit", "status")
 
-_KIND_FIELDS = {
-    "location": "locations",
-    "modifier": "modifiers",
-    "value": "value",
-    "unit": "unit",
-    "status": "assertion_status",
-}
+_KIND_FIELDS = {**ATTRIBUTE_FIELDS, "status": "assertion_status"}
 
 _COMPARATORS = {
     "<=": "less than or equal to",

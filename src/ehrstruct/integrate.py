@@ -12,9 +12,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .terminology import NOT_APPLICABLE, SemanticType
+from .terminology import LOCATION, MODIFIER, NOT_APPLICABLE, PURPOSE, UNIT, VALUE, SemanticType
 
 DEFAULT_MISMATCH_THRESHOLD = 0.2
+
+# Attribute kind -> the StructuredEntity field and output key that carries it,
+# in output order.
+ATTRIBUTE_FIELDS = {
+    LOCATION: "locations",
+    MODIFIER: "modifiers",
+    VALUE: "value",
+    UNIT: "unit",
+    PURPOSE: "purpose",
+}
 
 
 def align(mentions, lines):
@@ -76,24 +86,24 @@ def assemble(
     note_id: str,
     mentions,
     statuses,
-    attribute_sets,
+    records,
     dropped_lines: int = 0,
     total_lines: int = 0,
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD,
 ) -> NoteResult:
     """Build one StructuredEntity per mention, in span order.
 
-    mentions, statuses and attribute_sets are parallel lists from the same
-    note. Drop counts come from the attribute backends; a ratio above the
-    threshold rejects the whole note.
+    mentions, statuses and records are parallel lists from the same note;
+    each record maps every attribute kind to its value. Drop counts come from
+    the attribute backends; a ratio above the threshold rejects the whole note.
     """
-    if len(mentions) != len(statuses) or len(mentions) != len(attribute_sets):
-        raise ValueError("mentions, statuses and attribute sets must be parallel")
+    if len(mentions) != len(statuses) or len(mentions) != len(records):
+        raise ValueError("mentions, statuses and attribute records must be parallel")
     for m in mentions:
         if m.note_id != note_id:
             raise ValueError(f"mention note_id {m.note_id!r} != {note_id!r}")
     entities = []
-    for m, status, attrs in zip(mentions, statuses, attribute_sets):
+    for m, status, record in zip(mentions, statuses, records):
         entities.append(
             StructuredEntity(
                 note_id=note_id,
@@ -102,11 +112,7 @@ def assemble(
                 span=(m.raw_start, m.raw_end),
                 semantic_type=m.semantic_type,
                 assertion_status=status.value if hasattr(status, "value") else str(status),
-                locations=attrs.locations,
-                modifiers=attrs.modifiers,
-                value=attrs.value,
-                unit=attrs.unit,
-                purpose=attrs.purpose,
+                **{name: record[kind] for kind, name in ATTRIBUTE_FIELDS.items()},
             )
         )
     entities.sort(key=lambda e: e.span[0])
@@ -146,11 +152,7 @@ def entity_to_dict(e: StructuredEntity) -> dict:
         "span": {"start": e.span[0], "end": e.span[1]},
         "semantic_type": sem,
         "assertion_status": e.assertion_status,
-        "locations": _encode_field(e.locations),
-        "modifiers": _encode_field(e.modifiers),
-        "value": _encode_field(e.value),
-        "unit": _encode_field(e.unit),
-        "purpose": _encode_field(e.purpose),
+        **{name: _encode_field(getattr(e, name)) for name in ATTRIBUTE_FIELDS.values()},
     }
 
 
@@ -163,11 +165,7 @@ def entity_from_dict(d: dict) -> StructuredEntity:
         span=(span.get("start", 0), span.get("end", 0)),
         semantic_type=SemanticType.from_name(d.get("semantic_type", "Other")),
         assertion_status=d.get("assertion_status", "Present"),
-        locations=_decode_field(d.get("locations")),
-        modifiers=_decode_field(d.get("modifiers")),
-        value=_decode_field(d.get("value")),
-        unit=_decode_field(d.get("unit")),
-        purpose=_decode_field(d.get("purpose")),
+        **{name: _decode_field(d.get(name)) for name in ATTRIBUTE_FIELDS.values()},
     )
 
 

@@ -215,7 +215,6 @@ def test_criterion_5_alignment_invariants():
     names = ["a", "b", "c", "d", "e"]
 
     from ehrstruct.recognition import Mention
-    from ehrstruct.attributes import AttributeSet
 
     def mk(phrase, start):
         return Mention("n", start, start + 1, start, start + 1, phrase, phrase,

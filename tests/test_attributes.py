@@ -4,12 +4,10 @@ import pytest
 
 from ehrstruct import attributes
 from ehrstruct.attributes import (
-    AttributeSet,
     BackendError,
     LlmBackend,
     RuleBackend,
     annotate_note,
-    apply_applicability,
     llm_extract,
     llm_prompt,
     load_anatomy_lexicon,
@@ -141,7 +139,7 @@ class TestRuleBackend:
         sets, dropped, total = backend.annotate(
             note_for(text), segment(text), [m], [sentence(m, text)], [{PURPOSE}]
         )
-        assignments = [(i, s.purpose) for i, s in enumerate(sets)]
+        assignments = [(i, s["purpose"]) for i, s in enumerate(sets)]
         assert assignments == [(0, None)]
         assert dropped == 0
 
@@ -156,39 +154,84 @@ class TestRuleBackend:
         assert all(r == runs[0] for r in runs)
 
 
-class TestApplyApplicability:
-    def test_disease_purpose_forced_not_applicable(self):
-        m = mention("fever", "fever", sem=SemanticType.DISEASE)
-        raw = AttributeSet(purpose="to treat X")
-        out = apply_applicability(m, raw, ApplicabilityTable())
-        assert out.purpose is NOT_APPLICABLE
+class Answering:
+    """Fake backend: answers each kind in `answered` for every mention,
+    whether or not the kind applies, and keeps the kinds it was given."""
 
-    def test_drug_missing_purpose_becomes_null(self):
-        m = mention("colace", "colace", sem=SemanticType.CHEMICAL_OR_DRUG)
-        out = apply_applicability(m, AttributeSet(), ApplicabilityTable())
-        assert out.purpose is None
+    def __init__(self, answered=ATTRIBUTE_KINDS):
+        self.answered = answered
 
-    def test_drug_purpose_kept(self):
-        m = mention("levothyroxine", "levothyroxine", sem=SemanticType.CHEMICAL_OR_DRUG)
-        raw = AttributeSet(purpose="treat thyroid hormone deficiency")
-        out = apply_applicability(m, raw, ApplicabilityTable())
-        assert out.purpose == "treat thyroid hormone deficiency"
+    def annotate(self, note, segmentation, mentions, sentences, kinds):
+        self.kinds = kinds
+        return [{kind: f"{kind} of {m.surface}" for kind in self.answered} for m in mentions], 0, 0
 
-    def test_exhaustive_over_types_and_kinds(self):
-        table = ApplicabilityTable()
-        for sem in REPORTABLE_TYPES:
-            m = mention("x", "x", sem=sem)
-            out = apply_applicability(m, AttributeSet(), table)
-            applicable = table.applicable_attributes(sem)
-            for kind in ATTRIBUTE_KINDS:
-                value = out.get(kind)
-                if kind in applicable:
-                    assert value is not NOT_APPLICABLE
-                else:
-                    assert value is NOT_APPLICABLE
+
+def one_of_each_type():
+    """A text with one mention of every reportable type."""
+    text = " ".join(f"t{i}" for i in range(len(REPORTABLE_TYPES)))
+    return text, [mention(f"t{i}", text, sem=sem) for i, sem in enumerate(REPORTABLE_TYPES)]
+
+
+def annotate(text, mentions, backend, table=None):
+    records, _, _ = annotate_note(
+        note_for(text), segment(text), mentions, [sentence(m, text) for m in mentions],
+        backend, table or ApplicabilityTable(),
+    )
+    return records
 
 
 class TestAnnotateNote:
+    def test_disease_purpose_forced_not_applicable(self):
+        m = mention("fever", "fever", sem=SemanticType.DISEASE)
+        assert annotate("fever", [m], Answering([PURPOSE]))[0][PURPOSE] is NOT_APPLICABLE
+
+    def test_drug_missing_purpose_becomes_null(self):
+        m = mention("colace", "colace", sem=SemanticType.CHEMICAL_OR_DRUG)
+        assert annotate("colace", [m], Answering(()))[0][PURPOSE] is None
+
+    def test_drug_purpose_kept(self):
+        m = mention("levothyroxine", "levothyroxine", sem=SemanticType.CHEMICAL_OR_DRUG)
+        record = annotate("levothyroxine", [m], Answering([PURPOSE]))[0]
+        assert record[PURPOSE] == "purpose of levothyroxine"
+
+    def test_exhaustive_over_types_and_kinds(self):
+        table = ApplicabilityTable()
+        text, mentions = one_of_each_type()
+        for answered in (ATTRIBUTE_KINDS, ()):
+            for m, record in zip(mentions, annotate(text, mentions, Answering(answered), table)):
+                applicable = table.applicable_attributes(m.semantic_type)
+                assert list(record) == list(ATTRIBUTE_KINDS)
+                for kind in ATTRIBUTE_KINDS:
+                    if kind not in applicable:
+                        assert record[kind] is NOT_APPLICABLE
+                    elif answered:
+                        assert record[kind] == f"{kind} of {m.surface}"
+                    else:
+                        assert record[kind] is None
+
+    def test_looked_up_once_per_mention(self):
+        table = ApplicabilityTable()
+        calls = []
+        lookup = table.applicable_attributes
+        table.applicable_attributes = lambda t: calls.append(t) or lookup(t)
+        backend = Answering()
+        text, mentions = one_of_each_type()
+        annotate(text, mentions, backend, table)
+        assert calls == [m.semantic_type for m in mentions]
+        assert backend.kinds == [lookup(m.semantic_type) for m in mentions]
+
+    @pytest.mark.parametrize(
+        "backend", [RuleBackend, lambda: LlmBackend(StubClient("x: null"))], ids=["rule", "llm"]
+    )
+    def test_backends_answer_exactly_the_kinds_given(self, backend):
+        table = ApplicabilityTable()
+        text, mentions = one_of_each_type()
+        kinds = [table.applicable_attributes(m.semantic_type) for m in mentions]
+        answers, _, _ = backend().annotate(
+            note_for(text), segment(text), mentions, [sentence(m, text) for m in mentions], kinds
+        )
+        assert [list(a) for a in answers] == [[k for k in ATTRIBUTE_KINDS if k in ks] for ks in kinds]
+
     def test_each_kind_sees_only_applicable_mentions(self):
         text = "aspirin for fever"
         drug = mention("aspirin", text, sem=SemanticType.CHEMICAL_OR_DRUG)
@@ -221,8 +264,8 @@ class TestAnnotateNote:
         assert location.endswith("terms:fever")
         assert "{{fever}}" in location and "{{aspirin}}" not in location
         assert dropped == 0
-        assert sets[0].locations is NOT_APPLICABLE and sets[0].purpose is None
-        assert sets[1].purpose is NOT_APPLICABLE and sets[1].locations is None
+        assert sets[0]["location"] is NOT_APPLICABLE and sets[0][PURPOSE] is None
+        assert sets[1][PURPOSE] is NOT_APPLICABLE and sets[1]["location"] is None
 
 
 def replay_client(pairs):
@@ -313,7 +356,7 @@ def test_llm_backend_wraps_location_values_in_lists():
     sets, dropped, total = backend.annotate(
         note_for(text), segment(text), [m], [sentence(m, text)], [{"location"}]
     )
-    assignments = [(i, s.locations) for i, s in enumerate(sets)]
+    assignments = [(i, s["location"]) for i, s in enumerate(sets)]
     assert assignments == [(0, ["left knee"])]
 
 

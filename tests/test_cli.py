@@ -302,3 +302,18 @@ class TestStageCommands:
         assert main(["recognize", *lexicon_args, NOTES, str(out)]) == 0
         mentions = [json.loads(l) for l in out.read_text().splitlines()]
         assert mentions and not any("chunk_index" in m for m in mentions)
+
+    def test_recognize_ignores_backend_settings(self, tmp_path, lexicon_path, abbrev_path):
+        # recognize reads no transcript, so a replay backend whose
+        # transcript is missing must not stop it
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(
+            f"lexicon = {lexicon_path}\nabbreviations = {abbrev_path}\n"
+            f"backend = replay\ntranscript = {tmp_path / 'missing.jsonl'}\n",
+            encoding="utf-8",
+        )
+        plain, configured = tmp_path / "plain.jsonl", tmp_path / "configured.jsonl"
+        plain_args = ["--lexicon", lexicon_path, "--abbreviations", abbrev_path]
+        assert main(["recognize", *plain_args, NOTES, str(plain)]) == 0
+        assert main(["recognize", "--config", str(cfg_file), NOTES, str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes() != b""

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehrstruct.attributes import AttributeSet
 from ehrstruct.integrate import (
     NoteResult,
     StructuredEntity,
@@ -18,7 +17,7 @@ from ehrstruct.integrate import (
     serialize,
 )
 from ehrstruct.recognition import Mention
-from ehrstruct.terminology import NOT_APPLICABLE, SemanticType
+from ehrstruct.terminology import ATTRIBUTE_KINDS, NOT_APPLICABLE, SemanticType
 
 
 def mention(phrase, start=0, note_id="n", surface=None):
@@ -72,10 +71,15 @@ class TestAlign:
             assert len(mention_idxs) == len(set(mention_idxs))
 
 
+def record(**values):
+    """An attribute record as annotate_note returns it: every kind, None unless given."""
+    return {kind: values.get(kind) for kind in ATTRIBUTE_KINDS}
+
+
 class TestAssemble:
     def build(self, dropped, total, threshold=0.2):
         m = mention("fever")
-        attrs = AttributeSet(value="105", purpose=NOT_APPLICABLE)
+        attrs = record(value="105", purpose=NOT_APPLICABLE)
         return assemble("n", [m], ["Present"], [attrs],
                         dropped_lines=dropped, total_lines=total,
                         mismatch_threshold=threshold)
@@ -101,11 +105,11 @@ class TestAssemble:
     def test_note_id_mismatch_raises(self):
         m = mention("fever", note_id="other")
         with pytest.raises(ValueError):
-            assemble("n", [m], ["Present"], [AttributeSet()])
+            assemble("n", [m], ["Present"], [record()])
 
     def test_entities_sorted_by_span(self):
         ms = [mention("b", 50), mention("a", 0)]
-        result = assemble("n", ms, ["Present", "Present"], [AttributeSet(), AttributeSet()])
+        result = assemble("n", ms, ["Present", "Present"], [record(), record()])
         starts = [e.span[0] for e in result.entities]
         assert starts == sorted(starts)
 

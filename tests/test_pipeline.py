@@ -84,6 +84,49 @@ def test_output_does_not_depend_on_chunks_workers_or_order_on_generated_notes(
     assert structure(notes[::-1]) == expected
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_structure_recovers_planted_gold(corpus, tmp_path, lexicon_path, abbrev_path, seed):
+    lexicon = corpus.sample_lexicon(Path(lexicon_path).parent)
+    abbrev_types = corpus.read_abbreviation_types(abbrev_path)
+    classes = (corpus.LengthClass(500, 6), corpus.LengthClass(2000, 3))
+    generated = corpus.make_corpus(seed, "gold", classes, lexicon, abbrev_types, fault_every=5)
+    notes, pred = tmp_path / "notes.jsonl", tmp_path / "pred.jsonl"
+    notes.write_text("".join(json.dumps({"note_id": n.note_id, "text": n.text}) + "\n" for n in generated))
+    lexicon_args = ["--lexicon", lexicon_path, "--abbreviations", abbrev_path]
+    assert main(["structure", *lexicon_args, str(notes), str(pred)]) == 0
+    # the generator's own gold; no attribute is scored, only phrase and status
+    not_scored = dict.fromkeys(("locations", "modifiers", "value", "unit", "purpose"), "not applicable")
+    gold = [
+        {
+            "note_id": n.note_id,
+            "phrase": g.surface,
+            "surface": g.surface,
+            "span": {"start": g.start, "end": g.end},
+            "semantic_type": g.semantic_type,
+            "assertion_status": g.status,
+            **not_scored,
+        }
+        for n in generated
+        for g in n.gold
+    ]
+
+    def score(gold):
+        gold_path, report_path = tmp_path / "gold.jsonl", tmp_path / "report.json"
+        gold_path.write_text("".join(json.dumps(g) + "\n" for g in gold))
+        args = ["evaluate", "--abbreviations", abbrev_path, "--json", str(report_path)]
+        assert main([*args, str(gold_path), str(pred)]) == 0
+        return json.loads(report_path.read_text())
+
+    report = score(gold)
+    n = len(gold)
+    assert n > 100
+    assert report["phrase"] == {"tp": n, "fp": 0, "fn": 0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
+    assert report["attributes"]["status"] == {"correct": n, "total": n, "accuracy": 1.0}
+    # the check can fail: one flipped gold status shows in the score
+    gold[n // 2]["assertion_status"] = "Present" if gold[n // 2]["assertion_status"] != "Present" else "Absent"
+    assert score(gold)["attributes"]["status"] == {"correct": n - 1, "total": n, "accuracy": (n - 1) / n}
+
+
 def test_paragraph_splits_per_note_do_not_depend_on_mentions(monkeypatch, lexicon_path, abbrev_path):
     splits = []
     chunkings = []
