@@ -13,10 +13,8 @@ from .terminology import (
     NOT_APPLICABLE,
     AbbreviationTable,
     ApplicabilityTable,
-    LexiconEntry,
     SemanticType,
     TermIndex,
-    build_index,
     load_lexicon,
 )
 

@@ -206,13 +206,6 @@ def _values_equivalent(gold_value, pred_value, kind: str) -> bool:
     return equivalent(str(gold_value), str(pred_value), kind)
 
 
-def attribute_accuracy(tp_pairs, kind: str) -> float | None:
-    """Fraction of matched pairs with equivalent values for the kind, over
-    pairs where gold carries a non-NotApplicable value. None when empty."""
-    score = score_attribute(tp_pairs, kind)
-    return score.accuracy
-
-
 def score_attribute(tp_pairs, kind: str) -> KindScore:
     if kind not in ATTRIBUTE_COLUMNS:
         raise ValueError(f"unknown attribute kind {kind!r}")

@@ -39,13 +39,7 @@ from .llm_client import (
 )
 from .preprocess import RawNote, restore_linebreaks, segment
 from .recognition import recognize_note
-from .terminology import (
-    AbbreviationTable,
-    ApplicabilityTable,
-    TermIndex,
-    build_index,
-    load_lexicon,
-)
+from .terminology import AbbreviationTable, ApplicabilityTable, TermIndex, load_lexicon
 
 log = logging.getLogger(__name__)
 
@@ -120,6 +114,8 @@ class PipelineConfig:
             directory = Path(self.transcript).parent
             if not directory.is_dir():
                 problems.append(f"transcript: directory not found: {directory}")
+        elif self.backend == "rule" and self.transcript:
+            problems.append("transcript: not used by backend 'rule'")
         if self.backend == "llm" and not os.environ.get(self.api_key_env):
             problems.append(f"api_key_env: {self.api_key_env} is not set (backend=llm)")
         if self.mismatch_threshold < 0:
@@ -161,8 +157,7 @@ def load_terms(cfg: PipelineConfig) -> tuple[TermIndex, AbbreviationTable]:
     """The lexicon index and abbreviation table: all that recognition reads."""
     if not cfg.lexicon:
         raise ValueError("config must name a lexicon file")
-    entries, _report = load_lexicon(cfg.lexicon)
-    index = build_index(entries)
+    index, _report = load_lexicon(cfg.lexicon)
     abbreviations = (
         AbbreviationTable.load(cfg.abbreviations) if cfg.abbreviations else AbbreviationTable()
     )

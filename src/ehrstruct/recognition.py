@@ -10,14 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preprocess import NormalizedNote
-from .terminology import (
-    WORD_RUN,
-    AbbreviationTable,
-    SemanticType,
-    TermIndex,
-    fold_case,
-    word_start,
-)
+from .terminology import WORD_RUN, AbbreviationTable, SemanticType, TermIndex, fold_case
 
 
 @dataclass
@@ -51,7 +44,7 @@ def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
         if length is None:
             continue
         surface = text[i : i + length]
-        entry = index.entry_for(lowered[i : i + length])
+        key = lowered[i : i + length]
         raw_start, raw_end = note.raw_span(i, i + length)
         mentions.append(
             Mention(
@@ -62,38 +55,12 @@ def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
                 raw_end=raw_end,
                 surface=surface,
                 canonical_phrase=surface,
-                semantic_type=entry.semantic_type,
-                concept_id=entry.concept_id,
+                semantic_type=index.semantic_type(key),
+                concept_id=index.concept_id(key),
             )
         )
         resume = i + length
     return mentions
-
-
-def brute_force_recognize(text: str, surfaces: list[str]) -> list[tuple[int, int]]:
-    """Independent longest-match scanner used as the matching oracle.
-
-    At each word-boundary position tries every surface by string comparison
-    and keeps the longest that ends at a word boundary, then resumes after it.
-    """
-    spans: list[tuple[int, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if not text[i].isalnum() or not word_start(text, i):
-            i += 1
-            continue
-        best = 0
-        for s in surfaces:
-            if len(s) > best and text[i : i + len(s)].lower() == s and word_start(text, i + len(s)):
-                best = len(s)
-        if best:
-            spans.append((i, i + best))
-            i += best
-        else:
-            while i < n and text[i].isalnum():
-                i += 1
-    return spans
 
 
 def filter_reportable(mentions: list[Mention]) -> list[Mention]:

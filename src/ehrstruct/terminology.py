@@ -1,9 +1,12 @@
 """Lexicon loading, head-word term index, and semantic-type metadata.
 
-The lexicon is a 3-column TSV (surface, concept_id, semantic_type). Surfaces
-are lowercased at load; matching is case-insensitive with raw casing preserved
-downstream. The compiled index answers longest-match-at-position queries at
-word boundaries only.
+The lexicon is a 3-column TSV (surface, concept_id, semantic_type).
+`load_lexicon` reads it in one pass straight into a `TermIndex`, with no
+object per line. Surfaces are lowercased at load, and the first concept_id
+and type given for a surface are the ones kept: alternate concept_ids are
+counted in the load report, not stored. Matching is case-insensitive with raw
+casing preserved downstream. The index answers longest-match-at-position
+queries at word boundaries only.
 """
 
 from __future__ import annotations
@@ -67,59 +70,67 @@ PURPOSE = "purpose"
 ATTRIBUTE_KINDS = (LOCATION, MODIFIER, VALUE, UNIT, PURPOSE)
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    surface: str  # lowercased
-    concept_id: str
-    semantic_type: SemanticType
-
-
 @dataclass
 class LoadReport:
     """Bookkeeping emitted by load_lexicon."""
 
     total_lines: int = 0
-    entries: int = 0
+    entries: int = 0  # distinct (surface, concept_id) pairs
     duplicates: int = 0
     unknown_types: int = 0
 
 
-def load_lexicon(path) -> tuple[list[LexiconEntry], LoadReport]:
-    """Parse a lexicon TSV into deduplicated, lowercased entries.
+# The index stores a surface's semantic type as its position in _TYPES.
+_TYPES = tuple(SemanticType)
+_TYPE_POSITION = {t: i for i, t in enumerate(_TYPES)}
+_NAME_TO_POSITION = {t.value: _TYPE_POSITION[t] for t in REPORTABLE_TYPES}
+_OTHER_POSITION = _TYPE_POSITION[SemanticType.OTHER]
 
-    Duplicate (surface, concept_id) pairs keep the first occurrence. Unknown
-    semantic-type names map to Other and are counted in the report.
+
+def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
+    """Index a lexicon TSV in one pass.
+
+    Surfaces are stripped and lowercased. The first line for a surface sets
+    its concept_id and type; a later line repeating a (surface, concept_id)
+    pair counts as a duplicate, and one with another concept_id counts as an
+    entry but is not kept. Unknown semantic-type names map to Other and are
+    counted in the report.
     """
     path = Path(path)
     report = LoadReport()
-    entries: list[LexiconEntry] = []
-    seen: set[str] = set()
+    index = TermIndex()
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        report.entries, report.duplicates = index._insert(_read_rows(fh, path, report))
+    return index, report
+
+
+def _read_rows(lines, path, report: LoadReport):
+    """Yield (surface, concept_id, type position) for each non-blank line;
+    fills report.total_lines and report.unknown_types once exhausted."""
+    total = unknown = 0
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split("\t")
+        if len(fields) != 3:
             if not line.strip():
                 continue
-            report.total_lines += 1
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise LexiconFormatError(
-                    path, lineno, f"expected 3 tab-separated fields, got {len(fields)}"
-                )
-            surface, concept_id, type_name = fields
-            surface = surface.strip().lower()
-            if not surface:
-                raise LexiconFormatError(path, lineno, "empty surface")
-            concept_id, type_name = concept_id.strip(), type_name.strip()
-            sem_type = _NAME_TO_TYPE.get(type_name, SemanticType.OTHER)
-            if sem_type is SemanticType.OTHER and type_name != SemanticType.OTHER.value:
-                report.unknown_types += 1
-            key = f"{surface}\t{concept_id}"  # fields hold no tab
-            if key in seen:
-                report.duplicates += 1
+            raise LexiconFormatError(
+                path, lineno, f"expected 3 tab-separated fields, got {len(fields)}"
+            )
+        surface, concept_id, type_name = fields
+        surface = surface.strip().lower()
+        if not surface:
+            if not line.strip():
                 continue
-            seen.add(key)
-            entries.append(LexiconEntry(surface, concept_id, sem_type))
-    report.entries = len(entries)
-    return entries, report
+            raise LexiconFormatError(path, lineno, "empty surface")
+        total += 1
+        type_name = type_name.strip()
+        position = _NAME_TO_POSITION.get(type_name)
+        if position is None:
+            position = _OTHER_POSITION
+            if type_name != SemanticType.OTHER.value:
+                unknown += 1
+        yield surface, concept_id.strip(), position
+    report.total_lines, report.unknown_types = total, unknown
 
 
 def fold_case(text: str) -> str:
@@ -152,28 +163,62 @@ class TermIndex:
     A surface can match at a position, ending at a word boundary, only if its
     leading alphanumeric run equals the text's run there, so the index keys
     each surface's distinct lengths by that head word and a query tries only
-    those. Immutable after build; safe to share across threads. All queries
-    expect already-lowercased text.
+    those. The tables hold strings, ints and bytes, so the garbage collector
+    tracks no object per surface. Immutable once built; safe to share across
+    threads. All queries expect already-lowercased text.
     """
 
-    def __init__(self, entries: list[LexiconEntry]):
-        # First loaded entry wins for a surface; later concept_ids are alternates.
-        by_surface: dict[str, LexiconEntry] = {}
-        for entry in entries:
-            by_surface.setdefault(entry.surface, entry)
-        lengths: dict[str, set[int]] = {}
-        for surface in by_surface:
-            if surface:  # an empty surface never matches
-                head = m.group() if (m := WORD_RUN.match(surface)) else ""
-                lengths.setdefault(head, set()).add(len(surface))
-        self._by_surface = by_surface
-        self._lengths = {h: sorted(ls, reverse=True) for h, ls in lengths.items()}
+    def __init__(self, entries=()):
+        """Index (surface, concept_id, SemanticType) triples, surfaces taken
+        as given (no stripping or lowercasing); load_lexicon fills the index
+        from a file."""
+        self._rows: dict[str, int] = {}  # surface -> row
+        self._concept_ids: list[str] = []  # by row
+        self._types = bytearray()  # by row: position in _TYPES
+        # head word -> bit n set when a surface of length n starts with it
+        self._lengths: dict[str, int] = {}
+        self._insert((s, c, _TYPE_POSITION[t]) for s, c, t in entries)
+
+    def _insert(self, rows) -> tuple[int, int]:
+        """Add (surface, concept_id, type position) rows in order; the first
+        row for a surface wins. Returns the number of distinct (surface,
+        concept_id) pairs added and of rows repeating one."""
+        rows_by_surface = self._rows
+        concept_ids = self._concept_ids
+        types = self._types
+        lengths = self._lengths
+        alternates: set[tuple[str, str]] = set()  # pairs not stored as a row
+        entries = duplicates = 0
+        for surface, concept_id, position in rows:
+            row = rows_by_surface.get(surface)
+            if row is None:
+                rows_by_surface[surface] = len(concept_ids)
+                concept_ids.append(concept_id)
+                types.append(position)
+                # the first space-separated token is the head word when it is
+                # all alphanumeric; otherwise ask the word pattern
+                head = surface.partition(" ")[0]
+                if not head.isalnum():
+                    head = m.group() if (m := WORD_RUN.match(surface)) else ""
+                lengths[head] = lengths.get(head, 0) | 1 << len(surface)
+            elif concept_ids[row] == concept_id or (surface, concept_id) in alternates:
+                duplicates += 1
+                continue
+            else:
+                alternates.add((surface, concept_id))
+            entries += 1
+        return entries, duplicates
 
     def __len__(self) -> int:
-        return len(self._by_surface)
+        return len(self._rows)
 
-    def entry_for(self, surface: str) -> LexiconEntry | None:
-        return self._by_surface.get(surface)
+    def concept_id(self, surface: str) -> str | None:
+        row = self._rows.get(surface)
+        return None if row is None else self._concept_ids[row]
+
+    def semantic_type(self, surface: str) -> SemanticType | None:
+        row = self._rows.get(surface)
+        return None if row is None else _TYPES[self._types[row]]
 
     def longest_match(self, text: str, start: int, head: str | None = None) -> int | None:
         """Length of the longest surface matching text[start:] that ends at a
@@ -181,15 +226,14 @@ class TermIndex:
         the alphanumeric run of text that begins at start."""
         if head is None:
             head = m.group() if (m := WORD_RUN.match(text, start)) else ""
-        for length in self._lengths.get(head, ()):
+        lengths = self._lengths.get(head, 0)
+        while lengths > 1:  # bit 0, an empty surface, never matches
+            length = lengths.bit_length() - 1
+            lengths ^= 1 << length
             end = start + length
-            if end <= len(text) and word_start(text, end) and text[start:end] in self._by_surface:
+            if end <= len(text) and word_start(text, end) and text[start:end] in self._rows:
                 return length
         return None
-
-
-def build_index(entries: list[LexiconEntry]) -> TermIndex:
-    return TermIndex(entries)
 
 
 @dataclass(frozen=True)

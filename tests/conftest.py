@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ehrstruct.terminology import AbbreviationTable, build_index, load_lexicon
+from ehrstruct.terminology import AbbreviationTable, load_lexicon
 
 DATA = resources.files("ehrstruct.data")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -25,14 +25,9 @@ def abbrev_path():
 
 
 @pytest.fixture(scope="session")
-def sample_entries(lexicon_path):
-    entries, _ = load_lexicon(lexicon_path)
-    return entries
-
-
-@pytest.fixture(scope="session")
-def sample_index(sample_entries):
-    return build_index(sample_entries)
+def sample_index(lexicon_path):
+    index, _ = load_lexicon(lexicon_path)
+    return index
 
 
 @pytest.fixture(scope="session")

@@ -29,15 +29,15 @@ from ehrstruct.preprocess import (
     restore_linebreaks,
     segment,
 )
-from ehrstruct.recognition import brute_force_recognize, recognize
+from ehrstruct.recognition import recognize
 from ehrstruct.terminology import (
     NOT_APPLICABLE,
     AbbreviationTable,
     ApplicabilityTable,
-    LexiconEntry,
     SemanticType,
-    build_index,
+    TermIndex,
 )
+from oracles import brute_force_recognize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -63,9 +63,7 @@ def test_criterion_1_fmm_oracle_equivalence():
         surfaces = sorted(surfaces)
         words = [rng.choice(vocab + [",", "(", ")", "/"]) for _ in range(rng.randint(0, 250))]
         text = " ".join(words)[:2000]
-        index = build_index(
-            [LexiconEntry(s, f"C{i}", SemanticType.DISEASE) for i, s in enumerate(surfaces)]
-        )
+        index = TermIndex((s, f"C{i}", SemanticType.DISEASE) for i, s in enumerate(surfaces))
         note = NormalizedNote("n", text, list(range(len(text))))
         got = [(m.norm_start, m.norm_end) for m in recognize(note, index)]
         if got != brute_force_recognize(text, surfaces):
@@ -102,14 +100,14 @@ def test_criterion_2_assertion_case_fixtures():
 
 def _case_resources(transcript):
     entries = [
-        LexiconEntry("fever", "C1", SemanticType.SIGN_SYMPTOM_OR_FINDING),
-        LexiconEntry("hypoxemia", "C2", SemanticType.SIGN_SYMPTOM_OR_FINDING),
-        LexiconEntry("small bowel obstruction", "C3", SemanticType.DISEASE),
-        LexiconEntry("lisinopril", "C4", SemanticType.CHEMICAL_OR_DRUG),
+        ("fever", "C1", SemanticType.SIGN_SYMPTOM_OR_FINDING),
+        ("hypoxemia", "C2", SemanticType.SIGN_SYMPTOM_OR_FINDING),
+        ("small bowel obstruction", "C3", SemanticType.DISEASE),
+        ("lisinopril", "C4", SemanticType.CHEMICAL_OR_DRUG),
     ]
     client = ChatClient(EndpointConfig(), mode="replay", transcript=transcript)
     return PipelineResources(
-        index=build_index(entries),
+        index=TermIndex(entries),
         abbreviations=AbbreviationTable(),
         rules=default_rules(),
         applicability=ApplicabilityTable(),

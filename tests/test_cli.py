@@ -211,6 +211,20 @@ class TestValidateConfig:
         assert "config error: max_tokens must be positive" in captured.err
         assert "config OK" not in captured.out
 
+    def test_rule_backend_rejects_a_transcript(self, tmp_path, lexicon_path, capsys):
+        # the rule backend reads no transcript, so naming one is a mistake
+        transcript = str(tmp_path / "t.jsonl")
+        cfg = PipelineConfig(lexicon=lexicon_path, backend="rule", transcript=transcript)
+        assert cfg.validate() == ["transcript: not used by backend 'rule'"]
+        args = ["--lexicon", lexicon_path, "--backend", "rule", "--transcript", transcript]
+        assert main(["validate-config", *args]) == 1
+        captured = capsys.readouterr()
+        assert "config error: transcript: not used by backend 'rule'" in captured.err
+        assert "config OK" not in captured.out
+        out = tmp_path / "out.jsonl"
+        assert main(["structure", *args, NOTES, str(out)]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line, message",
         [

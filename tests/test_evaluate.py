@@ -4,13 +4,13 @@ from pathlib import Path
 import pytest
 
 from ehrstruct.evaluate import (
-    attribute_accuracy,
     equivalent,
     evaluate,
     match_phrases,
     phrase_f1,
     render_table,
     report_files,
+    score_attribute,
 )
 from ehrstruct.integrate import StructuredEntity
 from ehrstruct.terminology import NOT_APPLICABLE, AbbreviationTable, Expansion, SemanticType
@@ -111,6 +111,12 @@ class TestDefaultJudge:
         pairs = [("mmHg", "millimeters of mercury"), ("<7", "less than 7"), ("a", "b")]
         for a, b in pairs:
             assert equivalent(a, b, "unit") == equivalent(b, a, "unit")
+
+
+def attribute_accuracy(tp_pairs, kind):
+    """Fraction of matched pairs with equivalent values for the kind, over
+    pairs where gold carries a non-NotApplicable value. None when empty."""
+    return score_attribute(tp_pairs, kind).accuracy
 
 
 class TestAttributeAccuracy:

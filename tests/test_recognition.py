@@ -3,27 +3,21 @@ import random
 from ehrstruct.preprocess import NormalizedNote
 from ehrstruct.recognition import (
     Mention,
-    brute_force_recognize,
     expand_abbreviation,
     filter_reportable,
     recognize,
     recognize_note,
 )
-from ehrstruct.terminology import (
-    AbbreviationTable,
-    Expansion,
-    LexiconEntry,
-    SemanticType,
-    build_index,
-)
+from ehrstruct.terminology import AbbreviationTable, Expansion, SemanticType, TermIndex
+from oracles import brute_force_recognize
 
 
 def note_for(text):
     return NormalizedNote("n", text, list(range(len(text))))
 
 
-def entries(*surfaces, sem=SemanticType.DISEASE):
-    return [LexiconEntry(s.lower(), f"C{i}", sem) for i, s in enumerate(surfaces)]
+def index_of(*surfaces, sem=SemanticType.DISEASE):
+    return TermIndex((s.lower(), f"C{i}", sem) for i, s in enumerate(surfaces))
 
 
 def random_lexicon_and_text(rng, max_entries=200, max_text=2000):
@@ -54,27 +48,27 @@ class TestRecognize:
         assert "ileus" in phrases
         # oracle agreement on the exact spans
         surfaces = ["small bowel obstruction", "bowel obstruction", "ileus"]
-        index = build_index(entries(*surfaces))
+        index = index_of(*surfaces)
         got = [(m.norm_start, m.norm_end) for m in recognize(note, index)]
         assert got == brute_force_recognize(text, surfaces)
 
     def test_longest_match(self):
-        index = build_index(entries("heart", "heart failure"))
+        index = index_of("heart", "heart failure")
         note = note_for("heart failure")
         mentions = recognize(note, index)
         assert [m.surface for m in mentions] == ["heart failure"]
 
     def test_empty_lexicon(self):
         note = note_for("anything at all")
-        assert recognize(note, build_index([])) == []
+        assert recognize(note, TermIndex()) == []
 
     def test_no_match_inside_words(self):
-        index = build_index(entries("ra"))
+        index = index_of("ra")
         note = note_for("thoRAcic films")
         assert recognize(note, index) == []
 
     def test_case_insensitive_with_raw_casing_kept(self):
-        index = build_index(entries("chest pain"))
+        index = index_of("chest pain")
         note = note_for("c/o Chest Pain today")
         mentions = recognize(note, index)
         assert mentions[0].surface == "Chest Pain"
@@ -82,7 +76,7 @@ class TestRecognize:
 
     def test_lowercase_that_lengthens_keeps_offsets(self):
         # "İ".lower() is two characters; offsets must still index the raw note
-        index = build_index(entries("chest pain"))
+        index = index_of("chest pain")
         note = note_for("İİ chest pain today")
         mentions = recognize(note, index)
         assert [(m.surface, m.raw_start) for m in mentions] == [("chest pain", 3)]
@@ -94,7 +88,7 @@ class TestRecognize:
         rng = random.Random(1234)
         for _ in range(300):
             surfaces, text = random_lexicon_and_text(rng, max_entries=50)
-            index = build_index(entries(*surfaces))
+            index = index_of(*surfaces)
             note = note_for(text)
             got = [(m.norm_start, m.norm_end) for m in recognize(note, index)]
             assert got == brute_force_recognize(text, surfaces)
@@ -107,7 +101,7 @@ class TestRecognize:
             for _ in range(3):
                 words.insert(rng.randint(0, len(words)), "İ" * rng.randint(1, 3))
             text = " ".join(words)
-            index = build_index(entries(*surfaces))
+            index = index_of(*surfaces)
             note = note_for(text)
             got = [(m.norm_start, m.norm_end) for m in recognize(note, index)]
             assert got == brute_force_recognize(text, surfaces)

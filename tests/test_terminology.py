@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,9 @@ from ehrstruct.terminology import (
     PURPOSE,
     REPORTABLE_TYPES,
     ApplicabilityTable,
-    LexiconEntry,
     LexiconFormatError,
     SemanticType,
-    build_index,
+    TermIndex,
     load_lexicon,
 )
 
@@ -21,40 +22,44 @@ def write_lexicon(tmp_path, lines):
     return path
 
 
+def answer(index, surface):
+    return index.concept_id(surface), index.semantic_type(surface)
+
+
 class TestLoadLexicon:
     def test_single_entry(self, tmp_path):
         path = write_lexicon(
             tmp_path, ["heart failure\tC42\tDisease, Syndrome or Pathologic Function"]
         )
-        entries, report = load_lexicon(path)
-        assert len(entries) == 1
-        assert entries[0].surface == "heart failure"
-        assert entries[0].concept_id == "C42"
-        assert entries[0].semantic_type is SemanticType.DISEASE
+        index, report = load_lexicon(path)
+        assert len(index) == 1
+        assert answer(index, "heart failure") == ("C42", SemanticType.DISEASE)
         assert report.duplicates == 0
 
     def test_empty_file(self, tmp_path):
-        entries, report = load_lexicon(write_lexicon(tmp_path, []))
-        assert entries == []
+        index, report = load_lexicon(write_lexicon(tmp_path, []))
+        assert len(index) == 0
         assert report.entries == 0
 
     def test_duplicate_lines_deduplicated(self, tmp_path):
         line = "fever\tC1\tSign, Symptom, or Finding"
         path = write_lexicon(tmp_path, [line, line])
-        entries, report = load_lexicon(path)
+        index, report = load_lexicon(path)
         # oracle: unique (surface, concept_id) pairs by set construction
-        assert len(entries) == len({("fever", "C1")})
+        assert report.entries == len({("fever", "C1")})
+        assert len(index) == 1
         assert report.duplicates == 1
 
     def test_surfaces_lowercased(self, tmp_path):
         path = write_lexicon(tmp_path, ["Heart Failure\tC1\tDisease, Syndrome or Pathologic Function"])
-        entries, _ = load_lexicon(path)
-        assert entries[0].surface == "heart failure"
+        index, _ = load_lexicon(path)
+        assert index.concept_id("heart failure") == "C1"
+        assert index.concept_id("Heart Failure") is None
 
     def test_unknown_type_maps_to_other(self, tmp_path):
         path = write_lexicon(tmp_path, ["thing\tC1\tNot A Real Type"])
-        entries, report = load_lexicon(path)
-        assert entries[0].semantic_type is SemanticType.OTHER
+        index, report = load_lexicon(path)
+        assert index.semantic_type("thing") is SemanticType.OTHER
         assert report.unknown_types == 1
 
     def test_malformed_line_reports_lineno(self, tmp_path):
@@ -74,12 +79,13 @@ class TestLoadLexicon:
                 "rash\tC3\tNot A Real Type",
             ],
         )
-        entries, report = load_lexicon(path)
-        assert [(e.surface, e.concept_id, e.semantic_type) for e in entries] == [
+        index, report = load_lexicon(path)
+        # the alternate ("fever", "C2") counts as an entry but is not kept
+        assert [(s, *answer(index, s)) for s in ("fever", "rash")] == [
             ("fever", "C1", SemanticType.SIGN_SYMPTOM_OR_FINDING),
-            ("fever", "C2", SemanticType.OTHER),
             ("rash", "C3", SemanticType.OTHER),
         ]
+        assert len(index) == 2
         assert (report.total_lines, report.entries, report.duplicates, report.unknown_types) == (
             4, 3, 1, 1,
         )
@@ -100,6 +106,85 @@ class TestLoadLexicon:
         with pytest.raises(OSError):
             load_lexicon(tmp_path / "missing.tsv")
 
+    def test_index_tracks_almost_no_objects(self, tmp_path):
+        # the collector walks every tracked object on a full pass, so the
+        # index must not keep one per line
+        names = [t.value for t in REPORTABLE_TYPES]
+        lines = [f"term{i} word{i % 97}\tC{i}\t{names[i % len(names)]}" for i in range(20_000)]
+        path = write_lexicon(tmp_path, lines)
+        gc.collect()
+        before = len(gc.get_objects())
+        index, report = load_lexicon(path)
+        added = len(gc.get_objects()) - before
+        assert len(index) == report.entries == 20_000
+        assert added < 1_000
+
+
+# Lines whose surfaces differ in case and surrounding whitespace, repeat
+# (surface, concept_id) pairs, give one surface alternate ids, or carry
+# unknown and Other types; plus blank lines, which are skipped.
+_SURFACE_PIECES = ["fever", "Fever", "FEVER", "chest", " ", "  ", "İ", "\0", "_", "é"]
+_surfaces = (
+    st.lists(st.sampled_from(_SURFACE_PIECES), min_size=1, max_size=3)
+    .map("".join)
+    .filter(str.strip)
+)
+_TYPE_NAMES = [
+    SemanticType.DISEASE.value,
+    f" {SemanticType.CHEMICAL_OR_DRUG.value} ",
+    "Other",
+    " Other",
+    "other",
+    "Not A Real Type",
+    "",
+]
+_lines = st.one_of(
+    st.builds(
+        "{}\t{}\t{}".format,
+        _surfaces,
+        st.sampled_from(["C1", "C2", " C1 ", "c1", "C3"]),
+        st.sampled_from(_TYPE_NAMES),
+    ),
+    st.sampled_from(["", "   ", "\t\t", " \t \t "]),
+)
+
+
+def _reference_load(lines):
+    """Naive loader: a set of (surface, concept_id) pairs and a first-wins
+    dict of surface -> (concept_id, type)."""
+    pairs, first = set(), {}
+    total = duplicates = unknown = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        total += 1
+        surface, concept_id, type_name = (f.strip() for f in line.split("\t"))
+        surface = surface.lower()
+        sem_type = SemanticType.from_name(type_name)
+        if sem_type is SemanticType.OTHER and type_name != "Other":
+            unknown += 1
+        if (surface, concept_id) in pairs:
+            duplicates += 1
+            continue
+        pairs.add((surface, concept_id))
+        first.setdefault(surface, (concept_id, sem_type))
+    return first, (total, len(pairs), duplicates, unknown)
+
+
+@given(lines=st.lists(_lines, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_loader_agrees_with_reference(lines, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "oracle.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    index, report = load_lexicon(path)
+    first, counts = _reference_load(lines)
+    assert (report.total_lines, report.entries, report.duplicates, report.unknown_types) == counts
+    assert len(index) == len(first)
+    for surface, expected in first.items():
+        assert answer(index, surface) == expected
+        assert index.longest_match(surface, 0) == len(surface)
+    assert answer(index, "not a surface") == (None, None)
+
 
 class TestTermIndex:
     def test_longest_match_wins(self, tmp_path):
@@ -110,33 +195,34 @@ class TestTermIndex:
                 "heart failure\tC2\tDisease, Syndrome or Pathologic Function",
             ],
         )
-        entries, _ = load_lexicon(path)
-        index = build_index(entries)
+        index, _ = load_lexicon(path)
         assert index.longest_match("heart failure now", 0) == len("heart failure")
 
     def test_empty_index_matches_nothing(self):
-        index = build_index([])
+        index = TermIndex()
         assert index.longest_match("heart failure", 0) is None
 
     def test_match_must_end_at_word_boundary(self, tmp_path):
         path = write_lexicon(tmp_path, ["ra\tC1\tOther"])
-        entries, _ = load_lexicon(path)
-        index = build_index(entries)
+        index, _ = load_lexicon(path)
         assert index.longest_match("ra level", 0) == 2
         assert index.longest_match("rapid", 0) is None
 
     def test_first_entry_wins_for_a_surface(self, tmp_path):
         path = write_lexicon(tmp_path, ["fever\tC1\tOther", "Fever\tC2\tOther"])
-        entries, _ = load_lexicon(path)
-        assert build_index(entries).entry_for("fever").concept_id == "C1"
+        index, _ = load_lexicon(path)
+        assert index.concept_id("fever") == "C1"
 
-    def test_loaded_surface_lookup_succeeds(self, sample_index, sample_entries):
-        for e in sample_entries:
-            assert sample_index.longest_match(e.surface, 0) is not None
+    def test_loaded_surface_lookup_succeeds(self, sample_index, lexicon_path):
+        with open(lexicon_path, encoding="utf-8") as fh:
+            surfaces = [line.split("\t")[0].strip().lower() for line in fh if line.strip()]
+        assert len(surfaces) == len(sample_index)
+        for surface in surfaces:
+            assert sample_index.longest_match(surface, 0) is not None
 
-    def test_deterministic_build(self, sample_entries):
-        a = build_index(sample_entries)
-        b = build_index(sample_entries)
+    def test_deterministic_build(self, lexicon_path):
+        a, _ = load_lexicon(lexicon_path)
+        b, _ = load_lexicon(lexicon_path)
         probes = ["heart failure", "hsm noted", "no ileus today", "xyzzy"]
         for text in probes:
             assert a.longest_match(text, 0) == b.longest_match(text, 0)
@@ -172,7 +258,7 @@ def _brute_longest_match(text, start, surfaces):
 @example(surfaces=[""], text=" a.")  # an empty surface never matches, not even with length 0
 @settings(max_examples=400, deadline=None)
 def test_longest_match_agrees_with_brute_force(surfaces, text):
-    index = build_index([LexiconEntry(s, f"C{i}", SemanticType.DISEASE) for i, s in enumerate(surfaces)])
+    index = TermIndex((s, f"C{i}", SemanticType.DISEASE) for i, s in enumerate(surfaces))
     for start in range(len(text) + 1):
         expected = _brute_longest_match(text, start, surfaces)
         run_end = start
