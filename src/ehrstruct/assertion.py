@@ -5,6 +5,13 @@ mention. Two post-rules run ahead of the triggers: section titles (capitalized
 mention immediately followed by ':') and allergy-list scope (terms after an
 'allergy'/'allergies' token become Conditional unless a no-known-allergies
 pattern negates the whole block).
+
+The trigger scan tries the rules in priority order. A rule's trigger is
+first tested as a plain substring of the folded sentence, and only then
+matched as a whole token with its pattern, compiled once per trigger
+(`literal_pattern`). Unlike the anatomy scan of the rule attribute backend,
+there is no leading-word candidate index here: for the 50 default triggers,
+testing each as a substring costs less than looking candidates up did.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .preprocess import SECTION_HEADER, count_tokens
-from .terminology import fold_case
+from .terminology import fold_case, literal_pattern
 
 
 class AssertionStatus(enum.Enum):
@@ -174,6 +181,10 @@ def _allergy_scope(paragraph: str, mention_start: int) -> str | None:
     Scope opens after an allergy token and closes at the next blank line or
     section header (other than the allergy header itself).
     """
+    # Under IGNORECASE only the ASCII cases match a letter of "allerg", so a
+    # paragraph whose lowercase lacks "allerg" holds no allergy token.
+    if "allerg" not in paragraph.lower():
+        return None
     best_open = None
     for m in _ALLERGY_TOKEN.finditer(paragraph, 0, mention_start):
         best_open = m
@@ -209,6 +220,9 @@ def _trigger_covers(sentence: str, trigger_m: re.Match, start: int, end: int, ru
     return False
 
 
+_COLON_AFTER = re.compile(" *:")
+
+
 def classify(
     sentence: str,
     start: int,
@@ -228,13 +242,10 @@ def classify(
     """
     if not (0 <= start < end <= len(sentence)):
         raise ValueError("mention span not inside sentence")
-    surface = sentence[start:end]
 
     # Title: capitalized mention immediately followed by ':' (ignoring spaces)
-    if any(ch.isupper() for ch in surface):
-        rest = sentence[end:].lstrip(" ")
-        if rest.startswith(":"):
-            return AssertionStatus.TITLE
+    if _COLON_AFTER.match(sentence, end) and any(ch.isupper() for ch in sentence[start:end]):
+        return AssertionStatus.TITLE
 
     if paragraph is None:
         paragraph = sentence
@@ -251,8 +262,7 @@ def classify(
         # only match where the literal is a substring.
         if rule.trigger not in lowered:
             continue
-        pattern = re.compile(r"(?<![A-Za-z0-9])" + re.escape(rule.trigger) + r"(?![A-Za-z0-9])")
-        for m in pattern.finditer(lowered):
+        for m in literal_pattern(rule.trigger).finditer(lowered):
             if m.start() >= start and m.end() <= end:
                 continue  # trigger inside the mention itself
             if _trigger_covers(sentence, m, start, end, rule):

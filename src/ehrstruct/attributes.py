@@ -7,7 +7,11 @@ a value or None. `annotate_note` then sets every other kind to "not
 applicable": applicability is decided there, once, and an answer for a kind
 that does not apply is discarded. The rule backend (regex values/units,
 anatomy lexicon locations, adjacency modifiers, no purposes) fills every
-applicable kind from the one sentence. The LLM backend packs the
+applicable kind from the one sentence. Its tables are read from the package
+data once per process, and its anatomy scan is a leading-word candidate
+scan: `AnatomyIndex` keys each surface by its leading ASCII run, so a
+sentence runs the patterns of only the surfaces whose leading run it holds
+(plus those with none), in table order. The LLM backend packs the
 segmentation into chunks under its token budget, marks each chunk's mentions
 with double curly braces and renders one prompt per attribute kind over the
 mentions that kind applies to. It sends all of a note's prompts at once
@@ -38,6 +42,7 @@ from .terminology import (
     VALUE,
     ApplicabilityTable,
     fold_case,
+    literal_pattern,
 )
 
 log = logging.getLogger(__name__)
@@ -54,8 +59,8 @@ def _data_text(name: str) -> str:
     return resources.files("ehrstruct.data").joinpath(name).read_text(encoding="utf-8")
 
 
-def load_anatomy_lexicon() -> dict[str, str]:
-    """surface -> display-form mapping; lines without a TAB map to themselves."""
+@functools.cache
+def _anatomy_rows() -> tuple[tuple[str, str], ...]:
     mapping: dict[str, str] = {}
     for line in _data_text("anatomy.txt").splitlines():
         line = line.strip()
@@ -63,15 +68,25 @@ def load_anatomy_lexicon() -> dict[str, str]:
             continue
         surface, _, display = line.partition("\t")
         mapping[surface.strip().lower()] = display.strip() or surface.strip()
-    return mapping
+    return tuple(mapping.items())
+
+
+@functools.cache
+def _word_list(name: str) -> frozenset[str]:
+    return frozenset(w for w in _data_text(name).lower().split() if w)
+
+
+def load_anatomy_lexicon() -> dict[str, str]:
+    """surface -> display-form mapping; lines without a TAB map to themselves."""
+    return dict(_anatomy_rows())
 
 
 def default_units() -> set[str]:
-    return {w for w in _data_text("units.txt").lower().split() if w}
+    return set(_word_list("units.txt"))
 
 
 def default_modifier_words() -> set[str]:
-    return {w for w in _data_text("modifiers.txt").lower().split() if w}
+    return set(_word_list("modifiers.txt"))
 
 
 DIRECTION_WORDS = {"left", "right", "bilateral", "upper", "lower"}
@@ -83,7 +98,7 @@ _UNIT_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9/%²³]*|%|°[CF]?)")
 def rule_extract_value_unit(sentence: str, start: int, end: int, units: set[str] | None = None):
     """Nearest numeric token after the mention in the sentence, with its unit
     when the following token is in the unit lexicon. Never a unit alone."""
-    units = units if units is not None else default_units()
+    units = units if units is not None else _word_list("units.txt")
     m = _VALUE_PATTERN.search(sentence, end)
     if m is None:
         return None, None
@@ -95,11 +110,16 @@ def rule_extract_value_unit(sentence: str, start: int, end: int, units: set[str]
     return value, unit
 
 
+_LAST_WORD = re.compile(r"([A-Za-z]+)$")
+_FIRST_WORD = re.compile(r"([A-Za-z]+)")
+
+
 def _word_before(sentence: str, pos: int) -> str | None:
-    left = sentence[:pos].rstrip()
-    if len(sentence[:pos]) - len(left) > 2:
+    before = sentence[:pos]
+    left = before.rstrip()
+    if len(before) - len(left) > 2:
         return None  # not adjacent
-    m = re.search(r"([A-Za-z]+)$", left)
+    m = _LAST_WORD.search(left)
     return m.group(1) if m else None
 
 
@@ -108,27 +128,67 @@ def _word_after(sentence: str, pos: int) -> str | None:
     stripped = right.lstrip()
     if len(right) - len(stripped) > 2:
         return None
-    m = re.match(r"([A-Za-z]+)", stripped)
+    m = _FIRST_WORD.match(stripped)
     return m.group(1) if m else None
 
 
+_ASCII_RUN = re.compile(r"[a-z0-9]+")
+
+
+class AnatomyIndex:
+    """Anatomy surfaces keyed by their leading ASCII run, for the location scan.
+
+    A surface's pattern (`literal_pattern`) can only match where the folded
+    sentence has an ASCII-alphanumeric run starting: the lookbehind rules out
+    a letter or digit before it, and folded text holds no A-Z. By the
+    lookahead, that run then equals the surface's own leading run
+    `[a-z0-9]*`. So a scan tries the surfaces whose leading run is one of the
+    sentence's runs, plus every surface whose leading run is empty, and it
+    tries them in table order, as the unfiltered scan does.
+    """
+
+    def __init__(self, anatomy: dict[str, str]):
+        self._entries = tuple((literal_pattern(surface), display) for surface, display in anatomy.items())
+        by_run: dict[str, list[int]] = {}
+        always = []  # surfaces with an empty leading run
+        for row, surface in enumerate(anatomy):
+            run = m.group() if (m := _ASCII_RUN.match(surface)) else ""
+            (by_run.setdefault(run, []) if run else always).append(row)
+        self._by_run = {run: tuple(rows) for run, rows in by_run.items()}
+        self._always = tuple(always)
+
+    def candidates(self, lowered: str) -> list[tuple[re.Pattern, str]]:
+        """(pattern, display) of every surface that can match the folded
+        sentence, in table order."""
+        rows = list(self._always)
+        for run in self._by_run.keys() & _ASCII_RUN.findall(lowered):
+            rows += self._by_run[run]
+        rows.sort()
+        return [self._entries[row] for row in rows]
+
+
+@functools.cache
+def _default_anatomy() -> AnatomyIndex:
+    return AnatomyIndex(load_anatomy_lexicon())
+
+
 def rule_extract_locations(
-    sentence: str, start: int, end: int, anatomy: dict[str, str] | None = None
+    sentence: str, start: int, end: int, anatomy: AnatomyIndex | dict[str, str] | None = None
 ) -> list[str]:
     """Anatomy-lexicon matches in the sentence, nearest first, at most two.
 
-    Adjacent direction words (left/right/bilateral/upper/lower) are prefixed
-    onto the display form.
+    anatomy is an AnatomyIndex, or a surface -> display mapping to index for
+    this call; None selects the shipped lexicon. Adjacent direction words
+    (left/right/bilateral/upper/lower) are prefixed onto the display form.
     """
-    anatomy = anatomy if anatomy is not None else load_anatomy_lexicon()
+    if anatomy is None:
+        anatomy = _default_anatomy()
+    elif not isinstance(anatomy, AnatomyIndex):
+        anatomy = AnatomyIndex(anatomy)
     lowered = fold_case(sentence)
     found: list[tuple[int, str]] = []  # (distance, display)
-    for surface, display in anatomy.items():
-        if surface not in lowered:
-            continue  # the pattern below can only match the literal
-        for m in re.finditer(
-            r"(?<![A-Za-z0-9])" + re.escape(surface) + r"(?![A-Za-z0-9])", lowered
-        ):
+    for pattern, display in anatomy.candidates(lowered):
+        for m in pattern.finditer(lowered):
             if m.start() < end and m.end() > start:
                 continue  # overlaps the mention itself
             distance = m.start() - end if m.start() >= end else start - m.end()
@@ -151,7 +211,7 @@ def rule_extract_modifiers(
     sentence: str, start: int, end: int, words: set[str] | None = None
 ) -> list[str]:
     """Modifier-list words immediately adjacent to the mention."""
-    words = words if words is not None else default_modifier_words()
+    words = words if words is not None else _word_list("modifiers.txt")
     out: list[str] = []
     before = _word_before(sentence, start)
     if before and before.lower() in words:
@@ -166,9 +226,9 @@ class RuleBackend:
     """Deterministic attribute annotator; purpose always comes back empty."""
 
     def __init__(self):
-        self.anatomy = load_anatomy_lexicon()
-        self.units = default_units()
-        self.modifier_words = default_modifier_words()
+        self.anatomy = _default_anatomy()
+        self.units = _word_list("units.txt")
+        self.modifier_words = _word_list("modifiers.txt")
 
     def annotate(self, note: NormalizedNote, segmentation, mentions: list[Mention], sentences, kinds):
         """Fill every applicable kind of each mention from its sentence."""

@@ -169,6 +169,10 @@ def entity_from_dict(d: dict) -> StructuredEntity:
     )
 
 
+# json.dumps(obj, ensure_ascii=False), without building an encoder per call
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def serialize(results, sink, group_by_note: bool = False) -> None:
     """Write entities (or whole NoteResult objects) as JSONL to a text sink."""
     for result in results:
@@ -178,10 +182,10 @@ def serialize(results, sink, group_by_note: bool = False) -> None:
                 "rejected": result.rejected,
                 "entities": [entity_to_dict(e) for e in result.entities],
             }
-            sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            sink.write(_encode(obj) + "\n")
         else:
             for e in result.entities:
-                sink.write(json.dumps(entity_to_dict(e), ensure_ascii=False) + "\n")
+                sink.write(_encode(entity_to_dict(e)) + "\n")
 
 
 def parse_entities(source) -> list[StructuredEntity]:

@@ -103,6 +103,9 @@ def count_tokens(text: str) -> int:
 
 
 _SENT_SPLIT = re.compile(r"[.!?]['\")\]]*\s+(?=[A-Z0-9])")
+# A line up to and including its "\n", or a last line without one; unlike
+# str.splitlines, no other line-break character ends a line.
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 def split_sentences(text: str) -> list[str]:
@@ -111,23 +114,14 @@ def split_sentences(text: str) -> list[str]:
     Boundaries: terminal punctuation followed by whitespace and an uppercase
     letter or digit, and kept line breaks.
     """
-    if not text:
-        return []
-    cuts = [0]
-    for m in _SENT_SPLIT.finditer(text):
-        cuts.append(m.end())
     pieces: list[str] = []
-    for start, end in zip(cuts, cuts[1:] + [len(text)]):
-        piece = text[start:end]
+    start = 0
+    for m in _SENT_SPLIT.finditer(text):
         # kept newlines are hard boundaries too
-        sub_start = 0
-        for i, ch in enumerate(piece):
-            if ch == "\n":
-                pieces.append(piece[sub_start : i + 1])
-                sub_start = i + 1
-        if sub_start < len(piece):
-            pieces.append(piece[sub_start:])
-    return [p for p in pieces if p]
+        pieces += _LINE.findall(text, start, m.end())
+        start = m.end()
+    pieces += _LINE.findall(text, start)
+    return pieces
 
 
 # A paragraph ends after a run of two or more newlines, or a newline that
@@ -162,17 +156,21 @@ def segment(text: str, spans=()) -> list[Sentence]:
     boundary falls strictly inside one of the given (start, end) spans: the
     pieces on either side of such a cut stay one.
     """
-    blocked = {cut for start, end in spans for cut in range(start + 1, end)}
+    blocked = bytearray(len(text) + 1)  # 1 where a boundary may not fall
+    for start, end in spans:
+        start, end = max(start + 1, 0), min(end, len(blocked))
+        if start < end:
+            blocked[start:end] = b"\x01" * (end - start)
     sentences: list[Sentence] = []
     par_start = par_end = 0
     for par in split_paragraphs(text):
         par_end += len(par)
-        if par_end in blocked:
+        if blocked[par_end]:
             continue  # the next paragraph joins this one
         start = end = par_start
         for sent in split_sentences(text[par_start:par_end]):
             end += len(sent)
-            if end not in blocked:
+            if not blocked[end]:
                 sentences.append(Sentence(start, end, par_start, par_end))
                 start = end
         par_start = par_end

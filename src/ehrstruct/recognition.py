@@ -1,8 +1,10 @@
 """Forward maximum matching over the whole normalized note.
 
 Scans left to right, emitting the longest lexicon match at each word-boundary
-position and resuming after it. Matched spans map back to raw-text offsets via
-the note's offset map.
+position and resuming after it. Only a word that is a head word of the index
+(`TermIndex.head_words`) can start a match, so every other word is skipped
+before the index is asked. Matched spans map back to raw-text offsets via the
+note's offset map.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
     text = note.text
     lowered = fold_case(text)
     mentions: list[Mention] = []
+    heads = index.head_words()
     resume = 0  # end of the last match; a match never ends inside a word
     # fold_case keeps isalnum(), so lowered has the same runs as text
     for word in WORD_RUN.finditer(lowered):
         i = word.start()
-        if i < resume:
+        if i < resume or (head := word.group()) not in heads:
             continue
-        length = index.longest_match(lowered, i, word.group())
+        length = index.longest_match(lowered, i, head)
         if length is None:
             continue
         surface = text[i : i + length]

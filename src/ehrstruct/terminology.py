@@ -12,6 +12,7 @@ queries at word boundaries only.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -143,6 +144,13 @@ def fold_case(text: str) -> str:
     return "".join(low if len(low := ch.lower()) == 1 else ch for ch in text)
 
 
+@functools.cache
+def literal_pattern(literal: str) -> re.Pattern:
+    """The literal as a whole-token pattern: not preceded or followed by an
+    ASCII letter or digit. Compiled once per literal and shared."""
+    return re.compile(r"(?<![A-Za-z0-9])" + re.escape(literal) + r"(?![A-Za-z0-9])")
+
+
 # A maximal run of characters for which str.isalnum() is true: [^\W_]
 # matches exactly the code points isalnum() accepts.
 WORD_RUN = re.compile(r"[^\W_]+")
@@ -219,6 +227,11 @@ class TermIndex:
     def semantic_type(self, surface: str) -> SemanticType | None:
         row = self._rows.get(surface)
         return None if row is None else _TYPES[self._types[row]]
+
+    def head_words(self):
+        """Read-only view of every head word: longest_match finds nothing at
+        a position whose alphanumeric run is not one of them."""
+        return self._lengths.keys()
 
     def longest_match(self, text: str, start: int, head: str | None = None) -> int | None:
         """Length of the longest surface matching text[start:] that ends at a

@@ -1,5 +1,6 @@
 """Reference implementations that tests compare the pipeline against."""
 
+from ehrstruct.preprocess import _SENT_SPLIT
 from ehrstruct.terminology import word_start
 
 
@@ -27,3 +28,24 @@ def brute_force_recognize(text: str, surfaces: list[str]) -> list[tuple[int, int
             while i < n and text[i].isalnum():
                 i += 1
     return spans
+
+
+def reference_split_sentences(text: str) -> list[str]:
+    """split_sentences as a character walk: cut after each terminal-punctuation
+    match, then after every '\\n' inside each piece."""
+    if not text:
+        return []
+    cuts = [0]
+    for m in _SENT_SPLIT.finditer(text):
+        cuts.append(m.end())
+    pieces: list[str] = []
+    for start, end in zip(cuts, cuts[1:] + [len(text)]):
+        piece = text[start:end]
+        sub_start = 0
+        for i, ch in enumerate(piece):
+            if ch == "\n":
+                pieces.append(piece[sub_start : i + 1])
+                sub_start = i + 1
+        if sub_start < len(piece):
+            pieces.append(piece[sub_start:])
+    return [p for p in pieces if p]

@@ -1,3 +1,5 @@
+import re
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -201,3 +203,11 @@ def test_mention_contexts_agree_with_the_splitters(note):
         assert (paragraph, p) == (expected_par, start - par_start)
         assert sentence[s:e] == text[start : min(end, offset + len(sentence))]
         assert paragraph[p : p + e - s] == sentence[s:e]
+
+
+def test_only_ascii_cases_match_an_allergy_letter():
+    """The premise of the pre-check in `_allergy_scope`: under IGNORECASE no
+    code point other than its two ASCII cases matches a letter of "allerg"."""
+    every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
+    for letter in "alerg":
+        assert re.findall(letter, every_code_point, re.IGNORECASE) == [letter.upper(), letter]

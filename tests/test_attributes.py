@@ -8,6 +8,8 @@ from ehrstruct.attributes import (
     LlmBackend,
     RuleBackend,
     annotate_note,
+    default_modifier_words,
+    default_units,
     llm_extract,
     llm_prompt,
     load_anatomy_lexicon,
@@ -395,6 +397,42 @@ def test_prompt_templates_read_once(monkeypatch):
         for kind in ATTRIBUTE_KINDS:
             assert llm_prompt(chunk_for(text), mentions, kind) == expected[kind]
     assert sorted(reads) == ["prompt_generic.txt", "prompt_location.txt"]
+
+
+def rule_answers(text, start, end, *tables):
+    units, anatomy, words = tables or (None, None, None)
+    return (
+        rule_extract_value_unit(text, start, end, units),
+        rule_extract_locations(text, start, end, anatomy),
+        rule_extract_modifiers(text, start, end, words),
+    )
+
+
+def test_rule_tables_read_once(monkeypatch):
+    text = "Severe pain in left knee, 5 mg daily."
+    s = text.index("pain")
+    expected = rule_answers(text, s, s + 4, default_units(), load_anatomy_lexicon(), default_modifier_words())
+    assert expected == (("5", "mg"), ["left knee"], ["Severe"])
+    reads = []
+    read = attributes._data_text
+    monkeypatch.setattr(attributes, "_data_text", lambda name: reads.append(name) or read(name))
+    for cached in (attributes._anatomy_rows, attributes._word_list, attributes._default_anatomy):
+        cached.cache_clear()
+    for _ in range(3):
+        assert rule_answers(text, s, s + 4) == expected
+        RuleBackend()
+    assert sorted(reads) == ["anatomy.txt", "modifiers.txt", "units.txt"]
+
+
+def test_rule_tables_are_not_shared():
+    load_anatomy_lexicon().clear()
+    default_units().clear()
+    default_modifier_words().clear()
+    assert load_anatomy_lexicon()["knee"] == "knee"
+    assert "mg" in default_units()
+    assert "severe" in default_modifier_words()
+    text = "Severe pain in left knee, 5 mg daily."
+    assert rule_answers(text, 7, 11) == (("5", "mg"), ["left knee"], ["Severe"])
 
 
 def test_anatomy_lexicon_has_display_mapping():

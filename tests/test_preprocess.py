@@ -16,6 +16,7 @@ from ehrstruct.preprocess import (
     split_paragraphs,
     split_sentences,
 )
+from oracles import reference_split_sentences
 
 
 class TestRestoreLinebreaks:
@@ -305,6 +306,20 @@ note_texts = st.one_of(
     st.text(alphabet="ab AZ9.!?:'\")\n-\t", max_size=400),
     st.lists(st.sampled_from(_WORDS), max_size=80).map(" ".join),
 )
+
+
+# Line-break-like characters that str.splitlines would cut at but
+# split_sentences must not: only "\n" is a hard boundary.
+_SPLIT_PIECES = (
+    "a", "Bc", "9", ".", "!", "?", "'", '")', " ", "  ", "\t", "\n", "\n\n",
+    "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "Ends. ", "x? Y",
+)
+
+
+@given(st.lists(st.sampled_from(_SPLIT_PIECES), max_size=60).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_split_sentences_matches_the_character_walk(text):
+    assert split_sentences(text) == reference_split_sentences(text)
 
 
 @pytest.mark.parametrize("max_tokens", [1, 10, 30, 800])

@@ -4,6 +4,7 @@ trigger rule and every anatomy surface, each pattern compiled per call."""
 
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from ehrstruct.assertion import (
     _trigger_covers,
     classify,
     default_rules,
+    load_rules,
 )
 from ehrstruct.attributes import (
     DIRECTION_WORDS,
@@ -85,10 +87,10 @@ _SEPARATORS = (" ", " ", " ", "", "  ", ", ", "-", ". ", "/")
 
 
 @st.composite
-def sentences_with_spans(draw):
+def sentences_with_spans(draw, pieces=_PIECES):
     words = draw(
         st.lists(
-            st.tuples(st.sampled_from(_PIECES), st.sampled_from(_CASES), st.sampled_from(_SEPARATORS)),
+            st.tuples(st.sampled_from(pieces), st.sampled_from(_CASES), st.sampled_from(_SEPARATORS)),
             min_size=1,
             max_size=20,
         )
@@ -119,4 +121,46 @@ def test_locations_match_unfiltered_anatomy_scan(case):
     sentence, start, end = case
     assert rule_extract_locations(sentence, start, end, ANATOMY) == reference_locations(
         sentence, start, end, ANATOMY
+    )
+
+
+# Entries the leading-run index must get right: no leading ASCII run (a
+# non-alphanumeric or non-ASCII first character, a surface as stored without
+# lowercasing), a leading digit, and surfaces nested in one another.
+EDGE_ENTRIES = ("-x", "(l) arm", "+ve", "é-ring", "İnce", "2nd toe", "chest", "chest wall", "wall")
+EDGE_ANATOMY = {
+    **load_anatomy_lexicon(),
+    **{entry: f"<{entry}>" for entry in EDGE_ENTRIES},
+    "left arm": "arm",  # a display shared with another surface
+}
+_EDGE_PIECES = sorted(set(_PIECES) | set(EDGE_ENTRIES) | {e.lower() for e in EDGE_ENTRIES} | {"toe", "ring"})
+
+
+@pytest.fixture(scope="module")
+def edge_rules(tmp_path_factory):
+    """Trigger rules loaded from a TSV holding the edge entries."""
+    path = tmp_path_factory.mktemp("rules") / "edge_rules.tsv"
+    scopes = ("forward", "backward", "bidirectional")
+    statuses = ("Absent", "Possible", "Hypothetical", "Not_associated_with_the_patient")
+    lines = [
+        f"{entry}\t{scopes[i % 3]}\t{2 + i % 4}\t{statuses[i % 4]}\t{(i + 1) * 10}"
+        for i, entry in enumerate(EDGE_ENTRIES)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_rules(path)
+
+
+@given(sentences_with_spans(_EDGE_PIECES))
+@settings(max_examples=400, deadline=None)
+def test_classify_with_edge_triggers_matches_unfiltered_scan(edge_rules, case):
+    sentence, start, end = case
+    assert classify(sentence, start, end, edge_rules) == reference_classify(sentence, start, end, edge_rules)
+
+
+@given(sentences_with_spans(_EDGE_PIECES))
+@settings(max_examples=400, deadline=None)
+def test_locations_with_edge_surfaces_match_unfiltered_scan(case):
+    sentence, start, end = case
+    assert rule_extract_locations(sentence, start, end, EDGE_ANATOMY) == reference_locations(
+        sentence, start, end, EDGE_ANATOMY
     )
