@@ -6,24 +6,28 @@ mention immediately followed by ':') and allergy-list scope (terms after an
 'allergy'/'allergies' token become Conditional unless a no-known-allergies
 pattern negates the whole block).
 
-The trigger scan tries the rules in priority order. A rule's trigger is
-first tested as a plain substring of the folded sentence, and only then
-matched as a whole token with its pattern, compiled once per trigger
-(`literal_pattern`). Unlike the anatomy scan of the rule attribute backend,
-there is no leading-word candidate index here: for the 50 default triggers,
-testing each as a substring costs less than looking candidates up did.
+`classify_mentions` classifies the mentions of a note from their contexts
+(`mention_contexts`). It scans each sentence once for its trigger matches
+(`SentenceTriggers`) and each paragraph once for its allergy scopes
+(`AllergyScopes`), and each mention looks its status up in those tables by
+bisection; `classify` does the same for a single mention. A `TriggerIndex`
+keys the rules by the leading ASCII run of their trigger
+(`terminology.LiteralIndex`), so a sentence runs the patterns, compiled once
+per trigger, of only the rules its words can start.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
-from bisect import bisect_right
+import string
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .preprocess import SECTION_HEADER, count_tokens
-from .terminology import fold_case, literal_pattern
+from .preprocess import SECTION_HEADER, TOKEN
+from .terminology import LiteralIndex, fold_case
 
 
 class AssertionStatus(enum.Enum):
@@ -173,101 +177,215 @@ def load_rules(path=None) -> list[TriggerRule]:
 
 _ALLERGY_TOKEN = re.compile(r"\ballerg(?:y|ies)\b", re.IGNORECASE)
 _NKA_PATTERN = re.compile(r"no known (?:drug )?allergies|nkda|nka\b", re.IGNORECASE)
+_BLANK = re.compile(r"(?=\n\n)")
+_HEADER_AT = re.compile(r"\s*[A-Z][A-Z0-9 /&'-]*:")  # SECTION_HEADER without its line anchor
 
 
-def _allergy_scope(paragraph: str, mention_start: int) -> str | None:
-    """Return the allergy-scope text containing the mention, if any.
+class AllergyScopes:
+    """The allergy scopes of one paragraph, found once for all its mentions.
 
-    Scope opens after an allergy token and closes at the next blank line or
-    section header (other than the allergy header itself).
+    A mention's scope opens at the last allergy token before it and closes at
+    the next blank line or at the next section header that is not an allergy
+    header; a blank line or such a header between the token and the mention
+    leaves the mention out of scope. The paragraph's tokens, blank lines,
+    non-allergy headers and no-known-allergies phrases are each found once,
+    and a mention looks them up by bisection. A header is also known by the
+    last line start before its first letter (`header_lines`): a scan for
+    headers that begins at or before that line start meets the header.
     """
-    # Under IGNORECASE only the ASCII cases match a letter of "allerg", so a
-    # paragraph whose lowercase lacks "allerg" holds no allergy token.
-    if "allerg" not in paragraph.lower():
-        return None
-    best_open = None
-    for m in _ALLERGY_TOKEN.finditer(paragraph, 0, mention_start):
-        best_open = m
-    if best_open is None:
-        return None
-    between = paragraph[best_open.end() : mention_start]
-    if "\n\n" in between:
-        return None
-    for header in SECTION_HEADER.finditer(between):
-        if not _ALLERGY_TOKEN.search(header.group(0)):
+
+    def __init__(self, paragraph: str):
+        self.paragraph = paragraph
+        # Under IGNORECASE only the ASCII cases match a letter of "allerg",
+        # so a paragraph whose lowercase lacks "allerg" holds no allergy token.
+        self.tokens = None
+        if "allerg" not in paragraph.lower():
+            return
+        self.tokens = [m.span() for m in _ALLERGY_TOKEN.finditer(paragraph)]
+        self.token_ends = [end for _, end in self.tokens]
+        self.blanks = [m.start() for m in _BLANK.finditer(paragraph)]
+        self.header_lines, self.header_starts, self.header_ends = [], [], []
+        for header in SECTION_HEADER.finditer(paragraph):
+            if _ALLERGY_TOKEN.search(header.group()):
+                continue
+            first_letter = header.end() - len(header.group().lstrip())
+            newline = paragraph.rfind("\n", header.start(), first_letter)
+            self.header_lines.append(header.start() if newline == -1 else newline + 1)
+            self.header_starts.append(header.start())
+            self.header_ends.append(header.end())
+        self.nka = [m.span() for m in _NKA_PATTERN.finditer(paragraph)]
+
+    def _opening(self, pos: int) -> tuple[int, int] | None:
+        """The last allergy token in paragraph[:pos], read as if the
+        paragraph ended at pos."""
+        k = bisect_right(self.token_ends, pos) - 1
+        if pos < len(self.paragraph) and (k < 0 or self.token_ends[k] != pos):
+            # a token cut off at pos, in the middle of a word
+            for length in (7, 9):
+                if pos >= length and (m := _ALLERGY_TOKEN.match(self.paragraph, pos - length, pos)):
+                    if m.end() == pos:
+                        return m.span()
+        return self.tokens[k] if k >= 0 else None
+
+    def status(self, pos: int) -> AssertionStatus | None:
+        """Absent or Conditional for a mention at pos inside an allergy scope
+        (Absent when the scope says no known allergies); None outside one."""
+        if self.tokens is None or (opening := self._opening(pos)) is None:
             return None
-    scope_end = len(paragraph)
-    blank = paragraph.find("\n\n", mention_start)
-    if blank != -1:
-        scope_end = blank
-    for header in SECTION_HEADER.finditer(paragraph, mention_start):
-        if not _ALLERGY_TOKEN.search(header.group(0)):
-            scope_end = min(scope_end, header.start())
-            break
-    return paragraph[best_open.start() : scope_end]
+        open_start, open_end = opening
+        i = bisect_left(self.blanks, open_end)
+        if i < len(self.blanks) and self.blanks[i] + 2 <= pos:
+            return None  # a blank line between the token and the mention
+        header = _HEADER_AT.match(self.paragraph, open_end, pos)
+        if header and not _ALLERGY_TOKEN.search(header.group()):
+            return None  # the token's own line goes on as another header
+        j = bisect_right(self.header_lines, open_end)
+        if j < len(self.header_ends) and self.header_ends[j] <= pos:
+            return None  # another section header between
+        scope_end = len(self.paragraph)
+        i = bisect_left(self.blanks, pos)
+        if i < len(self.blanks):
+            scope_end = self.blanks[i]
+        j = bisect_left(self.header_lines, pos)
+        if j < len(self.header_starts):
+            # A header that starts before pos, in whitespace lines, ends the
+            # scope at its own start: that moves the end over whitespace
+            # only, which no no-known-allergies phrase can end in.
+            scope_end = min(scope_end, self.header_starts[j])
+        k = bisect_left(self.nka, (open_start,))
+        if k < len(self.nka) and self.nka[k][1] <= scope_end:
+            return AssertionStatus.ABSENT
+        return AssertionStatus.CONDITIONAL
 
 
-def _trigger_covers(sentence: str, trigger_m: re.Match, start: int, end: int, rule: TriggerRule) -> bool:
-    """Token distance between the trigger and the mention within the scope."""
-    if rule.scope in (FORWARD, BIDIRECTIONAL) and start >= trigger_m.end():
-        gap = count_tokens(sentence[trigger_m.end() : start])
-        if gap <= rule.window:
-            return True
-    if rule.scope in (BACKWARD, BIDIRECTIONAL) and end <= trigger_m.start():
-        gap = count_tokens(sentence[end : trigger_m.start()])
-        if gap <= rule.window:
-            return True
-    return False
+_TOKEN_CHARS = frozenset(string.ascii_letters + string.digits)
+
+
+class TriggerIndex(LiteralIndex):
+    """Trigger rules in priority order, indexed by trigger (see
+    `terminology.LiteralIndex`) so a sentence runs the patterns of only the
+    rules its words can start."""
+
+    def __init__(self, rules: list[TriggerRule]):
+        super().__init__((rule.trigger, rule) for rule in rules)
+
+
+@functools.cache
+def _default_triggers() -> TriggerIndex:
+    return TriggerIndex(default_rules())
+
+
+def load_triggers(path=None) -> TriggerIndex:
+    """The rules of load_rules(path), indexed. The built-in default set is
+    indexed once per process and shared: an index is never changed."""
+    return _default_triggers() if path is None else TriggerIndex(load_rules(path))
+
+
+class SentenceTriggers:
+    """The trigger matches of one sentence, found once for all its mentions.
+
+    For each rule with a match, in priority order, it keeps the match starts
+    and ends, ascending. A rule covers a mention when, in its scope, its
+    nearest match before the mention (forward) or after it (backward) lies
+    within the rule's window of tokens; a match inside the mention does not
+    count. A gap's token count (`preprocess.count_tokens` of the gap) comes
+    from the sentence's token starts, found once, and only when the gap is
+    longer than the window.
+    """
+
+    def __init__(self, sentence: str, triggers: TriggerIndex):
+        self.sentence = sentence
+        lowered = fold_case(sentence)
+        self.matches = []  # (rule, starts, ends)
+        for pattern, rule in triggers.candidates(lowered):
+            spans = [m.span() for m in pattern.finditer(lowered)]
+            if spans:
+                self.matches.append((rule, [a for a, _ in spans], [b for _, b in spans]))
+        self._token_starts = None
+
+    def _tokens(self, a: int, b: int) -> int:
+        """count_tokens(sentence[a:b])"""
+        if a >= b:
+            return 0
+        if self._token_starts is None:
+            self._token_starts = [m.start() for m in TOKEN.finditer(self.sentence)]
+        sentence = self.sentence
+        count = bisect_left(self._token_starts, b) - bisect_left(self._token_starts, a)
+        # a word run that the cut at a splits starts a token there
+        return count + (a > 0 and sentence[a - 1] in _TOKEN_CHARS and sentence[a] in _TOKEN_CHARS)
+
+    def status(self, start: int, end: int) -> AssertionStatus | None:
+        """The status of the first rule covering sentence[start:end], or None."""
+        for rule, starts, ends in self.matches:
+            if rule.scope != BACKWARD:
+                k = bisect_right(ends, start) - 1
+                if k >= 0 and starts[k] >= start and ends[k] <= end:
+                    k -= 1  # an empty match at the mention start is inside it
+                # a gap of n characters holds at most n tokens
+                if k >= 0 and (start - ends[k] <= rule.window or self._tokens(ends[k], start) <= rule.window):
+                    return rule.status
+            if rule.scope != FORWARD:
+                k = bisect_left(starts, end)
+                if k < len(starts) and starts[k] >= start and ends[k] <= end:
+                    k += 1  # an empty match at the mention end is inside it
+                if k < len(starts) and (
+                    starts[k] - end <= rule.window or self._tokens(end, starts[k]) <= rule.window
+                ):
+                    return rule.status
+        return None
 
 
 _COLON_AFTER = re.compile(" *:")
+
+
+def classify_mentions(contexts, rules: TriggerIndex | list[TriggerRule]) -> list[AssertionStatus]:
+    """Classify each mention of (sentence, start, end, paragraph,
+    paragraph_start) contexts, as `mention_contexts` returns them.
+
+    Order: Title rule, allergy rule, first matching trigger, default Present.
+    rules, or the rules of a TriggerIndex, must be in ascending priority
+    order, as load_rules and default_rules return them; a list is indexed for
+    this call. Consecutive mentions of one sentence share its trigger
+    matches, and of one paragraph its allergy scopes.
+    """
+    triggers = rules if isinstance(rules, TriggerIndex) else TriggerIndex(rules)
+    statuses = []
+    sentence = paragraph = sentence_triggers = scopes = None
+    for sent, start, end, par, par_start in contexts:
+        if not (0 <= start < end <= len(sent)):
+            raise ValueError("mention span not inside sentence")
+        # Title: capitalized mention immediately followed by ':' (ignoring spaces)
+        if _COLON_AFTER.match(sent, end) and any(ch.isupper() for ch in sent[start:end]):
+            statuses.append(AssertionStatus.TITLE)
+            continue
+        if par is not paragraph:
+            paragraph, scopes = par, AllergyScopes(par)
+        status = scopes.status(par_start)
+        if status is None:
+            if sent is not sentence:
+                sentence, sentence_triggers = sent, SentenceTriggers(sent, triggers)
+            status = sentence_triggers.status(start, end) or AssertionStatus.PRESENT
+        statuses.append(status)
+    return statuses
 
 
 def classify(
     sentence: str,
     start: int,
     end: int,
-    rules: list[TriggerRule],
+    rules: TriggerIndex | list[TriggerRule],
     paragraph: str | None = None,
     paragraph_start: int | None = None,
 ) -> AssertionStatus:
-    """Classify the mention at sentence[start:end].
+    """Classify the mention at sentence[start:end] (see classify_mentions).
 
-    Order: Title rule, allergy rule, first matching trigger, default Present.
-    rules must be in ascending priority order, as load_rules and
-    default_rules return them, so the first match is the highest-priority
-    one. paragraph (with paragraph_start = mention offset within it)
-    supplies block context for the allergy rule; it defaults to the sentence
-    itself.
+    paragraph (with paragraph_start = mention offset within it) supplies
+    block context for the allergy rule; it defaults to the sentence itself.
     """
-    if not (0 <= start < end <= len(sentence)):
-        raise ValueError("mention span not inside sentence")
-
-    # Title: capitalized mention immediately followed by ':' (ignoring spaces)
-    if _COLON_AFTER.match(sentence, end) and any(ch.isupper() for ch in sentence[start:end]):
-        return AssertionStatus.TITLE
-
     if paragraph is None:
         paragraph = sentence
         paragraph_start = start
-    scope = _allergy_scope(paragraph, paragraph_start)
-    if scope is not None:
-        if _NKA_PATTERN.search(scope):
-            return AssertionStatus.ABSENT
-        return AssertionStatus.CONDITIONAL
-
-    lowered = fold_case(sentence)
-    for rule in rules:
-        # The pattern is the escaped literal between lookarounds, so it can
-        # only match where the literal is a substring.
-        if rule.trigger not in lowered:
-            continue
-        for m in literal_pattern(rule.trigger).finditer(lowered):
-            if m.start() >= start and m.end() <= end:
-                continue  # trigger inside the mention itself
-            if _trigger_covers(sentence, m, start, end, rule):
-                return rule.status
-    return AssertionStatus.PRESENT
+    return classify_mentions([(sentence, start, end, paragraph, paragraph_start)], rules)[0]
 
 
 def mention_contexts(note_text: str, segmentation, mentions) -> list[tuple[str, int, int, str, int]]:
@@ -280,12 +398,16 @@ def mention_contexts(note_text: str, segmentation, mentions) -> list[tuple[str, 
     paragraph holding the sentence and the mention's offset within it.
     """
     starts = [sent.start for sent in segmentation]
-    paragraphs: dict[int, str] = {}  # one slice per paragraph, shared by its mentions
     contexts = []
+    # one slice per sentence and per paragraph, shared by their consecutive
+    # mentions
+    sent = sentence = paragraph = None
     for m in mentions:
-        sent = segmentation[bisect_right(starts, m.norm_start) - 1]
-        if sent.par_start not in paragraphs:
-            paragraphs[sent.par_start] = note_text[sent.par_start : sent.par_end]
+        if sent is None or not sent.start <= m.norm_start < sent.end:
+            sent = segmentation[bisect_right(starts, m.norm_start) - 1]
+            if paragraph is None or paragraph_start != sent.par_start:
+                paragraph_start, paragraph = sent.par_start, note_text[sent.par_start : sent.par_end]
+            sentence = note_text[sent.start : sent.end]
         s, e, p = m.norm_start - sent.start, m.norm_end - sent.start, m.norm_start - sent.par_start
-        contexts.append((note_text[sent.start : sent.end], s, e, paragraphs[sent.par_start], p))
+        contexts.append((sentence, s, e, paragraph, p))
     return contexts

@@ -7,17 +7,21 @@ a value or None. `annotate_note` then sets every other kind to "not
 applicable": applicability is decided there, once, and an answer for a kind
 that does not apply is discarded. The rule backend (regex values/units,
 anatomy lexicon locations, adjacency modifiers, no purposes) fills every
-applicable kind from the one sentence. Its tables are read from the package
-data once per process, and its anatomy scan is a leading-word candidate
-scan: `AnatomyIndex` keys each surface by its leading ASCII run, so a
-sentence runs the patterns of only the surfaces whose leading run it holds
-(plus those with none), in table order. The LLM backend packs the
-segmentation into chunks under its token budget, marks each chunk's mentions
-with double curly braces and renders one prompt per attribute kind over the
-mentions that kind applies to. It sends all of a note's prompts at once
-(`ChatClient.complete_all`), then parses the answers and aligns the echoed
-entity lines back to mention order on the calling thread, in prompt order,
-so output and warnings do not depend on the order answers arrive in.
+applicable kind from the mention's sentence, with tables read from the
+package data once per process. It scans each sentence once, on first use,
+for all the mentions in it: the anatomy matches with their direction-word
+display (`SentenceLocations`, which runs the patterns of only the surfaces
+whose leading run the sentence holds) and the positions where a value can
+start. Each mention then bisects those tables, and its modifiers are the
+words next to it, at most two whitespace characters away. The
+`rule_extract_*` functions are the same scans for a single mention. The LLM
+backend packs the segmentation into chunks under its token budget, marks
+each chunk's mentions with double curly braces and renders one prompt per
+attribute kind over the mentions that kind applies to. It sends all of a
+note's prompts at once (`ChatClient.complete_all`), then parses the answers
+and aligns the echoed entity lines back to mention order on the calling
+thread, in prompt order, so output and warnings do not depend on the order
+answers arrive in.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from __future__ import annotations
 import functools
 import logging
 import re
-from bisect import bisect_right
+import string
+from bisect import bisect_left, bisect_right
 from importlib import resources
 from itertools import groupby
 
@@ -38,11 +43,12 @@ from .terminology import (
     LOCATION,
     MODIFIER,
     NOT_APPLICABLE,
+    PURPOSE,
     UNIT,
     VALUE,
     ApplicabilityTable,
+    LiteralIndex,
     fold_case,
-    literal_pattern,
 )
 
 log = logging.getLogger(__name__)
@@ -95,13 +101,25 @@ _VALUE_PATTERN = re.compile(r"(?:(<=|>=|[<>≤≥])\s*)?(\d+(?:,\d{3})*(?:\.\d+)
 _UNIT_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9/%²³]*|%|°[CF]?)")
 
 
-def rule_extract_value_unit(sentence: str, start: int, end: int, units: set[str] | None = None):
-    """Nearest numeric token after the mention in the sentence, with its unit
-    when the following token is in the unit lexicon. Never a unit alone."""
-    units = units if units is not None else _word_list("units.txt")
-    m = _VALUE_PATTERN.search(sentence, end)
-    if m is None:
+_VALUE_START = re.compile(r"(?=(?:<=|>=|[<>≤≥])\s*\d|\d)")  # where _VALUE_PATTERN can match
+_DIGIT = re.compile(r"\d")
+
+
+def _value_starts(sentence: str) -> list[int]:
+    """Every position of the sentence where a value can start, ascending.
+    Every value holds a digit."""
+    if _DIGIT.search(sentence) is None:
+        return []
+    return [m.start() for m in _VALUE_START.finditer(sentence)]
+
+
+def _value_unit(sentence: str, value_starts: list[int], end: int, units) -> tuple:
+    """The first value starting at or after end, as `_VALUE_PATTERN.search(
+    sentence, end)` finds it, with its unit."""
+    i = bisect_left(value_starts, end)
+    if i == len(value_starts):
         return None, None
+    m = _VALUE_PATTERN.match(sentence, value_starts[i])
     value = (m.group(1) or "") + m.group(2)
     unit = None
     um = _UNIT_TOKEN.match(sentence, m.end())
@@ -110,66 +128,129 @@ def rule_extract_value_unit(sentence: str, start: int, end: int, units: set[str]
     return value, unit
 
 
-_LAST_WORD = re.compile(r"([A-Za-z]+)$")
-_FIRST_WORD = re.compile(r"([A-Za-z]+)")
+def rule_extract_value_unit(sentence: str, start: int, end: int, units: set[str] | None = None):
+    """Nearest numeric token after the mention in the sentence, with its unit
+    when the following token is in the unit lexicon. Never a unit alone."""
+    units = units if units is not None else _word_list("units.txt")
+    return _value_unit(sentence, _value_starts(sentence), end, units)
+
+
+_ASCII_LETTERS = frozenset(string.ascii_letters)
+_FIRST_WORD = re.compile(r"[A-Za-z]+")
 
 
 def _word_before(sentence: str, pos: int) -> str | None:
-    before = sentence[:pos]
-    left = before.rstrip()
-    if len(before) - len(left) > 2:
-        return None  # not adjacent
-    m = _LAST_WORD.search(left)
-    return m.group(1) if m else None
+    """The ASCII-letter word that ends before pos, with at most two
+    whitespace characters between; None when there is none."""
+    pos = end = min(pos, len(sentence))
+    while end and sentence[end - 1].isspace():
+        end -= 1
+        if pos - end > 2:
+            return None  # not adjacent
+    start = end
+    while start and sentence[start - 1] in _ASCII_LETTERS:
+        start -= 1
+    return sentence[start:end] if start < end else None
 
 
 def _word_after(sentence: str, pos: int) -> str | None:
-    right = sentence[pos:]
-    stripped = right.lstrip()
-    if len(right) - len(stripped) > 2:
-        return None
-    m = _FIRST_WORD.match(stripped)
-    return m.group(1) if m else None
+    """The ASCII-letter word that starts after pos, with at most two
+    whitespace characters between; None when there is none."""
+    start = pos
+    while pos < len(sentence) and sentence[pos].isspace():
+        pos += 1
+        if pos - start > 2:
+            return None
+    m = _FIRST_WORD.match(sentence, pos)
+    return m.group() if m else None
 
 
-_ASCII_RUN = re.compile(r"[a-z0-9]+")
-
-
-class AnatomyIndex:
-    """Anatomy surfaces keyed by their leading ASCII run, for the location scan.
-
-    A surface's pattern (`literal_pattern`) can only match where the folded
-    sentence has an ASCII-alphanumeric run starting: the lookbehind rules out
-    a letter or digit before it, and folded text holds no A-Z. By the
-    lookahead, that run then equals the surface's own leading run
-    `[a-z0-9]*`. So a scan tries the surfaces whose leading run is one of the
-    sentence's runs, plus every surface whose leading run is empty, and it
-    tries them in table order, as the unfiltered scan does.
-    """
+class AnatomyIndex(LiteralIndex):
+    """Anatomy surfaces, with their display forms, indexed for the location
+    scan (see `LiteralIndex`)."""
 
     def __init__(self, anatomy: dict[str, str]):
-        self._entries = tuple((literal_pattern(surface), display) for surface, display in anatomy.items())
-        by_run: dict[str, list[int]] = {}
-        always = []  # surfaces with an empty leading run
-        for row, surface in enumerate(anatomy):
-            run = m.group() if (m := _ASCII_RUN.match(surface)) else ""
-            (by_run.setdefault(run, []) if run else always).append(row)
-        self._by_run = {run: tuple(rows) for run, rows in by_run.items()}
-        self._always = tuple(always)
-
-    def candidates(self, lowered: str) -> list[tuple[re.Pattern, str]]:
-        """(pattern, display) of every surface that can match the folded
-        sentence, in table order."""
-        rows = list(self._always)
-        for run in self._by_run.keys() & _ASCII_RUN.findall(lowered):
-            rows += self._by_run[run]
-        rows.sort()
-        return [self._entries[row] for row in rows]
+        super().__init__(anatomy.items())
 
 
 @functools.cache
 def _default_anatomy() -> AnatomyIndex:
     return AnatomyIndex(load_anatomy_lexicon())
+
+
+def _with_next(rows: list[tuple]) -> list[tuple]:
+    """Each (start, end, scan order, render) row with the index of the first
+    later row whose render differs."""
+    out = []
+    nxt = len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        if i + 1 < len(rows) and rows[i + 1][3] != rows[i][3]:
+            nxt = i + 1
+        out.append((*rows[i], nxt))
+    out.reverse()
+    return out
+
+
+class SentenceLocations:
+    """The anatomy matches of one sentence, each rendered with its direction
+    word, in two orders for nearest-first lookup.
+
+    A mention's candidates are the matches that do not overlap it, ordered by
+    distance, ties in scan order (surface table order, then position). The
+    matches after the mention are a suffix of the matches sorted by start,
+    those before it a suffix of the matches sorted by end, descending; merging
+    the two suffixes gives that order. Each row also holds the next row of
+    its order with another render, so the second distinct render is found
+    without walking over repeats of the first.
+    """
+
+    def __init__(self, sentence: str, anatomy: AnatomyIndex):
+        lowered = fold_case(sentence)
+        found = []  # (start, end, scan order, render)
+        for pattern, display in anatomy.candidates(lowered):
+            for m in pattern.finditer(lowered):
+                start = m.start()
+                direction = _word_before(sentence, start)
+                if direction and (direction := direction.lower()) in DIRECTION_WORDS:
+                    found.append((start, m.end(), len(found), f"{direction} {display}"))
+                else:
+                    found.append((start, m.end(), len(found), display))
+        if not found:
+            self._after = self._before = ()
+            return
+        self._after = _with_next(sorted(found, key=lambda row: (row[0], row[2])))
+        self._after_starts = [row[0] for row in self._after]
+        self._before = _with_next(sorted(found, key=lambda row: (-row[1], row[2])))
+        self._before_keys = [-row[1] for row in self._before]  # ascending
+
+    def nearest(self, start: int, end: int) -> list[str]:
+        """The renders of the matches nearest the mention at start:end, first
+        two distinct, nearest first."""
+        after, before = self._after, self._before
+        out: list[str] = []
+        if not after:
+            return out
+        a = bisect_left(self._after_starts, end)
+        b = bisect_left(self._before_keys, -start)  # rows ending at or before start
+        skip = None
+        while True:
+            if a < len(after) and after[a][3] == skip:
+                a = after[a][4]
+            # rows starting at or after end lie after the mention (when end <= start)
+            while b < len(before) and (before[b][3] == skip or before[b][0] >= end):
+                b = before[b][4] if before[b][3] == skip else b + 1
+            if a < len(after):
+                row = after[a]
+                if b < len(before) and (start - before[b][1], before[b][2]) < (row[0] - end, row[2]):
+                    row = before[b]
+            elif b < len(before):
+                row = before[b]
+            else:
+                return out
+            out.append(row[3])
+            if len(out) == 2:
+                return out
+            skip = row[3]
 
 
 def rule_extract_locations(
@@ -185,26 +266,7 @@ def rule_extract_locations(
         anatomy = _default_anatomy()
     elif not isinstance(anatomy, AnatomyIndex):
         anatomy = AnatomyIndex(anatomy)
-    lowered = fold_case(sentence)
-    found: list[tuple[int, str]] = []  # (distance, display)
-    for pattern, display in anatomy.candidates(lowered):
-        for m in pattern.finditer(lowered):
-            if m.start() < end and m.end() > start:
-                continue  # overlaps the mention itself
-            distance = m.start() - end if m.start() >= end else start - m.end()
-            rendered = display
-            direction = _word_before(sentence, m.start())
-            if direction and direction.lower() in DIRECTION_WORDS:
-                rendered = f"{direction.lower()} {display}"
-            found.append((distance, rendered))
-    found.sort(key=lambda t: t[0])
-    out: list[str] = []
-    for _, rendered in found:
-        if rendered not in out:
-            out.append(rendered)
-        if len(out) == 2:
-            break
-    return out
+    return SentenceLocations(sentence, anatomy).nearest(start, end)
 
 
 def rule_extract_modifiers(
@@ -231,18 +293,33 @@ class RuleBackend:
         self.modifier_words = _word_list("modifiers.txt")
 
     def annotate(self, note: NormalizedNote, segmentation, mentions: list[Mention], sentences, kinds):
-        """Fill every applicable kind of each mention from its sentence."""
+        """Fill every applicable kind of each mention from its sentence. The
+        mentions of one sentence share its anatomy matches and value starts,
+        each made on first use."""
         records = []
+        sentence = locations = value_starts = None
         for (sent, s, e), applicable in zip(sentences, kinds):
-            found = {}
-            if VALUE in applicable or UNIT in applicable:
-                found[VALUE], found[UNIT] = rule_extract_value_unit(sent, s, e, self.units)
+            if sent is not sentence:
+                sentence, locations, value_starts = sent, None, None
+            record = {}
             if LOCATION in applicable:
-                found[LOCATION] = rule_extract_locations(sent, s, e, self.anatomy) or None
+                if locations is None:
+                    locations = SentenceLocations(sent, self.anatomy)
+                record[LOCATION] = locations.nearest(s, e) or None
             if MODIFIER in applicable:
-                found[MODIFIER] = rule_extract_modifiers(sent, s, e, self.modifier_words) or None
-            # PURPOSE stays None: it needs world knowledge the rule backend lacks
-            records.append({kind: found.get(kind) for kind in ATTRIBUTE_KINDS if kind in applicable})
+                record[MODIFIER] = rule_extract_modifiers(sent, s, e, self.modifier_words) or None
+            if VALUE in applicable or UNIT in applicable:
+                if value_starts is None:
+                    value_starts = _value_starts(sent)
+                value, unit = _value_unit(sent, value_starts, e, self.units)
+                if VALUE in applicable:
+                    record[VALUE] = value
+                if UNIT in applicable:
+                    record[UNIT] = unit
+            if PURPOSE in applicable:
+                # it needs world knowledge the rule backend lacks
+                record[PURPOSE] = None
+            records.append(record)
         return records, 0, sum(len(k) for k in kinds)
 
 

@@ -5,6 +5,10 @@ list. Matching is greedy and monotone: lines are consumed in order against a
 forward-only cursor into the mentions, so repeated terms resolve by order and
 relative position. Unmatched lines are dropped and counted; a note whose drop
 ratio exceeds the threshold is rejected outright.
+
+`serialize` writes each entity's JSON line straight from its fields with the
+standard library's string encoder, with no dict per entity in between; the
+bytes are those of `json.dumps(entity_to_dict(e), ensure_ascii=False)`.
 """
 
 from __future__ import annotations
@@ -102,19 +106,22 @@ def assemble(
     for m in mentions:
         if m.note_id != note_id:
             raise ValueError(f"mention note_id {m.note_id!r} != {note_id!r}")
-    entities = []
-    for m, status, record in zip(mentions, statuses, records):
-        entities.append(
-            StructuredEntity(
-                note_id=note_id,
-                phrase=m.canonical_phrase,
-                surface=m.surface,
-                span=(m.raw_start, m.raw_end),
-                semantic_type=m.semantic_type,
-                assertion_status=status.value if hasattr(status, "value") else str(status),
-                **{name: record[kind] for kind, name in ATTRIBUTE_FIELDS.items()},
-            )
+    entities = [
+        StructuredEntity(
+            note_id,
+            m.canonical_phrase,
+            m.surface,
+            (m.raw_start, m.raw_end),
+            m.semantic_type,
+            status.value if hasattr(status, "value") else str(status),
+            record[LOCATION],
+            record[MODIFIER],
+            record[VALUE],
+            record[UNIT],
+            record[PURPOSE],
         )
+        for m, status, record in zip(mentions, statuses, records)
+    ]
     entities.sort(key=lambda e: e.span[0])
     result = NoteResult(
         note_id=note_id,
@@ -171,21 +178,54 @@ def entity_from_dict(d: dict) -> StructuredEntity:
 
 # json.dumps(obj, ensure_ascii=False), without building an encoder per call
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+_string = json.encoder.encode_basestring  # the string encoder _encode uses
+
+
+def _json_field(value) -> str:
+    """_encode(_encode_field(value)), with the fast paths for the values
+    entities carry: a str, an int, None, NOT_APPLICABLE and a list of str."""
+    if value.__class__ is str:
+        return _string(value)
+    if value.__class__ is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is NOT_APPLICABLE:
+        return '"not applicable"'
+    if value.__class__ is list and all(item.__class__ is str for item in value):
+        return "[" + ", ".join(map(_string, value)) + "]"
+    return _encode(_encode_field(value))
+
+
+def _entity_json(e: StructuredEntity) -> str:
+    """_encode(entity_to_dict(e)), written field by field."""
+    sem = e.semantic_type.value if isinstance(e.semantic_type, SemanticType) else str(e.semantic_type)
+    start, end = e.span
+    return (
+        f'{{"note_id": {_json_field(e.note_id)}, "phrase": {_json_field(e.phrase)}, '
+        f'"surface": {_json_field(e.surface)}, '
+        f'"span": {{"start": {_json_field(start)}, "end": {_json_field(end)}}}, '
+        f'"semantic_type": {_json_field(sem)}, '
+        f'"assertion_status": {_json_field(e.assertion_status)}, '
+        f'"locations": {_json_field(e.locations)}, "modifiers": {_json_field(e.modifiers)}, '
+        f'"value": {_json_field(e.value)}, "unit": {_json_field(e.unit)}, '
+        f'"purpose": {_json_field(e.purpose)}}}'
+    )
 
 
 def serialize(results, sink, group_by_note: bool = False) -> None:
-    """Write entities (or whole NoteResult objects) as JSONL to a text sink."""
+    """Write entities (or whole NoteResult objects) as JSONL to a text sink,
+    each line byte-equal to json.dumps of `entity_to_dict` (or of the grouped
+    object) with ensure_ascii=False."""
     for result in results:
         if group_by_note:
-            obj = {
-                "note_id": result.note_id,
-                "rejected": result.rejected,
-                "entities": [entity_to_dict(e) for e in result.entities],
-            }
-            sink.write(_encode(obj) + "\n")
-        else:
-            for e in result.entities:
-                sink.write(_encode(entity_to_dict(e)) + "\n")
+            sink.write(
+                f'{{"note_id": {_json_field(result.note_id)}, '
+                f'"rejected": {_encode(result.rejected)}, '
+                f'"entities": [{", ".join(map(_entity_json, result.entities))}]}}\n'
+            )
+        elif result.entities:
+            sink.write("\n".join(map(_entity_json, result.entities)) + "\n")
 
 
 def parse_entities(source) -> list[StructuredEntity]:

@@ -147,7 +147,7 @@ class PipelineResources:
 
     index: object
     abbreviations: AbbreviationTable
-    rules: list
+    rules: assertion_mod.TriggerIndex | list
     applicability: ApplicabilityTable
     backend: object
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD
@@ -166,7 +166,7 @@ def load_terms(cfg: PipelineConfig) -> tuple[TermIndex, AbbreviationTable]:
 
 def build_resources(cfg: PipelineConfig) -> PipelineResources:
     index, abbreviations = load_terms(cfg)
-    rules = assertion_mod.load_rules(cfg.assertion_rules)
+    rules = assertion_mod.load_triggers(cfg.assertion_rules)
     applicability = (
         ApplicabilityTable.load(cfg.applicability) if cfg.applicability else ApplicabilityTable()
     )
@@ -195,10 +195,7 @@ def structure_note(raw: RawNote, res: PipelineResources) -> NoteResult:
     mentions = recognize_note(note, res.index, res.abbreviations)
     segmentation = segment(note.text, [(m.norm_start, m.norm_end) for m in mentions])
     contexts = assertion_mod.mention_contexts(note.text, segmentation, mentions)
-    statuses = [
-        assertion_mod.classify(sent, s, e, res.rules, paragraph=par, paragraph_start=p_start)
-        for sent, s, e, par, p_start in contexts
-    ]
+    statuses = assertion_mod.classify_mentions(contexts, res.rules)
     try:
         records, dropped, total = annotate_note(
             note, segmentation, mentions, [c[:3] for c in contexts], res.backend, res.applicability

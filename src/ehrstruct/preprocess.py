@@ -94,12 +94,12 @@ def restore_linebreaks(raw: RawNote) -> NormalizedNote:
     return NormalizedNote(raw.note_id, "".join(out), offset_map)
 
 
-_TOKEN = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
+TOKEN = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
 
 
 def count_tokens(text: str) -> int:
     """Deterministic token count: alphanumeric runs plus standalone punctuation."""
-    return len(_TOKEN.findall(text))
+    return len(TOKEN.findall(text))
 
 
 _SENT_SPLIT = re.compile(r"[.!?]['\")\]]*\s+(?=[A-Z0-9])")

@@ -151,18 +151,55 @@ def literal_pattern(literal: str) -> re.Pattern:
     return re.compile(r"(?<![A-Za-z0-9])" + re.escape(literal) + r"(?![A-Za-z0-9])")
 
 
+_LEADING_RUN = re.compile(r"[a-z0-9]*")
+# each byte to itself if it is [a-z0-9], else to a space
+_RUN_BYTES = bytes(b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
+
+
+def ascii_runs(text: str) -> list[bytes]:
+    """The maximal [a-z0-9] runs of text, as ASCII bytes. Encoding turns each
+    other character into one byte that is not [a-z0-9]."""
+    return text.encode("ascii", "replace").translate(_RUN_BYTES).split()
+
+
+class LiteralIndex:
+    """(literal, payload) rows keyed by the literal's leading ASCII run, for
+    whole-token scans of folded text.
+
+    A literal's pattern (`literal_pattern`) can only match where the folded
+    text has an ASCII-alphanumeric run starting: the lookbehind rules out a
+    letter or digit before it, and folded text holds no A-Z. By the
+    lookahead, that run then equals the literal's own leading run
+    `[a-z0-9]*`. So a scan tries the literals whose leading run is one of the
+    text's runs, plus every literal whose leading run is empty, in row order,
+    as a scan of every row does.
+    """
+
+    def __init__(self, rows):
+        self._entries = []  # (pattern, payload) by row
+        self._by_run: dict[bytes, list[int]] = {}
+        self._always = []  # rows of literals with an empty leading run
+        for row, (literal, payload) in enumerate(rows):
+            self._entries.append((literal_pattern(literal), payload))
+            run = _LEADING_RUN.match(literal).group().encode()
+            (self._by_run.setdefault(run, []) if run else self._always).append(row)
+
+    def candidates(self, lowered: str) -> list[tuple[re.Pattern, object]]:
+        """(pattern, payload) of every row that can match the folded text, in
+        row order."""
+        runs = self._by_run.keys() & ascii_runs(lowered)
+        if not runs:
+            return [self._entries[row] for row in self._always]
+        rows = list(self._always)
+        for run in runs:
+            rows += self._by_run[run]
+        rows.sort()
+        return [self._entries[row] for row in rows]
+
+
 # A maximal run of characters for which str.isalnum() is true: [^\W_]
 # matches exactly the code points isalnum() accepts.
 WORD_RUN = re.compile(r"[^\W_]+")
-
-
-def word_start(text: str, i: int) -> bool:
-    """True when position i does not fall inside an alphanumeric run."""
-    if i <= 0:
-        return True
-    if i >= len(text):
-        return True
-    return not (text[i - 1].isalnum() and text[i].isalnum())
 
 
 class TermIndex:
@@ -240,11 +277,14 @@ class TermIndex:
         if head is None:
             head = m.group() if (m := WORD_RUN.match(text, start)) else ""
         lengths = self._lengths.get(head, 0)
+        n = len(text)
         while lengths > 1:  # bit 0, an empty surface, never matches
             length = lengths.bit_length() - 1
             lengths ^= 1 << length
             end = start + length
-            if end <= len(text) and word_start(text, end) and text[start:end] in self._rows:
+            if end > n or (end < n and text[end].isalnum() and text[end - 1].isalnum()):
+                continue  # past the text, or ends inside an alphanumeric run
+            if text[start:end] in self._rows:
                 return length
         return None
 

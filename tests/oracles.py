@@ -1,7 +1,20 @@
 """Reference implementations that tests compare the pipeline against."""
 
-from ehrstruct.preprocess import _SENT_SPLIT
-from ehrstruct.terminology import word_start
+import re
+
+from ehrstruct.assertion import _ALLERGY_TOKEN, _NKA_PATTERN, AssertionStatus
+from ehrstruct.attributes import _UNIT_TOKEN, _VALUE_PATTERN, DIRECTION_WORDS, AnatomyIndex
+from ehrstruct.preprocess import _SENT_SPLIT, SECTION_HEADER, count_tokens
+from ehrstruct.terminology import fold_case, literal_pattern
+
+
+def word_start(text: str, i: int) -> bool:
+    """True when position i does not fall inside an alphanumeric run."""
+    if i <= 0:
+        return True
+    if i >= len(text):
+        return True
+    return not (text[i - 1].isalnum() and text[i].isalnum())
 
 
 def brute_force_recognize(text: str, surfaces: list[str]) -> list[tuple[int, int]]:
@@ -49,3 +62,138 @@ def reference_split_sentences(text: str) -> list[str]:
         if sub_start < len(piece):
             pieces.append(piece[sub_start:])
     return [p for p in pieces if p]
+
+
+# The rule path's per-mention scans as they were before the per-sentence
+# scans replaced them: each rescans (and slices) the sentence or paragraph.
+
+
+def reference_word_before(sentence: str, pos: int) -> str | None:
+    before = sentence[:pos]
+    left = before.rstrip()
+    if len(before) - len(left) > 2:
+        return None  # not adjacent
+    m = re.search(r"([A-Za-z]+)$", left)
+    return m.group(1) if m else None
+
+
+def reference_word_after(sentence: str, pos: int) -> str | None:
+    right = sentence[pos:]
+    stripped = right.lstrip()
+    if len(right) - len(stripped) > 2:
+        return None
+    m = re.match(r"([A-Za-z]+)", stripped)
+    return m.group(1) if m else None
+
+
+def reference_value_unit(sentence: str, start: int, end: int, units) -> tuple:
+    m = _VALUE_PATTERN.search(sentence, end)
+    if m is None:
+        return None, None
+    value = (m.group(1) or "") + m.group(2)
+    unit = None
+    um = _UNIT_TOKEN.match(sentence, m.end())
+    if um and um.group(1).lower() in units:
+        unit = um.group(1)
+    return value, unit
+
+
+def reference_locations(sentence: str, start: int, end: int, anatomy: AnatomyIndex) -> list[str]:
+    lowered = fold_case(sentence)
+    found: list[tuple[int, str]] = []  # (distance, display)
+    for pattern, display in anatomy.candidates(lowered):
+        for m in pattern.finditer(lowered):
+            if m.start() < end and m.end() > start:
+                continue  # overlaps the mention itself
+            distance = m.start() - end if m.start() >= end else start - m.end()
+            rendered = display
+            direction = reference_word_before(sentence, m.start())
+            if direction and direction.lower() in DIRECTION_WORDS:
+                rendered = f"{direction.lower()} {display}"
+            found.append((distance, rendered))
+    found.sort(key=lambda t: t[0])
+    out: list[str] = []
+    for _, rendered in found:
+        if rendered not in out:
+            out.append(rendered)
+        if len(out) == 2:
+            break
+    return out
+
+
+def reference_modifiers(sentence: str, start: int, end: int, words) -> list[str]:
+    out: list[str] = []
+    before = reference_word_before(sentence, start)
+    if before and before.lower() in words:
+        out.append(before)
+    after = reference_word_after(sentence, end)
+    if after and after.lower() in words:
+        out.append(after)
+    return out
+
+
+def reference_allergy_scope(paragraph: str, mention_start: int) -> str | None:
+    """The allergy-scope text holding the mention, rescanning the paragraph."""
+    if "allerg" not in paragraph.lower():
+        return None
+    best_open = None
+    for m in _ALLERGY_TOKEN.finditer(paragraph, 0, mention_start):
+        best_open = m
+    if best_open is None:
+        return None
+    between = paragraph[best_open.end() : mention_start]
+    if "\n\n" in between:
+        return None
+    for header in SECTION_HEADER.finditer(between):
+        if not _ALLERGY_TOKEN.search(header.group(0)):
+            return None
+    scope_end = len(paragraph)
+    blank = paragraph.find("\n\n", mention_start)
+    if blank != -1:
+        scope_end = blank
+    for header in SECTION_HEADER.finditer(paragraph, mention_start):
+        if not _ALLERGY_TOKEN.search(header.group(0)):
+            scope_end = min(scope_end, header.start())
+            break
+    return paragraph[best_open.start() : scope_end]
+
+
+def reference_allergy_status(paragraph: str, mention_start: int) -> AssertionStatus | None:
+    scope = reference_allergy_scope(paragraph, mention_start)
+    if scope is None:
+        return None
+    return AssertionStatus.ABSENT if _NKA_PATTERN.search(scope) else AssertionStatus.CONDITIONAL
+
+
+def reference_trigger_covers(sentence: str, trigger_m, start: int, end: int, rule) -> bool:
+    """Token distance between the trigger and the mention within the scope."""
+    if rule.scope in ("forward", "bidirectional") and start >= trigger_m.end():
+        if count_tokens(sentence[trigger_m.end() : start]) <= rule.window:
+            return True
+    if rule.scope in ("backward", "bidirectional") and end <= trigger_m.start():
+        if count_tokens(sentence[end : trigger_m.start()]) <= rule.window:
+            return True
+    return False
+
+
+def reference_classify(sentence, start, end, rules, paragraph=None, paragraph_start=None):
+    if not (0 <= start < end <= len(sentence)):
+        raise ValueError("mention span not inside sentence")
+    if re.compile(" *:").match(sentence, end) and any(ch.isupper() for ch in sentence[start:end]):
+        return AssertionStatus.TITLE
+    if paragraph is None:
+        paragraph = sentence
+        paragraph_start = start
+    status = reference_allergy_status(paragraph, paragraph_start)
+    if status is not None:
+        return status
+    lowered = fold_case(sentence)
+    for rule in rules:
+        if rule.trigger not in lowered:
+            continue
+        for m in literal_pattern(rule.trigger).finditer(lowered):
+            if m.start() >= start and m.end() <= end:
+                continue  # trigger inside the mention itself
+            if reference_trigger_covers(sentence, m, start, end, rule):
+                return rule.status
+    return AssertionStatus.PRESENT

@@ -11,8 +11,10 @@ from ehrstruct.assertion import (
     RuleFormatError,
     TriggerRule,
     classify,
+    classify_mentions,
     default_rules,
     load_rules,
+    load_triggers,
     mention_contexts,
 )
 from ehrstruct.preprocess import RawNote, restore_linebreaks, segment, split_paragraphs, split_sentences
@@ -163,6 +165,15 @@ class TestLoadRules:
         assert len(rules) >= 40
         priorities = [r.priority for r in rules]
         assert len(priorities) == len(set(priorities))
+
+    def test_triggers_index_the_default_set_once_and_a_file_on_each_load(self, tmp_path):
+        assert load_triggers() is load_triggers()
+        path = tmp_path / "rules.tsv"
+        path.write_text("zork\tforward\t2\tAbsent\t10\n", encoding="utf-8")
+        assert load_triggers(path) is not load_triggers(path)
+        context = ("zork fever", 5, 10, "zork fever", 5)
+        assert classify_mentions([context], load_triggers(path)) == [AssertionStatus.ABSENT]
+        assert classify_mentions([context], load_triggers()) == [AssertionStatus.PRESENT]
 
 
 @st.composite

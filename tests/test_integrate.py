@@ -1,4 +1,5 @@
 import io
+import json
 import random
 
 import pytest
@@ -187,3 +188,47 @@ class TestSerialization:
 def test_mismatch_ratio_threshold_exact(dropped, total):
     result = NoteResult("n", dropped_attribute_lines=dropped, total_attribute_lines=total)
     assert result.mismatch_ratio == dropped / max(1, total)
+
+
+_hostile_text = st.text(
+    st.sampled_from('"\\/\x00\x01\x1f\x7f\t\n\r\u2028\u2029\ufeff\u00a0\u00e9\U0001f600\U0001d11e'),
+    max_size=12,
+) | st.text(st.characters(codec="utf-8"), max_size=12)  # any code point a str can hold in a UTF-8 file
+_field_values = st.one_of(
+    st.none(), st.just(NOT_APPLICABLE), _hostile_text, st.lists(_hostile_text, max_size=3)
+)
+
+
+@st.composite
+def hostile_entities(draw):
+    start = draw(st.integers(0, 10**6))
+    return StructuredEntity(
+        draw(_hostile_text),
+        draw(_hostile_text),
+        draw(_hostile_text),
+        (start, start + draw(st.integers(0, 10**6))),
+        draw(st.sampled_from(list(SemanticType))),
+        draw(st.sampled_from(["Present", "Absent", "Not_associated_with_the_patient"]) | _hostile_text),
+        *(draw(_field_values) for _ in ATTRIBUTE_KINDS),
+    )
+
+
+@given(st.lists(st.tuples(_hostile_text, st.booleans(), st.lists(hostile_entities(), max_size=3)), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_written_lines_equal_json_dumps_of_the_dicts(notes):
+    results = [NoteResult(note_id, entities, rejected=rejected) for note_id, rejected, entities in notes]
+    flat = io.StringIO()
+    serialize(results, flat)
+    assert flat.getvalue() == "".join(
+        json.dumps(entity_to_dict(e), ensure_ascii=False) + "\n" for r in results for e in r.entities
+    )
+    grouped = io.StringIO()
+    serialize(results, grouped, group_by_note=True)
+    assert grouped.getvalue() == "".join(
+        json.dumps(
+            {"note_id": r.note_id, "rejected": r.rejected, "entities": [entity_to_dict(e) for e in r.entities]},
+            ensure_ascii=False,
+        )
+        + "\n"
+        for r in results
+    )

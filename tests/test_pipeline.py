@@ -5,6 +5,7 @@ import io
 import json
 import re
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -286,3 +287,18 @@ def test_structure_note_on_generated_text(sample_plus_st_johns, text):
     assert segmented == note.text
     for m in pipeline.recognize_note(note, res.index, res.abbreviations):
         assert any(s.start <= m.norm_start and m.norm_end <= s.end for s in sentences)
+
+
+def test_a_long_list_sentence_is_structured_in_under_a_second(lexicon_path, abbrev_path):
+    """One sentence listing 400 sample-lexicon terms (about 5 KB): every
+    mention's sentence work must be a lookup into scans made once per
+    sentence, not a rescan of the whole sentence per mention or per match."""
+    res = pipeline.build_resources(pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path))
+    surfaces = [line.split("\t")[0] for line in Path(lexicon_path).read_text(encoding="utf-8").splitlines()]
+    text = ", ".join(surfaces[i % len(surfaces)] for i in range(400)) + "."
+    pipeline.structure_note(preprocess.RawNote("warm-up", text[:200]), res)
+    started = time.perf_counter()
+    result = pipeline.structure_note(preprocess.RawNote("list", text), res)
+    elapsed = time.perf_counter() - started
+    assert len(result.entities) > 350
+    assert elapsed < 1.0, f"{elapsed:.2f} s"

@@ -1,57 +1,80 @@
-"""The trigger scan of `classify` and the anatomy scan of
-`rule_extract_locations` against the unfiltered scans they replaced: every
-trigger rule and every anatomy surface, each pattern compiled per call."""
+"""The rule path's scans against references.
+
+The trigger scan of `classify` and the anatomy scan of
+`rule_extract_locations` against unfiltered scans (every trigger rule and
+every anatomy surface, each pattern compiled per call); and the scans made
+once per sentence or paragraph against the per-mention scans of
+tests/oracles.py."""
 
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehrstruct.assertion import (
+    AllergyScopes,
     AssertionStatus,
-    _allergy_scope,
-    _NKA_PATTERN,
-    _trigger_covers,
+    SentenceTriggers,
+    TriggerIndex,
+    TriggerRule,
     classify,
+    classify_mentions,
     default_rules,
     load_rules,
 )
 from ehrstruct.attributes import (
     DIRECTION_WORDS,
+    AnatomyIndex,
+    RuleBackend,
+    SentenceLocations,
+    _word_after,
     _word_before,
     load_anatomy_lexicon,
     rule_extract_locations,
+    rule_extract_modifiers,
+    rule_extract_value_unit,
 )
-from ehrstruct.terminology import fold_case
+from ehrstruct.preprocess import count_tokens
+from ehrstruct.terminology import ATTRIBUTE_KINDS, LOCATION, MODIFIER, UNIT, VALUE, ascii_runs, fold_case
+from oracles import (
+    reference_allergy_status,
+    reference_classify,
+    reference_locations,
+    reference_modifiers,
+    reference_trigger_covers,
+    reference_value_unit,
+    reference_word_after,
+    reference_word_before,
+)
 
 RULES = default_rules()
 # The shipped lexicon plus a surface that nests another one ("chest").
 ANATOMY = {**load_anatomy_lexicon(), "chest wall": "chest wall"}
 
 
-def reference_classify(sentence, start, end, rules):
+def unfiltered_classify(sentence, start, end, rules):
     """classify with the sentence as its own paragraph, trying every rule."""
     if not (0 <= start < end <= len(sentence)):
         raise ValueError("mention span not inside sentence")
     if any(ch.isupper() for ch in sentence[start:end]):
         if sentence[end:].lstrip(" ").startswith(":"):
             return AssertionStatus.TITLE
-    scope = _allergy_scope(sentence, start)
-    if scope is not None:
-        return AssertionStatus.ABSENT if _NKA_PATTERN.search(scope) else AssertionStatus.CONDITIONAL
+    status = reference_allergy_status(sentence, start)
+    if status is not None:
+        return status
     lowered = fold_case(sentence)
     for rule in sorted(rules, key=lambda r: r.priority):
         pattern = re.compile(r"(?<![A-Za-z0-9])" + re.escape(rule.trigger) + r"(?![A-Za-z0-9])")
         for m in pattern.finditer(lowered):
             if m.start() >= start and m.end() <= end:
                 continue
-            if _trigger_covers(sentence, m, start, end, rule):
+            if reference_trigger_covers(sentence, m, start, end, rule):
                 return rule.status
     return AssertionStatus.PRESENT
 
 
-def reference_locations(sentence, start, end, anatomy):
+def unfiltered_locations(sentence, start, end, anatomy):
     """rule_extract_locations, running every surface's pattern."""
     lowered = fold_case(sentence)
     found = []
@@ -61,7 +84,7 @@ def reference_locations(sentence, start, end, anatomy):
                 continue
             distance = m.start() - end if m.start() >= end else start - m.end()
             rendered = display
-            direction = _word_before(sentence, m.start())
+            direction = reference_word_before(sentence, m.start())
             if direction and direction.lower() in DIRECTION_WORDS:
                 rendered = f"{direction.lower()} {display}"
             found.append((distance, rendered))
@@ -112,14 +135,14 @@ def sentences_with_spans(draw, pieces=_PIECES):
 @settings(max_examples=400, deadline=None)
 def test_classify_matches_unfiltered_trigger_scan(case):
     sentence, start, end = case
-    assert classify(sentence, start, end, RULES) == reference_classify(sentence, start, end, RULES)
+    assert classify(sentence, start, end, RULES) == unfiltered_classify(sentence, start, end, RULES)
 
 
 @given(sentences_with_spans())
 @settings(max_examples=400, deadline=None)
 def test_locations_match_unfiltered_anatomy_scan(case):
     sentence, start, end = case
-    assert rule_extract_locations(sentence, start, end, ANATOMY) == reference_locations(
+    assert rule_extract_locations(sentence, start, end, ANATOMY) == unfiltered_locations(
         sentence, start, end, ANATOMY
     )
 
@@ -154,13 +177,144 @@ def edge_rules(tmp_path_factory):
 @settings(max_examples=400, deadline=None)
 def test_classify_with_edge_triggers_matches_unfiltered_scan(edge_rules, case):
     sentence, start, end = case
-    assert classify(sentence, start, end, edge_rules) == reference_classify(sentence, start, end, edge_rules)
+    assert classify(sentence, start, end, edge_rules) == unfiltered_classify(sentence, start, end, edge_rules)
 
 
 @given(sentences_with_spans(_EDGE_PIECES))
 @settings(max_examples=400, deadline=None)
 def test_locations_with_edge_surfaces_match_unfiltered_scan(case):
     sentence, start, end = case
-    assert rule_extract_locations(sentence, start, end, EDGE_ANATOMY) == reference_locations(
+    assert rule_extract_locations(sentence, start, end, EDGE_ANATOMY) == unfiltered_locations(
         sentence, start, end, EDGE_ANATOMY
     )
+
+
+# Per-sentence and per-paragraph scans against the per-mention scans they
+# replaced (tests/oracles.py), with every mention of a text asking the one
+# scan of its sentence or paragraph.
+
+_ALLERGY_PIECES = (
+    "allergy", "Allergies", "ALLERGIES", "allergic", "allergyx", "x_allergy", "NKA", "nka", "nkda",
+    "NKDA", "no known allergies", "No known drug allergies", "penicillin", "rash", "hives",
+    "ALLERGIES:", "MEDICATIONS:", "PLAN:", "HPI:", "ALLERGIES AND MEDS:", "Drug allergies:",
+    "A:", "B1 /C:", "pain", "ok", ":", "-", "ſ",
+)
+_ALLERGY_SEPARATORS = (" ", " ", "", "\n", "\n\n", "\n \n", "\n\n\n", ", ", ": ", "\t", "  \n")
+
+
+@st.composite
+def allergy_paragraphs(draw):
+    pieces = draw(
+        st.lists(st.tuples(st.sampled_from(_ALLERGY_PIECES), st.sampled_from(_ALLERGY_SEPARATORS)), max_size=14)
+    )
+    return "".join(piece + sep for piece, sep in pieces)
+
+
+@given(allergy_paragraphs())
+@example("ALLERGIES: penicillin\nNKA\n\nPLAN: rash")
+@example("Allergies\n \nMEDICATIONS: x allergyx allergiesy NKA")
+@example("allergy\n\n  \nPLAN: hives")
+@example("ALLERGIES AND MEDS: rash")
+@settings(max_examples=500, deadline=None)
+def test_allergy_scopes_match_the_per_mention_rescan(paragraph):
+    scopes = AllergyScopes(paragraph)
+    for pos in range(len(paragraph) + 1):
+        assert scopes.status(pos) == reference_allergy_status(paragraph, pos), pos
+
+
+_SCAN_PIECES = sorted(
+    set(_PIECES)
+    | {"12", "3.5", "12,345", "1,23", "0", "٣", "mg", "mmHg", "%", "°C", "cm", "severe", "mild", "acute"}
+    | {"<=", ">=", "<", ">", "≤", "≥", "≤ 4", ">= 10", "no", "denies", "brother", "ALLERGIES"}
+)
+_SCAN_SEPARATORS = _SEPARATORS + ("\u00a0", "\u2003", " \u00a0 ", "\u2003\u2003\u2003", "", ",")
+
+
+@st.composite
+def sentences_with_mentions(draw):
+    """A sentence and several mention spans in it: most are pieces, some
+    arbitrary spans, so they repeat, nest and touch numbers and operators."""
+    words = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_SCAN_PIECES), st.sampled_from(_CASES), st.sampled_from(_SCAN_SEPARATORS)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    spans = []
+    sentence = ""
+    for piece, case, sep in words:
+        spans.append((len(sentence), len(sentence) + len(piece)))
+        sentence += case(piece) + sep
+    mentions = draw(st.lists(st.sampled_from(spans), min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(sentence) - 1))
+        mentions.append((start, draw(st.integers(start + 1, len(sentence)))))
+    return sentence, mentions
+
+
+# "chest wall" ahead of "chest" in table order, so scan order and position
+# order disagree where both match
+SCAN_ANATOMY = AnatomyIndex({"chest wall": "chest wall", **EDGE_ANATOMY})
+ALL_KINDS = [frozenset(ATTRIBUTE_KINDS)]
+
+
+@given(sentences_with_mentions())
+@example(("left chest, chest wall, right chest 12,345 mg", [(0, 4), (36, 38), (37, 40)]))
+@example(("painful a b c d resolved", [(0, 4)]))  # a backward gap that starts mid-word
+@settings(max_examples=400, deadline=None)
+def test_one_sentence_scan_answers_every_mention_as_the_per_mention_scans(case):
+    sentence, mentions = case
+    backend = RuleBackend()
+    backend.anatomy = SCAN_ANATOMY
+    records, _, _ = backend.annotate(None, None, None, [(sentence, s, e) for s, e in mentions], ALL_KINDS * len(mentions))
+    locations = SentenceLocations(sentence, SCAN_ANATOMY)
+    for (s, e), record in zip(mentions, records):
+        expected_locations = reference_locations(sentence, s, e, SCAN_ANATOMY)
+        assert locations.nearest(s, e) == expected_locations
+        assert rule_extract_locations(sentence, s, e, SCAN_ANATOMY) == expected_locations
+        assert record[LOCATION] == (expected_locations or None)
+        value_unit = reference_value_unit(sentence, s, e, backend.units)
+        assert rule_extract_value_unit(sentence, s, e, backend.units) == value_unit
+        assert (record[VALUE], record[UNIT]) == value_unit
+        modifiers = reference_modifiers(sentence, s, e, backend.modifier_words)
+        assert rule_extract_modifiers(sentence, s, e, backend.modifier_words) == modifiers
+        assert record[MODIFIER] == (modifiers or None)
+    contexts = [(sentence, s, e, sentence, s) for s, e in mentions]
+    for rules in (RULES, sorted(RULES, key=lambda r: r.trigger)):
+        expected = [reference_classify(sentence, s, e, rules) for s, e in mentions]
+        assert classify_mentions(contexts, rules) == expected
+        assert [classify(sentence, s, e, rules) for s, e in mentions] == expected
+
+
+@given(st.text(st.sampled_from("ab Z1-\t\n\u00a0\u2003\u2028é"), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_adjacent_words_match_the_slicing_scans(sentence):
+    for pos in range(len(sentence) + 2):
+        assert _word_before(sentence, pos) == reference_word_before(sentence, pos)
+        assert _word_after(sentence, pos) == reference_word_after(sentence, pos)
+
+
+@given(st.text(st.sampled_from("ab Z1-.\t é"), max_size=14))
+@settings(max_examples=300, deadline=None)
+def test_token_counts_from_token_starts_match_count_tokens(sentence):
+    triggers = SentenceTriggers(sentence, TriggerIndex([]))
+    for a in range(len(sentence) + 1):
+        for b in range(a, len(sentence) + 1):
+            assert triggers._tokens(a, b) == count_tokens(sentence[a:b])
+
+
+@pytest.mark.parametrize(
+    "scope, sentence, start, end",
+    [("forward", "ab -x", 3, 5), ("backward", "x- ab", 0, 2), ("bidirectional", "(-) y", 0, 3)],
+)
+def test_an_empty_trigger_at_the_mention_edge_is_inside_it(scope, sentence, start, end):
+    rules = [TriggerRule("", scope, 1, AssertionStatus.ABSENT, 10)]
+    expected = reference_classify(sentence, start, end, rules)
+    assert classify(sentence, start, end, rules) == expected == AssertionStatus.PRESENT
+
+
+@given(st.text(st.sampled_from("az09AZ _-éİ\u212a\u00a0\U0001d7ce\udc80")))
+@example("x\udc80y")  # a lone surrogate
+def test_ascii_runs_are_the_regex_runs(text):
+    assert ascii_runs(text) == [run.encode() for run in re.findall(r"[a-z0-9]+", text)]
