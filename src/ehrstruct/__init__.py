@@ -1,7 +1,7 @@
 """Clinical note structurization: lexicon matching, assertion rules,
 attribute backends, integration, and evaluation."""
 
-from .assertion import AssertionStatus, TriggerRule, classify, load_rules
+from .assertion import AssertionStatus, TriggerRule, classify, load_rules, load_triggers
 from .attributes import LlmBackend, RuleBackend
 from .evaluate import EvalReport, evaluate, phrase_f1
 from .integrate import NoteResult, StructuredEntity, align, assemble

@@ -10,9 +10,9 @@ pattern negates the whole block).
 (`mention_contexts`). It scans each sentence once for its trigger matches
 (`SentenceTriggers`) and each paragraph once for its allergy scopes
 (`AllergyScopes`), and each mention looks its status up in those tables by
-bisection; `classify` does the same for a single mention. A `TriggerIndex`
-keys the rules by the leading ASCII run of their trigger
-(`terminology.LiteralIndex`), so a sentence runs the patterns, compiled once
+bisection; `classify` does the same for a single mention. The rules are
+keyed by the leading ASCII run of their trigger (`terminology.LiteralIndex`,
+built by `load_triggers`), so a sentence runs the patterns, compiled once
 per trigger, of only the rules its words can start.
 """
 
@@ -139,11 +139,9 @@ def default_rules() -> list[TriggerRule]:
     ]
 
 
-def load_rules(path=None) -> list[TriggerRule]:
-    """Load trigger rules from TSV (trigger, scope, window, status, priority);
-    None selects the built-in default set. Lower priority number wins."""
-    if path is None:
-        return default_rules()
+def load_rules(path) -> list[TriggerRule]:
+    """Load trigger rules from TSV (trigger, scope, window, status, priority).
+    Lower priority number wins."""
     path = Path(path)
     rules: list[TriggerRule] = []
     priorities: set[int] = set()
@@ -178,7 +176,6 @@ def load_rules(path=None) -> list[TriggerRule]:
 _ALLERGY_TOKEN = re.compile(r"\ballerg(?:y|ies)\b", re.IGNORECASE)
 _NKA_PATTERN = re.compile(r"no known (?:drug )?allergies|nkda|nka\b", re.IGNORECASE)
 _BLANK = re.compile(r"(?=\n\n)")
-_HEADER_AT = re.compile(r"\s*[A-Z][A-Z0-9 /&'-]*:")  # SECTION_HEADER without its line anchor
 
 
 class AllergyScopes:
@@ -187,11 +184,14 @@ class AllergyScopes:
     A mention's scope opens at the last allergy token before it and closes at
     the next blank line or at the next section header that is not an allergy
     header; a blank line or such a header between the token and the mention
-    leaves the mention out of scope. The paragraph's tokens, blank lines,
-    non-allergy headers and no-known-allergies phrases are each found once,
-    and a mention looks them up by bisection. A header is also known by the
-    last line start before its first letter (`header_lines`): a scan for
-    headers that begins at or before that line start meets the header.
+    leaves the mention out of scope. An allergy header holds an allergy token
+    (`ALLERGIES:`, `DRUG ALLERGIES AND INTOLERANCES:`), so only a header whose
+    line starts after the token can close its scope. The paragraph's tokens,
+    blank lines, non-allergy headers and no-known-allergies phrases are each
+    found once, and a mention looks them up by bisection. A header is also
+    known by the last line start before its first letter (`header_lines`): a
+    scan for headers that begins at or before that line start meets the
+    header.
     """
 
     def __init__(self, paragraph: str):
@@ -236,9 +236,6 @@ class AllergyScopes:
         i = bisect_left(self.blanks, open_end)
         if i < len(self.blanks) and self.blanks[i] + 2 <= pos:
             return None  # a blank line between the token and the mention
-        header = _HEADER_AT.match(self.paragraph, open_end, pos)
-        if header and not _ALLERGY_TOKEN.search(header.group()):
-            return None  # the token's own line goes on as another header
         j = bisect_right(self.header_lines, open_end)
         if j < len(self.header_ends) and self.header_ends[j] <= pos:
             return None  # another section header between
@@ -261,24 +258,18 @@ class AllergyScopes:
 _TOKEN_CHARS = frozenset(string.ascii_letters + string.digits)
 
 
-class TriggerIndex(LiteralIndex):
-    """Trigger rules in priority order, indexed by trigger (see
-    `terminology.LiteralIndex`) so a sentence runs the patterns of only the
-    rules its words can start."""
-
-    def __init__(self, rules: list[TriggerRule]):
-        super().__init__((rule.trigger, rule) for rule in rules)
-
-
 @functools.cache
-def _default_triggers() -> TriggerIndex:
-    return TriggerIndex(default_rules())
+def _default_triggers() -> LiteralIndex:
+    return LiteralIndex((rule.trigger, rule) for rule in default_rules())
 
 
-def load_triggers(path=None) -> TriggerIndex:
-    """The rules of load_rules(path), indexed. The built-in default set is
-    indexed once per process and shared: an index is never changed."""
-    return _default_triggers() if path is None else TriggerIndex(load_rules(path))
+def load_triggers(path=None) -> LiteralIndex:
+    """The rules of load_rules(path), in priority order, indexed by trigger;
+    None selects the built-in default set, which is indexed once per process
+    and shared: an index is never changed."""
+    if path is None:
+        return _default_triggers()
+    return LiteralIndex((rule.trigger, rule) for rule in load_rules(path))
 
 
 class SentenceTriggers:
@@ -293,7 +284,7 @@ class SentenceTriggers:
     longer than the window.
     """
 
-    def __init__(self, sentence: str, triggers: TriggerIndex):
+    def __init__(self, sentence: str, triggers: LiteralIndex):
         self.sentence = sentence
         lowered = fold_case(sentence)
         self.matches = []  # (rule, starts, ends)
@@ -338,17 +329,15 @@ class SentenceTriggers:
 _COLON_AFTER = re.compile(" *:")
 
 
-def classify_mentions(contexts, rules: TriggerIndex | list[TriggerRule]) -> list[AssertionStatus]:
+def classify_mentions(contexts, triggers: LiteralIndex) -> list[AssertionStatus]:
     """Classify each mention of (sentence, start, end, paragraph,
     paragraph_start) contexts, as `mention_contexts` returns them.
 
     Order: Title rule, allergy rule, first matching trigger, default Present.
-    rules, or the rules of a TriggerIndex, must be in ascending priority
-    order, as load_rules and default_rules return them; a list is indexed for
-    this call. Consecutive mentions of one sentence share its trigger
+    triggers holds the rules in the order they are tried, as `load_triggers`
+    indexes them. Consecutive mentions of one sentence share its trigger
     matches, and of one paragraph its allergy scopes.
     """
-    triggers = rules if isinstance(rules, TriggerIndex) else TriggerIndex(rules)
     statuses = []
     sentence = paragraph = sentence_triggers = scopes = None
     for sent, start, end, par, par_start in contexts:
@@ -373,7 +362,7 @@ def classify(
     sentence: str,
     start: int,
     end: int,
-    rules: TriggerIndex | list[TriggerRule],
+    triggers: LiteralIndex,
     paragraph: str | None = None,
     paragraph_start: int | None = None,
 ) -> AssertionStatus:
@@ -385,7 +374,7 @@ def classify(
     if paragraph is None:
         paragraph = sentence
         paragraph_start = start
-    return classify_mentions([(sentence, start, end, paragraph, paragraph_start)], rules)[0]
+    return classify_mentions([(sentence, start, end, paragraph, paragraph_start)], triggers)[0]
 
 
 def mention_contexts(note_text: str, segmentation, mentions) -> list[tuple[str, int, int, str, int]]:

@@ -13,15 +13,15 @@ for all the mentions in it: the anatomy matches with their direction-word
 display (`SentenceLocations`, which runs the patterns of only the surfaces
 whose leading run the sentence holds) and the positions where a value can
 start. Each mention then bisects those tables, and its modifiers are the
-words next to it, at most two whitespace characters away. The
-`rule_extract_*` functions are the same scans for a single mention. The LLM
-backend packs the segmentation into chunks under its token budget, marks
-each chunk's mentions with double curly braces and renders one prompt per
-attribute kind over the mentions that kind applies to. It sends all of a
-note's prompts at once (`ChatClient.complete_all`), then parses the answers
-and aligns the echoed entity lines back to mention order on the calling
-thread, in prompt order, so output and warnings do not depend on the order
-answers arrive in.
+words next to it, at most two whitespace characters away. The anatomy
+surfaces, like the assertion triggers, are keyed by their leading ASCII run
+(`terminology.LiteralIndex`). The LLM backend packs the segmentation into
+chunks under its token budget, marks each chunk's mentions with double curly
+braces and renders one prompt per attribute kind over the mentions that kind
+applies to. It sends all of a note's prompts at once
+(`ChatClient.complete_all`), then parses the answers and aligns the echoed
+entity lines back to mention order on the calling thread, in prompt order, so
+output and warnings do not depend on the order answers arrive in.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def _data_text(name: str) -> str:
 
 @functools.cache
 def _anatomy_rows() -> tuple[tuple[str, str], ...]:
+    """(surface, display form) rows; a line without a TAB maps a surface to
+    itself."""
     mapping: dict[str, str] = {}
     for line in _data_text("anatomy.txt").splitlines():
         line = line.strip()
@@ -80,19 +82,6 @@ def _anatomy_rows() -> tuple[tuple[str, str], ...]:
 @functools.cache
 def _word_list(name: str) -> frozenset[str]:
     return frozenset(w for w in _data_text(name).lower().split() if w)
-
-
-def load_anatomy_lexicon() -> dict[str, str]:
-    """surface -> display-form mapping; lines without a TAB map to themselves."""
-    return dict(_anatomy_rows())
-
-
-def default_units() -> set[str]:
-    return set(_word_list("units.txt"))
-
-
-def default_modifier_words() -> set[str]:
-    return set(_word_list("modifiers.txt"))
 
 
 DIRECTION_WORDS = {"left", "right", "bilateral", "upper", "lower"}
@@ -128,13 +117,6 @@ def _value_unit(sentence: str, value_starts: list[int], end: int, units) -> tupl
     return value, unit
 
 
-def rule_extract_value_unit(sentence: str, start: int, end: int, units: set[str] | None = None):
-    """Nearest numeric token after the mention in the sentence, with its unit
-    when the following token is in the unit lexicon. Never a unit alone."""
-    units = units if units is not None else _word_list("units.txt")
-    return _value_unit(sentence, _value_starts(sentence), end, units)
-
-
 _ASCII_LETTERS = frozenset(string.ascii_letters)
 _FIRST_WORD = re.compile(r"[A-Za-z]+")
 
@@ -165,17 +147,9 @@ def _word_after(sentence: str, pos: int) -> str | None:
     return m.group() if m else None
 
 
-class AnatomyIndex(LiteralIndex):
-    """Anatomy surfaces, with their display forms, indexed for the location
-    scan (see `LiteralIndex`)."""
-
-    def __init__(self, anatomy: dict[str, str]):
-        super().__init__(anatomy.items())
-
-
 @functools.cache
-def _default_anatomy() -> AnatomyIndex:
-    return AnatomyIndex(load_anatomy_lexicon())
+def _default_anatomy() -> LiteralIndex:
+    return LiteralIndex(_anatomy_rows())
 
 
 def _with_next(rows: list[tuple]) -> list[tuple]:
@@ -204,7 +178,7 @@ class SentenceLocations:
     without walking over repeats of the first.
     """
 
-    def __init__(self, sentence: str, anatomy: AnatomyIndex):
+    def __init__(self, sentence: str, anatomy: LiteralIndex):
         lowered = fold_case(sentence)
         found = []  # (start, end, scan order, render)
         for pattern, display in anatomy.candidates(lowered):
@@ -251,22 +225,6 @@ class SentenceLocations:
             if len(out) == 2:
                 return out
             skip = row[3]
-
-
-def rule_extract_locations(
-    sentence: str, start: int, end: int, anatomy: AnatomyIndex | dict[str, str] | None = None
-) -> list[str]:
-    """Anatomy-lexicon matches in the sentence, nearest first, at most two.
-
-    anatomy is an AnatomyIndex, or a surface -> display mapping to index for
-    this call; None selects the shipped lexicon. Adjacent direction words
-    (left/right/bilateral/upper/lower) are prefixed onto the display form.
-    """
-    if anatomy is None:
-        anatomy = _default_anatomy()
-    elif not isinstance(anatomy, AnatomyIndex):
-        anatomy = AnatomyIndex(anatomy)
-    return SentenceLocations(sentence, anatomy).nearest(start, end)
 
 
 def rule_extract_modifiers(

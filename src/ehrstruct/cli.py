@@ -42,20 +42,10 @@ def _error(exc) -> int:
 
 def _config_from_args(args) -> PipelineConfig:
     cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
-    for attr in (
-        "lexicon",
-        "backend",
-        "max_tokens",
-        "mismatch_threshold",
-        "workers",
-        "assertion_rules",
-        "transcript",
-        "abbreviations",
-        "applicability",
-    ):
-        value = getattr(args, attr, None)
+    for field in dataclasses.fields(PipelineConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, field.name, value)
     return cfg
 
 
@@ -173,13 +163,22 @@ def cmd_recognize(args) -> int:
     return 0
 
 
-def _add_common(parser, lexicon=True, max_tokens=True):
+def _add_common(parser, lexicon=True, max_tokens=True, run=False):
     parser.add_argument("--config", help="plain-text key = value configuration file")
     if lexicon:
         parser.add_argument("--lexicon", help="lexicon TSV (surface, concept_id, semantic_type)")
         parser.add_argument("--abbreviations", help="abbreviation table TSV")
     if max_tokens:
         parser.add_argument("--max-tokens", type=int, dest="max_tokens", help="chunk token budget")
+    if run:  # the settings of a whole-pipeline run
+        parser.add_argument("--backend", choices=["rule", "llm", "replay"])
+        parser.add_argument(
+            "--transcript", help="transcript JSONL: written by --backend llm, read by --backend replay"
+        )
+        parser.add_argument("--assertion-rules", dest="assertion_rules", help="trigger rule TSV")
+        parser.add_argument("--applicability", help="applicability override config")
+        parser.add_argument("--mismatch-threshold", type=float, dest="mismatch_threshold")
+        parser.add_argument("--workers", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,17 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("structure", help="run the full pipeline over notes JSONL")
-    _add_common(p)
+    _add_common(p, run=True)
     p.add_argument("input", help="notes JSONL ('-' for stdin)")
     p.add_argument("output", help="entities JSONL ('-' for stdout)")
-    p.add_argument("--backend", choices=["rule", "llm", "replay"])
-    p.add_argument(
-        "--transcript", help="transcript JSONL: written by --backend llm, read by --backend replay"
-    )
-    p.add_argument("--assertion-rules", dest="assertion_rules", help="trigger rule TSV")
-    p.add_argument("--applicability", help="applicability override config")
-    p.add_argument("--mismatch-threshold", type=float, dest="mismatch_threshold")
-    p.add_argument("--workers", type=int)
     p.add_argument("--rejections", help="write the rejection report JSONL here")
     p.add_argument("--group-by-note", action="store_true")
     p.set_defaults(func=cmd_structure)
@@ -215,13 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("validate-config", help="validate config and print resolved settings")
-    _add_common(p)
-    p.add_argument("--backend", choices=["rule", "llm", "replay"])
-    p.add_argument("--transcript")
-    p.add_argument("--assertion-rules", dest="assertion_rules")
-    p.add_argument("--applicability")
-    p.add_argument("--mismatch-threshold", type=float, dest="mismatch_threshold")
-    p.add_argument("--workers", type=int)
+    _add_common(p, run=True)
     p.set_defaults(func=cmd_validate_config)
 
     p = sub.add_parser("preprocess", help="normalize and chunk notes")

@@ -39,7 +39,7 @@ from .llm_client import (
 )
 from .preprocess import RawNote, restore_linebreaks, segment
 from .recognition import recognize_note
-from .terminology import AbbreviationTable, ApplicabilityTable, TermIndex, load_lexicon
+from .terminology import AbbreviationTable, ApplicabilityTable, LiteralIndex, TermIndex, load_lexicon
 
 log = logging.getLogger(__name__)
 
@@ -147,7 +147,7 @@ class PipelineResources:
 
     index: object
     abbreviations: AbbreviationTable
-    rules: assertion_mod.TriggerIndex | list
+    rules: LiteralIndex
     applicability: ApplicabilityTable
     backend: object
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD

@@ -3,9 +3,9 @@
 import re
 
 from ehrstruct.assertion import _ALLERGY_TOKEN, _NKA_PATTERN, AssertionStatus
-from ehrstruct.attributes import _UNIT_TOKEN, _VALUE_PATTERN, DIRECTION_WORDS, AnatomyIndex
+from ehrstruct.attributes import _UNIT_TOKEN, _VALUE_PATTERN, DIRECTION_WORDS
 from ehrstruct.preprocess import _SENT_SPLIT, SECTION_HEADER, count_tokens
-from ehrstruct.terminology import fold_case, literal_pattern
+from ehrstruct.terminology import LiteralIndex, fold_case, literal_pattern
 
 
 def word_start(text: str, i: int) -> bool:
@@ -98,7 +98,7 @@ def reference_value_unit(sentence: str, start: int, end: int, units) -> tuple:
     return value, unit
 
 
-def reference_locations(sentence: str, start: int, end: int, anatomy: AnatomyIndex) -> list[str]:
+def reference_locations(sentence: str, start: int, end: int, anatomy: LiteralIndex) -> list[str]:
     lowered = fold_case(sentence)
     found: list[tuple[int, str]] = []  # (distance, display)
     for pattern, display in anatomy.candidates(lowered):
@@ -141,10 +141,10 @@ def reference_allergy_scope(paragraph: str, mention_start: int) -> str | None:
         best_open = m
     if best_open is None:
         return None
-    between = paragraph[best_open.end() : mention_start]
-    if "\n\n" in between:
+    if "\n\n" in paragraph[best_open.end() : mention_start]:
         return None
-    for header in SECTION_HEADER.finditer(between):
+    # not in the slice: there "^" would match at the slice start, mid-line
+    for header in SECTION_HEADER.finditer(paragraph, best_open.end(), mention_start):
         if not _ALLERGY_TOKEN.search(header.group(0)):
             return None
     scope_end = len(paragraph)

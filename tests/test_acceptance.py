@@ -8,7 +8,7 @@ import threading
 import time
 from pathlib import Path
 
-from ehrstruct.assertion import AssertionStatus, classify, default_rules
+from ehrstruct.assertion import AssertionStatus, classify, load_triggers
 from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
 from ehrstruct.evaluate import evaluate, match_phrases, phrase_f1
@@ -77,7 +77,7 @@ def test_criterion_1_fmm_oracle_equivalence():
 
 
 def test_criterion_2_assertion_case_fixtures():
-    rules = default_rules()
+    rules = load_triggers()
     results = []
 
     text = "concerning for partial small bowel obstruction and/or ileus"
@@ -109,7 +109,7 @@ def _case_resources(transcript):
     return PipelineResources(
         index=TermIndex(entries),
         abbreviations=AbbreviationTable(),
-        rules=default_rules(),
+        rules=load_triggers(),
         applicability=ApplicabilityTable(),
         backend=LlmBackend(client, max_tokens=800),
     )

@@ -22,7 +22,7 @@ from ehrstruct.preprocess import RawNote, restore_linebreaks, segment, split_par
 
 @pytest.fixture(scope="module")
 def rules():
-    return default_rules()
+    return load_triggers()
 
 
 def classify_in(text, phrase, rules, paragraph=None):
@@ -128,6 +128,15 @@ class TestPrecedence:
         got = classify(sentence, s_start, s_start + len("aspirin"), rules,
                        paragraph=paragraph, paragraph_start=start)
         assert got is AssertionStatus.PRESENT
+
+    @pytest.mark.parametrize(
+        "text, phrase",
+        [("ALLERGIES AND MEDS: rash", "rash"), ("DRUG ALLERGIES AND INTOLERANCES: hives", "hives")],
+    )
+    def test_allergy_header_that_goes_on_after_the_token_keeps_the_scope(self, rules, text, phrase):
+        # the header holding the token is an allergy header, as "ALLERGIES:" is
+        assert classify_in(text, phrase, rules) is AssertionStatus.CONDITIONAL
+        assert classify_in("ALLERGIES: rash", "rash", rules) is AssertionStatus.CONDITIONAL
 
     def test_nkda_absent(self, rules):
         text = "Allergies: NKDA penicillin listed historically"

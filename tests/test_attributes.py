@@ -7,27 +7,27 @@ from ehrstruct.attributes import (
     BackendError,
     LlmBackend,
     RuleBackend,
+    SentenceLocations,
     annotate_note,
-    default_modifier_words,
-    default_units,
     llm_extract,
     llm_prompt,
-    load_anatomy_lexicon,
     mark_mentions,
     parse_response_lines,
     render_prompt,
-    rule_extract_locations,
     rule_extract_modifiers,
-    rule_extract_value_unit,
 )
 from ehrstruct.llm_client import ChatClient, EndpointConfig, Transcript
 from ehrstruct.preprocess import Chunk, NormalizedNote, count_tokens, segment
 from ehrstruct.recognition import Mention
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
+    LOCATION,
+    MODIFIER,
     NOT_APPLICABLE,
     PURPOSE,
     REPORTABLE_TYPES,
+    UNIT,
+    VALUE,
     ApplicabilityTable,
     SemanticType,
 )
@@ -52,38 +52,53 @@ def note_for(text, note_id="n"):
     return NormalizedNote(note_id, text, list(range(len(text))))
 
 
+def rule_record(text, start, end):
+    """RuleBackend's record, every kind asked, for the mention text[start:end]."""
+    records, _, _ = RuleBackend().annotate(None, None, None, [(text, start, end)], [ATTRIBUTE_KINDS])
+    return records[0]
+
+
+def value_unit(text, start, end):
+    record = rule_record(text, start, end)
+    return record[VALUE], record[UNIT]
+
+
+def locations(text, start, end):
+    return SentenceLocations(text, RuleBackend().anatomy).nearest(start, end)
+
+
 class TestValueUnit:
     def test_parenthesized_value_no_unit(self):
         text = "resultant high fever (105)"
         m = text.index("fever")
-        value, unit = rule_extract_value_unit(text, m, m + 5)
+        value, unit = value_unit(text, m, m + 5)
         assert (value, unit) == ("105", None)
 
     def test_dose_with_unit(self):
         text = "Lisinopril 10 mg daily"
-        value, unit = rule_extract_value_unit(text, 0, len("Lisinopril"))
+        value, unit = value_unit(text, 0, len("Lisinopril"))
         assert (value, unit) == ("10", "mg")
 
     def test_no_numeral(self):
         text = "no acute distress"
         s = text.index("acute distress")
-        assert rule_extract_value_unit(text, s, s + 14) == (None, None)
+        assert value_unit(text, s, s + 14) == (None, None)
 
     def test_comparator_kept(self):
         text = "a1c < 7 % goal"
-        value, unit = rule_extract_value_unit(text, 0, 3)
+        value, unit = value_unit(text, 0, 3)
         assert value == "<7"
         assert unit == "%"
 
     def test_number_before_mention_ignored(self):
         text = "10 mg of aspirin"
         s = text.index("aspirin")
-        assert rule_extract_value_unit(text, s, s + 7) == (None, None)
+        assert value_unit(text, s, s + 7) == (None, None)
 
     def test_never_unit_without_value(self):
         for text, phrase in [("fever mg", "fever"), ("bp stable", "bp")]:
             s = text.index(phrase)
-            value, unit = rule_extract_value_unit(text, s, s + len(phrase))
+            value, unit = value_unit(text, s, s + len(phrase))
             assert not (value is None and unit is not None)
 
 
@@ -91,33 +106,33 @@ class TestLocations:
     def test_abbreviated_lobe(self):
         text = "aspirated to the LLL with resultant hypoxemia"
         s = text.index("hypoxemia")
-        got = rule_extract_locations(text, s, s + len("hypoxemia"))
+        got = locations(text, s, s + len("hypoxemia"))
         assert got == ["Left Lower Lobe"]
 
     def test_no_anatomy_in_sentence(self):
         text = "edema noted"
-        assert rule_extract_locations(text, 0, 5) == []
+        assert locations(text, 0, 5) == []
 
     def test_direction_prefix(self):
         text = "pain in left knee"
-        got = rule_extract_locations(text, 0, 4)
+        got = locations(text, 0, 4)
         assert got == ["left knee"]
 
     def test_direction_after_lengthening_lowercase(self):
         text = "İİİİ pain in left knee"
         s = text.index("pain")
-        assert rule_extract_locations(text, s, s + 4) == ["left knee"]
+        assert locations(text, s, s + 4) == ["left knee"]
 
     def test_at_most_two_nearest_first(self):
         text = "pain radiating to chest, arm, and knee"
-        got = rule_extract_locations(text, 0, 4)
+        got = locations(text, 0, 4)
         assert len(got) == 2
         assert got[0] == "chest"
 
     def test_overlap_with_mention_excluded(self):
         text = "chest pain reported"
         s = text.index("chest pain")
-        got = rule_extract_locations(text, s, s + len("chest pain"))
+        got = locations(text, s, s + len("chest pain"))
         assert "chest" not in got
 
 
@@ -399,19 +414,15 @@ def test_prompt_templates_read_once(monkeypatch):
     assert sorted(reads) == ["prompt_generic.txt", "prompt_location.txt"]
 
 
-def rule_answers(text, start, end, *tables):
-    units, anatomy, words = tables or (None, None, None)
-    return (
-        rule_extract_value_unit(text, start, end, units),
-        rule_extract_locations(text, start, end, anatomy),
-        rule_extract_modifiers(text, start, end, words),
-    )
+def rule_answers(text, start, end):
+    record = rule_record(text, start, end)
+    return (record[VALUE], record[UNIT]), record[LOCATION], record[MODIFIER]
 
 
 def test_rule_tables_read_once(monkeypatch):
     text = "Severe pain in left knee, 5 mg daily."
     s = text.index("pain")
-    expected = rule_answers(text, s, s + 4, default_units(), load_anatomy_lexicon(), default_modifier_words())
+    expected = rule_answers(text, s, s + 4)
     assert expected == (("5", "mg"), ["left knee"], ["Severe"])
     reads = []
     read = attributes._data_text
@@ -424,18 +435,7 @@ def test_rule_tables_read_once(monkeypatch):
     assert sorted(reads) == ["anatomy.txt", "modifiers.txt", "units.txt"]
 
 
-def test_rule_tables_are_not_shared():
-    load_anatomy_lexicon().clear()
-    default_units().clear()
-    default_modifier_words().clear()
-    assert load_anatomy_lexicon()["knee"] == "knee"
-    assert "mg" in default_units()
-    assert "severe" in default_modifier_words()
-    text = "Severe pain in left knee, 5 mg daily."
-    assert rule_answers(text, 7, 11) == (("5", "mg"), ["left knee"], ["Severe"])
-
-
 def test_anatomy_lexicon_has_display_mapping():
-    anatomy = load_anatomy_lexicon()
+    anatomy = dict(attributes._anatomy_rows())
     assert anatomy["lll"] == "Left Lower Lobe"
     assert anatomy["knee"] == "knee"

@@ -122,12 +122,29 @@ class TestLiveMode:
 
 class TestCompleteAll:
     def test_answers_in_prompt_order_when_they_arrive_out_of_order(self, stub_server):
-        stub_server.reply = lambda prompt: f"echo:{prompt}"
-        stub_server.delay = lambda prompt: 0.05 if int(prompt[1:]) % 2 == 0 else 0.0
+        answered = []  # prompts in the order the stub answers them
+
+        def reply(prompt):
+            answered.append(prompt)
+            return f"echo:{prompt}"
+
+        def hold_even(prompt):
+            # an even prompt waits until four calls have been in flight at
+            # once and the odd prompt after it has been answered
+            i = int(prompt[1:])
+            deadline = time.monotonic() + 10
+            while i % 2 == 0 and time.monotonic() < deadline:
+                if stub_server.max_observed_in_flight == 4 and f"p{i + 1}" in answered:
+                    break
+                time.sleep(0.001)
+            return 0.0
+
+        stub_server.reply = reply
+        stub_server.delay = hold_even
         client = make_client(stub_server, max_in_flight=4)
         prompts = [f"p{i}" for i in range(10)]
         assert client.complete_all(prompts) == [f"echo:{p}" for p in prompts]
-        assert stub_server.prompts != prompts  # the odd prompts overtook the even ones
+        assert answered != prompts  # the odd prompts overtook the even ones
         assert stub_server.max_observed_in_flight == 4
 
     def test_first_failure_in_prompt_order_is_raised(self, stub_server):

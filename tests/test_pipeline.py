@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import random
 import re
 import sys
 import time
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from ehrstruct import integrate, pipeline, preprocess
 from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
+from ehrstruct.terminology import ATTRIBUTE_KINDS, ApplicabilityTable, SemanticType
+from oracles import brute_force_recognize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NOTES = FIXTURES / "sample_notes.jsonl"
@@ -85,6 +88,15 @@ def test_output_does_not_depend_on_chunks_workers_or_order_on_generated_notes(
     assert structure(notes[::-1]) == expected
 
 
+def evaluate_json(tmp_path, abbrev_path, gold, pred) -> dict:
+    """`ehrstruct evaluate --json` of pred against the gold records."""
+    gold_path, report_path = tmp_path / "gold.jsonl", tmp_path / "report.json"
+    gold_path.write_text("".join(json.dumps(g, ensure_ascii=False) + "\n" for g in gold), encoding="utf-8")
+    args = ["evaluate", "--abbreviations", abbrev_path, "--json", str(report_path)]
+    assert main([*args, str(gold_path), str(pred)]) == 0
+    return json.loads(report_path.read_text())
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_structure_recovers_planted_gold(corpus, tmp_path, lexicon_path, abbrev_path, seed):
     lexicon = corpus.sample_lexicon(Path(lexicon_path).parent)
@@ -111,21 +123,134 @@ def test_structure_recovers_planted_gold(corpus, tmp_path, lexicon_path, abbrev_
         for g in n.gold
     ]
 
-    def score(gold):
-        gold_path, report_path = tmp_path / "gold.jsonl", tmp_path / "report.json"
-        gold_path.write_text("".join(json.dumps(g) + "\n" for g in gold))
-        args = ["evaluate", "--abbreviations", abbrev_path, "--json", str(report_path)]
-        assert main([*args, str(gold_path), str(pred)]) == 0
-        return json.loads(report_path.read_text())
-
-    report = score(gold)
+    report = evaluate_json(tmp_path, abbrev_path, gold, pred)
     n = len(gold)
     assert n > 100
     assert report["phrase"] == {"tp": n, "fp": 0, "fn": 0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
     assert report["attributes"]["status"] == {"correct": n, "total": n, "accuracy": 1.0}
     # the check can fail: one flipped gold status shows in the score
     gold[n // 2]["assertion_status"] = "Present" if gold[n // 2]["assertion_status"] != "Present" else "Absent"
-    assert score(gold)["attributes"]["status"] == {"correct": n - 1, "total": n, "accuracy": (n - 1) / n}
+    flipped = evaluate_json(tmp_path, abbrev_path, gold, pred)
+    assert flipped["attributes"]["status"] == {"correct": n - 1, "total": n, "accuracy": (n - 1) / n}
+
+
+def _data_rows(path: Path) -> list[list[str]]:
+    """The TAB-separated fields of each line of a data file, '#' comments
+    dropped."""
+    lines = (line.split("#", 1)[0].strip() for line in path.read_text(encoding="utf-8").splitlines())
+    return [[field.strip() for field in line.split("\t")] for line in lines if line]
+
+
+def _whole_tokens(surface: str, text: str) -> list[tuple[int, int]]:
+    pattern = r"(?<![a-z0-9])" + re.escape(surface) + r"(?![a-z0-9])"
+    return [m.span() for m in re.finditer(pattern, text.lower())]
+
+
+# Each sentence holds one term, a modifier next to it, a value with a unit
+# after it and an anatomy surface ({loc}) before or after it.
+_TEMPLATES = (
+    "Noted {mod} {term} {value} {unit} in the {loc}.",
+    "Noted {term} {mod} {value} {unit} in the {loc}.",
+    "In the {loc}, {mod} {term} {value} {unit}.",
+)
+_VALUES = ("12", "3.5", "1,200", "0", "<= 7", ">10", "\u2265 4")
+_DIRECTIONS = ("left", "right", "bilateral", "upper", "lower")
+
+
+def planted_attribute_notes(seed, lexicon_path, abbrev_path, notes=30, per_note=6):
+    """Notes made of sentences that each plant, next to one sample-lexicon
+    term, a modifier from modifiers.txt, a value with a unit from units.txt
+    and an anatomy surface from anatomy.txt with or without a direction word;
+    and the gold records of those terms, from the construction.
+
+    The data files are read here as text. A draw is taken again when the
+    recognition oracle finds anything in its sentence but the term, or when
+    an anatomy surface other than the planted one lies outside the term."""
+    rng = random.Random(seed)
+    data_dir = Path(lexicon_path).parent
+    table = ApplicabilityTable()
+    lexicon = _data_rows(Path(lexicon_path))
+    abbreviations = {row[0].lower() for row in _data_rows(Path(abbrev_path))}
+    surfaces = [row[0] for row in lexicon]
+    terms = [
+        (surface, SemanticType.from_name(type_name))
+        for surface, _, type_name in lexicon
+        if SemanticType.from_name(type_name).reportable and surface not in abbreviations
+    ]
+    anatomy = {row[0].lower(): row[-1] for row in _data_rows(data_dir / "anatomy.txt")}
+    anatomy_surfaces = sorted(anatomy)
+    units = [row[0] for row in _data_rows(data_dir / "units.txt")]
+    modifiers = sorted({row[0] for row in _data_rows(data_dir / "modifiers.txt")} - set(_DIRECTIONS))
+    texts, gold = [], []
+    for i in range(notes):
+        note_id, text = f"attr-{i:03d}", ""
+        while len(gold) < (i + 1) * per_note:
+            term, sem_type = rng.choice(terms)
+            surface = rng.choice(anatomy_surfaces)
+            direction = rng.choice((None, *_DIRECTIONS))
+            parts = {
+                "mod": rng.choice(modifiers),
+                "term": rng.choice((term, term.capitalize())),
+                "value": rng.choice(_VALUES),
+                "unit": rng.choice(units),
+                "loc": f"{direction} {surface}" if direction else surface,
+            }
+            sentence = rng.choice(_TEMPLATES).format(**parts)
+            start = sentence.index(parts["term"])
+            end = start + len(term)
+            if brute_force_recognize(sentence, surfaces) != [(start, end)]:
+                continue  # a word next to the term forms another term
+            outside = [span for s in anatomy for span in _whole_tokens(s, sentence) if span[1] <= start or span[0] >= end]
+            if outside != _whole_tokens(surface, sentence):
+                continue  # another anatomy surface in the sentence
+            offset = len(text)
+            text += sentence + " "
+            planted = {
+                "location": [f"{direction} {anatomy[surface]}" if direction else anatomy[surface]],
+                "modifier": [parts["mod"]],
+                "value": parts["value"],
+                "unit": parts["unit"],
+                "purpose": None,
+            }
+            applicable = table.applicable_attributes(sem_type)
+            gold.append(
+                {
+                    "note_id": note_id,
+                    "phrase": parts["term"],
+                    "surface": parts["term"],
+                    "span": {"start": offset + start, "end": offset + end},
+                    "semantic_type": sem_type.value,
+                    "assertion_status": "Present",  # not scored here
+                    **{
+                        integrate.ATTRIBUTE_FIELDS[kind]: planted[kind] if kind in applicable else "not applicable"
+                        for kind in ATTRIBUTE_KINDS
+                    },
+                }
+            )
+        texts.append({"note_id": note_id, "text": text.rstrip()})
+    return texts, gold
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_structure_recovers_planted_attributes(tmp_path, lexicon_path, abbrev_path, seed):
+    notes, gold = planted_attribute_notes(seed, lexicon_path, abbrev_path)
+    notes_path, pred = tmp_path / "notes.jsonl", tmp_path / "pred.jsonl"
+    notes_path.write_text("".join(json.dumps(n, ensure_ascii=False) + "\n" for n in notes), encoding="utf-8")
+    lexicon_args = ["--lexicon", lexicon_path, "--abbreviations", abbrev_path]
+    assert main(["structure", *lexicon_args, str(notes_path), str(pred)]) == 0
+    report = evaluate_json(tmp_path, abbrev_path, gold, pred)
+    n = len(gold)
+    assert report["phrase"] == {"tp": n, "fp": 0, "fn": 0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
+    for kind in ("location", "modifier", "value", "unit"):
+        scored = report["attributes"][kind]
+        assert scored["total"] > 50, kind
+        assert scored["accuracy"] == 1.0, (kind, scored)
+    # the check can fail: one flipped gold value gives (n - 1) / n
+    valued = [g for g in gold if g["value"] != "not applicable"]
+    valued[len(valued) // 2]["value"] = "999"
+    flipped = evaluate_json(tmp_path, abbrev_path, gold, pred)["attributes"]["value"]
+    m = len(valued)
+    assert flipped == {"correct": m - 1, "total": m, "accuracy": (m - 1) / m}
 
 
 def test_paragraph_splits_per_note_do_not_depend_on_mentions(monkeypatch, lexicon_path, abbrev_path):

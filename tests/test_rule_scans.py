@@ -1,10 +1,9 @@
 """The rule path's scans against references.
 
-The trigger scan of `classify` and the anatomy scan of
-`rule_extract_locations` against unfiltered scans (every trigger rule and
-every anatomy surface, each pattern compiled per call); and the scans made
-once per sentence or paragraph against the per-mention scans of
-tests/oracles.py."""
+The trigger scan of `classify` and the anatomy scan of `SentenceLocations`
+against unfiltered scans (every trigger rule and every anatomy surface, each
+pattern compiled per call); and the scans made once per sentence or
+paragraph against the per-mention scans of tests/oracles.py."""
 
 import re
 
@@ -16,27 +15,33 @@ from ehrstruct.assertion import (
     AllergyScopes,
     AssertionStatus,
     SentenceTriggers,
-    TriggerIndex,
     TriggerRule,
     classify,
     classify_mentions,
     default_rules,
     load_rules,
+    load_triggers,
 )
 from ehrstruct.attributes import (
     DIRECTION_WORDS,
-    AnatomyIndex,
     RuleBackend,
     SentenceLocations,
+    _anatomy_rows,
     _word_after,
     _word_before,
-    load_anatomy_lexicon,
-    rule_extract_locations,
     rule_extract_modifiers,
-    rule_extract_value_unit,
 )
 from ehrstruct.preprocess import count_tokens
-from ehrstruct.terminology import ATTRIBUTE_KINDS, LOCATION, MODIFIER, UNIT, VALUE, ascii_runs, fold_case
+from ehrstruct.terminology import (
+    ATTRIBUTE_KINDS,
+    LOCATION,
+    MODIFIER,
+    UNIT,
+    VALUE,
+    LiteralIndex,
+    ascii_runs,
+    fold_case,
+)
 from oracles import (
     reference_allergy_status,
     reference_classify,
@@ -50,7 +55,16 @@ from oracles import (
 
 RULES = default_rules()
 # The shipped lexicon plus a surface that nests another one ("chest").
-ANATOMY = {**load_anatomy_lexicon(), "chest wall": "chest wall"}
+ANATOMY = {**dict(_anatomy_rows()), "chest wall": "chest wall"}
+
+
+def triggers(rules):
+    """The rules indexed in the order given, as load_triggers indexes a file's."""
+    return LiteralIndex((rule.trigger, rule) for rule in rules)
+
+
+def locations(sentence, start, end, anatomy):
+    return SentenceLocations(sentence, LiteralIndex(anatomy.items())).nearest(start, end)
 
 
 def unfiltered_classify(sentence, start, end, rules):
@@ -75,7 +89,7 @@ def unfiltered_classify(sentence, start, end, rules):
 
 
 def unfiltered_locations(sentence, start, end, anatomy):
-    """rule_extract_locations, running every surface's pattern."""
+    """The nearest locations, running every surface's pattern."""
     lowered = fold_case(sentence)
     found = []
     for surface, display in anatomy.items():
@@ -135,14 +149,14 @@ def sentences_with_spans(draw, pieces=_PIECES):
 @settings(max_examples=400, deadline=None)
 def test_classify_matches_unfiltered_trigger_scan(case):
     sentence, start, end = case
-    assert classify(sentence, start, end, RULES) == unfiltered_classify(sentence, start, end, RULES)
+    assert classify(sentence, start, end, load_triggers()) == unfiltered_classify(sentence, start, end, RULES)
 
 
 @given(sentences_with_spans())
 @settings(max_examples=400, deadline=None)
 def test_locations_match_unfiltered_anatomy_scan(case):
     sentence, start, end = case
-    assert rule_extract_locations(sentence, start, end, ANATOMY) == unfiltered_locations(
+    assert locations(sentence, start, end, ANATOMY) == unfiltered_locations(
         sentence, start, end, ANATOMY
     )
 
@@ -152,7 +166,7 @@ def test_locations_match_unfiltered_anatomy_scan(case):
 # lowercasing), a leading digit, and surfaces nested in one another.
 EDGE_ENTRIES = ("-x", "(l) arm", "+ve", "é-ring", "İnce", "2nd toe", "chest", "chest wall", "wall")
 EDGE_ANATOMY = {
-    **load_anatomy_lexicon(),
+    **dict(_anatomy_rows()),
     **{entry: f"<{entry}>" for entry in EDGE_ENTRIES},
     "left arm": "arm",  # a display shared with another surface
 }
@@ -177,14 +191,15 @@ def edge_rules(tmp_path_factory):
 @settings(max_examples=400, deadline=None)
 def test_classify_with_edge_triggers_matches_unfiltered_scan(edge_rules, case):
     sentence, start, end = case
-    assert classify(sentence, start, end, edge_rules) == unfiltered_classify(sentence, start, end, edge_rules)
+    got = classify(sentence, start, end, triggers(edge_rules))
+    assert got == unfiltered_classify(sentence, start, end, edge_rules)
 
 
 @given(sentences_with_spans(_EDGE_PIECES))
 @settings(max_examples=400, deadline=None)
 def test_locations_with_edge_surfaces_match_unfiltered_scan(case):
     sentence, start, end = case
-    assert rule_extract_locations(sentence, start, end, EDGE_ANATOMY) == unfiltered_locations(
+    assert locations(sentence, start, end, EDGE_ANATOMY) == unfiltered_locations(
         sentence, start, end, EDGE_ANATOMY
     )
 
@@ -255,7 +270,7 @@ def sentences_with_mentions(draw):
 
 # "chest wall" ahead of "chest" in table order, so scan order and position
 # order disagree where both match
-SCAN_ANATOMY = AnatomyIndex({"chest wall": "chest wall", **EDGE_ANATOMY})
+SCAN_ANATOMY = LiteralIndex({"chest wall": "chest wall", **EDGE_ANATOMY}.items())
 ALL_KINDS = [frozenset(ATTRIBUTE_KINDS)]
 
 
@@ -268,14 +283,12 @@ def test_one_sentence_scan_answers_every_mention_as_the_per_mention_scans(case):
     backend = RuleBackend()
     backend.anatomy = SCAN_ANATOMY
     records, _, _ = backend.annotate(None, None, None, [(sentence, s, e) for s, e in mentions], ALL_KINDS * len(mentions))
-    locations = SentenceLocations(sentence, SCAN_ANATOMY)
+    scan = SentenceLocations(sentence, SCAN_ANATOMY)
     for (s, e), record in zip(mentions, records):
         expected_locations = reference_locations(sentence, s, e, SCAN_ANATOMY)
-        assert locations.nearest(s, e) == expected_locations
-        assert rule_extract_locations(sentence, s, e, SCAN_ANATOMY) == expected_locations
+        assert scan.nearest(s, e) == expected_locations
         assert record[LOCATION] == (expected_locations or None)
         value_unit = reference_value_unit(sentence, s, e, backend.units)
-        assert rule_extract_value_unit(sentence, s, e, backend.units) == value_unit
         assert (record[VALUE], record[UNIT]) == value_unit
         modifiers = reference_modifiers(sentence, s, e, backend.modifier_words)
         assert rule_extract_modifiers(sentence, s, e, backend.modifier_words) == modifiers
@@ -283,8 +296,8 @@ def test_one_sentence_scan_answers_every_mention_as_the_per_mention_scans(case):
     contexts = [(sentence, s, e, sentence, s) for s, e in mentions]
     for rules in (RULES, sorted(RULES, key=lambda r: r.trigger)):
         expected = [reference_classify(sentence, s, e, rules) for s, e in mentions]
-        assert classify_mentions(contexts, rules) == expected
-        assert [classify(sentence, s, e, rules) for s, e in mentions] == expected
+        assert classify_mentions(contexts, triggers(rules)) == expected
+        assert [classify(sentence, s, e, triggers(rules)) for s, e in mentions] == expected
 
 
 @given(st.text(st.sampled_from("ab Z1-\t\n\u00a0\u2003\u2028é"), max_size=12))
@@ -298,10 +311,10 @@ def test_adjacent_words_match_the_slicing_scans(sentence):
 @given(st.text(st.sampled_from("ab Z1-.\t é"), max_size=14))
 @settings(max_examples=300, deadline=None)
 def test_token_counts_from_token_starts_match_count_tokens(sentence):
-    triggers = SentenceTriggers(sentence, TriggerIndex([]))
+    scan = SentenceTriggers(sentence, LiteralIndex([]))
     for a in range(len(sentence) + 1):
         for b in range(a, len(sentence) + 1):
-            assert triggers._tokens(a, b) == count_tokens(sentence[a:b])
+            assert scan._tokens(a, b) == count_tokens(sentence[a:b])
 
 
 @pytest.mark.parametrize(
@@ -311,7 +324,7 @@ def test_token_counts_from_token_starts_match_count_tokens(sentence):
 def test_an_empty_trigger_at_the_mention_edge_is_inside_it(scope, sentence, start, end):
     rules = [TriggerRule("", scope, 1, AssertionStatus.ABSENT, 10)]
     expected = reference_classify(sentence, start, end, rules)
-    assert classify(sentence, start, end, rules) == expected == AssertionStatus.PRESENT
+    assert classify(sentence, start, end, triggers(rules)) == expected == AssertionStatus.PRESENT
 
 
 @given(st.text(st.sampled_from("az09AZ _-éİ\u212a\u00a0\U0001d7ce\udc80")))
