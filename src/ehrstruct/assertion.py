@@ -24,10 +24,9 @@ import re
 import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 
 from .preprocess import SECTION_HEADER, TOKEN
-from .terminology import LiteralIndex, fold_case
+from .terminology import InputFormatError, LiteralIndex, fold_case, read_lines
 
 
 class AssertionStatus(enum.Enum):
@@ -66,12 +65,6 @@ class TriggerRule:
             raise ValueError(f"bad scope {self.scope!r}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-
-
-class RuleFormatError(ValueError):
-    def __init__(self, path, lineno: int, message: str):
-        super().__init__(f"{path}:{lineno}: {message}")
-        self.lineno = lineno
 
 
 _DEFAULT_RULE_SPECS = [
@@ -140,36 +133,25 @@ def default_rules() -> list[TriggerRule]:
 
 
 def load_rules(path) -> list[TriggerRule]:
-    """Load trigger rules from TSV (trigger, scope, window, status, priority).
-    Lower priority number wins."""
-    path = Path(path)
+    """Load trigger rules from TSV (trigger, scope, window, status, priority;
+    `read_lines`: blank and '#' lines are skipped). Lower priority number
+    wins."""
     rules: list[TriggerRule] = []
     priorities: set[int] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        try:
             if len(fields) != 5:
-                raise RuleFormatError(path, lineno, f"expected 5 fields, got {len(fields)}")
+                raise ValueError(f"expected 5 fields, got {len(fields)}")
             trigger, scope, window_s, status_s, priority_s = (f.strip() for f in fields)
-            try:
-                status = AssertionStatus.from_name(status_s)
-            except ValueError as exc:
-                raise RuleFormatError(path, lineno, str(exc)) from exc
-            try:
-                window = int(window_s)
-                priority = int(priority_s)
-            except ValueError as exc:
-                raise RuleFormatError(path, lineno, "window and priority must be integers") from exc
+            status = AssertionStatus.from_name(status_s)
+            window, priority = int(window_s), int(priority_s)
             if priority in priorities:
-                raise RuleFormatError(path, lineno, f"duplicate priority {priority}")
+                raise ValueError(f"duplicate priority {priority}")
             priorities.add(priority)
-            try:
-                rules.append(TriggerRule(trigger.lower(), scope, window, status, priority))
-            except ValueError as exc:
-                raise RuleFormatError(path, lineno, str(exc)) from exc
+            rules.append(TriggerRule(trigger.lower(), scope, window, status, priority))
+        except ValueError as exc:
+            raise InputFormatError(path, lineno, str(exc)) from exc
     return sorted(rules, key=lambda r: r.priority)
 
 

@@ -49,6 +49,7 @@ from .terminology import (
     ApplicabilityTable,
     LiteralIndex,
     fold_case,
+    read_lines,
 )
 
 log = logging.getLogger(__name__)
@@ -68,20 +69,19 @@ def _data_text(name: str) -> str:
 @functools.cache
 def _anatomy_rows() -> tuple[tuple[str, str], ...]:
     """(surface, display form) rows; a line without a TAB maps a surface to
-    itself."""
+    itself. Blank and '#' lines are skipped (`read_lines`)."""
     mapping: dict[str, str] = {}
-    for line in _data_text("anatomy.txt").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        surface, _, display = line.partition("\t")
+    for _, line in read_lines(_data_text("anatomy.txt").splitlines()):
+        surface, _, display = line.strip().partition("\t")
         mapping[surface.strip().lower()] = display.strip() or surface.strip()
     return tuple(mapping.items())
 
 
 @functools.cache
 def _word_list(name: str) -> frozenset[str]:
-    return frozenset(w for w in _data_text(name).lower().split() if w)
+    """The lowercased words of a data file, less its '#' lines (`read_lines`)."""
+    lines = read_lines(_data_text(name).lower().splitlines())
+    return frozenset(w for _, line in lines for w in line.split())
 
 
 DIRECTION_WORDS = {"left", "right", "bilateral", "upper", "lower"}

@@ -23,12 +23,14 @@ from .pipeline import (
 )
 from .preprocess import chunk_note, restore_linebreaks, segment
 from .recognition import recognize_note
+from .terminology import AbbreviationTable
 
 log = logging.getLogger(__name__)
 
 
-def _open_in(path):
-    return sys.stdin if path == "-" else open(path, encoding="utf-8")
+def _input(path):
+    """What the readers take for an input argument: the path, or stdin."""
+    return sys.stdin if path == "-" else path
 
 
 def _open_out(path):
@@ -69,8 +71,7 @@ def cmd_structure(args) -> int:
         return 1
     try:
         res = build_resources(cfg)
-        with _open_in(args.input) as fh:
-            notes = read_notes(fh)
+        notes = read_notes(_input(args.input))
     except (OSError, ValueError) as exc:
         return _error(exc)
     results = run_structure(notes, res, workers=cfg.workers)
@@ -96,8 +97,6 @@ def cmd_evaluate(args) -> int:
     try:
         abbrev = None
         if args.abbreviations:
-            from .terminology import AbbreviationTable
-
             abbrev = AbbreviationTable.load(args.abbreviations)
         report = report_files(args.gold, args.pred, abbrev=abbrev, macro=args.macro)
     except (OSError, ValueError) as exc:
@@ -132,8 +131,7 @@ def cmd_preprocess(args) -> int:
     if cfg is None:
         return 1
     try:
-        with _open_in(args.input) as fh:
-            notes = read_notes(fh)
+        notes = read_notes(_input(args.input))
     except (OSError, ValueError) as exc:
         return _error(exc)
     with _open_out(args.output) as out:
@@ -150,8 +148,7 @@ def cmd_recognize(args) -> int:
         return 1
     try:
         index, abbreviations = load_terms(cfg)
-        with _open_in(args.input) as fh:
-            notes = read_notes(fh)
+        notes = read_notes(_input(args.input))
     except (OSError, ValueError) as exc:
         return _error(exc)
     with _open_out(args.output) as out:

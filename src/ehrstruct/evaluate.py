@@ -301,9 +301,7 @@ def render_table(report, name: str = "pipeline") -> str:
 
 def report_files(gold_path, pred_path, abbrev=None, macro: bool = False):
     """Score a prediction file against a gold file; both entity JSONL."""
-    with open(gold_path, encoding="utf-8") as fh:
-        gold = parse_entities(fh)
-    with open(pred_path, encoding="utf-8") as fh:
-        pred = parse_entities(fh)
+    gold = parse_entities(gold_path)
+    pred = parse_entities(pred_path)
     report, per_note = evaluate(gold, pred, abbrev=abbrev, macro=macro)
     return report

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .terminology import LOCATION, MODIFIER, NOT_APPLICABLE, PURPOSE, UNIT, VALUE, SemanticType
+from .terminology import read_jsonl
 
 DEFAULT_MISMATCH_THRESHOLD = 0.2
 
@@ -229,18 +230,8 @@ def serialize(results, sink, group_by_note: bool = False) -> None:
 
 
 def parse_entities(source) -> list[StructuredEntity]:
-    """Read entity JSONL from a text source; raises on schema violations."""
-    entities = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            d = json.loads(line)
-            entities.append(entity_from_dict(d))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValueError(f"line {lineno}: invalid entity record: {exc}") from exc
-    return entities
+    """Read entity JSONL (`read_jsonl`); raises on schema violations."""
+    return list(read_jsonl(source, entity_from_dict))
 
 
 def rejection_report(results) -> list[dict]:

@@ -27,6 +27,8 @@ from pathlib import Path
 import requests
 from requests.adapters import HTTPAdapter
 
+from .terminology import read_jsonl
+
 DEFAULT_API_KEY_ENV = "GENIE_API_KEY"
 
 
@@ -79,14 +81,10 @@ class Transcript:
 
     @classmethod
     def load(cls, path) -> "Transcript":
+        """Read a saved transcript (`read_jsonl`) of string prompts and responses."""
         t = cls()
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                t.put(rec["prompt"], rec["response"])
+        for prompt, response in read_jsonl(path, _exchange):
+            t.put(prompt, response)
         return t
 
     def save(self, path) -> None:
@@ -98,6 +96,13 @@ class Transcript:
                     json.dumps({"prompt": prompt, "response": response}, ensure_ascii=False)
                     + "\n"
                 )
+
+
+def _exchange(record: dict) -> tuple[str, str]:
+    prompt, response = record["prompt"], record["response"]
+    if not isinstance(prompt, str) or not isinstance(response, str):
+        raise ValueError("'prompt' and 'response' must be strings")
+    return prompt, response
 
 
 class ChatClient:

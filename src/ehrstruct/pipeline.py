@@ -20,11 +20,10 @@ transcript.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import assertion as assertion_mod
@@ -40,6 +39,7 @@ from .llm_client import (
 from .preprocess import RawNote, restore_linebreaks, segment
 from .recognition import recognize_note
 from .terminology import AbbreviationTable, ApplicabilityTable, LiteralIndex, TermIndex, load_lexicon
+from .terminology import InputFormatError, read_jsonl, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -62,38 +62,29 @@ class PipelineConfig:
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD
     workers: int = 1
 
-    _FIELD_TYPES = {
-        "timeout": float,
-        "mismatch_threshold": float,
-        "max_retries": int,
-        "max_in_flight": int,
-        "max_tokens": int,
-        "workers": int,
-    }
-
     @classmethod
     def load(cls, path) -> "PipelineConfig":
-        """Plain-text key = value config; '#' starts a comment."""
+        """Plain-text key = value config (`read_lines`); '#' also starts a
+        comment after a setting. Values take their field's type."""
+        types = {"int": int, "float": float}  # field annotations are strings
+        casters = {f.name: types.get(f.type, str) for f in fields(cls)}
         cfg = cls()
-        with Path(path).open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                value = value.strip()
-                if not hasattr(cfg, key) or key.startswith("_"):
-                    raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-                caster = cls._FIELD_TYPES.get(key, str)
-                try:
-                    setattr(cfg, key, caster(value))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: {key}: expected {caster.__name__}, got {value!r}"
-                    ) from None
+        for lineno, line in read_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if "=" not in line:
+                raise InputFormatError(path, lineno, "expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            value = value.strip()
+            if key not in casters:
+                raise InputFormatError(path, lineno, f"unknown setting {key!r}")
+            caster = casters[key]
+            try:
+                setattr(cfg, key, caster(value))
+            except ValueError:
+                raise InputFormatError(
+                    path, lineno, f"{key}: expected {caster.__name__}, got {value!r}"
+                ) from None
         return cfg
 
     def validate(self) -> list[str]:
@@ -229,15 +220,12 @@ def run_structure(notes: list[RawNote], res: PipelineResources, workers: int = 1
 
 
 def read_notes(source) -> list[RawNote]:
-    """Parse notes JSONL: one {note_id, text} object per line."""
-    notes = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            d = json.loads(line)
-            notes.append(RawNote(note_id=str(d["note_id"]), text=d["text"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValueError(f"line {lineno}: invalid note record: {exc}") from exc
-    return notes
+    """Parse notes JSONL (`read_jsonl`): one {note_id, text} object per line,
+    text a string."""
+    return list(read_jsonl(source, _raw_note))
+
+
+def _raw_note(record: dict) -> RawNote:
+    if not isinstance(record["text"], str):
+        raise ValueError("'text' must be a string")
+    return RawNote(note_id=str(record["note_id"]), text=record["text"])

@@ -1,4 +1,4 @@
-"""Lexicon loading, head-word term index, and semantic-type metadata.
+"""Input line readers, lexicon loading, head-word term index, and semantic types.
 
 The lexicon is a 3-column TSV (surface, concept_id, semantic_type).
 `load_lexicon` reads it in one pass straight into a `TermIndex`, with no
@@ -13,18 +13,62 @@ from __future__ import annotations
 
 import enum
 import functools
+import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 
-class LexiconFormatError(ValueError):
-    """Raised for a malformed lexicon or table line; carries the line number."""
+class InputFormatError(ValueError):
+    """A malformed line of an input file: 'path:line: message'; 'line N:
+    message' for a source with no name, 'path: message' for an unknown line."""
 
-    def __init__(self, path, lineno: int, message: str):
-        super().__init__(f"{path}:{lineno}: {message}")
+    def __init__(self, path, lineno: int | None, message: str):
+        where = f"line {lineno}" if path is None else path if lineno is None else f"{path}:{lineno}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.lineno = lineno
+
+
+def read_lines(source, comments: bool = True):
+    """Yield (lineno, line), line less its line break, for each line of
+    source (a file path, read as UTF-8, or an iterable of text lines such as
+    an open file) that is not blank nor, with comments, has '#' as its first
+    non-blank character. Undecodable bytes raise InputFormatError."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, encoding="utf-8") as fh:
+            yield from read_lines(fh, comments)
+        return
+    try:
+        for lineno, line in enumerate(source, start=1):
+            text = line.lstrip()
+            if text and not (comments and text[0] == "#"):
+                yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", "<input>")  # no line: decoding reads ahead of it
+        raise InputFormatError(name, None, f"not UTF-8 ({exc.reason})") from exc
+
+
+def read_jsonl(source, parse):
+    """Yield parse(record) for each non-blank line of a JSONL source, as
+    read_lines takes it, where record is the line's JSON object. A line that
+    is not a JSON object, or that parse rejects with a KeyError, TypeError or
+    ValueError, raises InputFormatError. There are no comment lines."""
+    path = source if isinstance(source, (str, os.PathLike)) else getattr(source, "name", None)
+    for lineno, line in read_lines(source, comments=False):
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise InputFormatError(path, lineno, f"invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise InputFormatError(path, lineno, f"expected a JSON object, got {type(record).__name__}")
+        try:
+            yield parse(record)
+        except KeyError as exc:
+            raise InputFormatError(path, lineno, f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(path, lineno, str(exc)) from exc
 
 
 class SemanticType(enum.Enum):
@@ -101,7 +145,10 @@ def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
     report = LoadReport()
     index = TermIndex()
     with path.open(encoding="utf-8") as fh:
-        report.entries, report.duplicates = index._insert(_read_rows(fh, path, report))
+        try:
+            report.entries, report.duplicates = index._insert(_read_rows(fh, path, report))
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(path, None, f"not UTF-8 ({exc.reason})") from exc
     return index, report
 
 
@@ -114,7 +161,7 @@ def _read_rows(lines, path, report: LoadReport):
         if len(fields) != 3:
             if not line.strip():
                 continue
-            raise LexiconFormatError(
+            raise InputFormatError(
                 path, lineno, f"expected 3 tab-separated fields, got {len(fields)}"
             )
         surface, concept_id, type_name = fields
@@ -122,7 +169,7 @@ def _read_rows(lines, path, report: LoadReport):
         if not surface:
             if not line.strip():
                 continue
-            raise LexiconFormatError(path, lineno, "empty surface")
+            raise InputFormatError(path, lineno, "empty surface")
         total += 1
         type_name = type_name.strip()
         position = _NAME_TO_POSITION.get(type_name)
@@ -321,27 +368,21 @@ class AbbreviationTable:
 
     @classmethod
     def load(cls, path) -> "AbbreviationTable":
-        """Parse a TSV of abbrev, expansion, optional semantic type name."""
-        path = Path(path)
+        """Parse a TSV of abbrev, expansion, optional semantic type name
+        (`read_lines`: blank and '#' lines are skipped)."""
         table = cls()
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split("\t")
-                if len(fields) not in (2, 3):
-                    raise LexiconFormatError(
-                        path, lineno, f"expected 2 or 3 fields, got {len(fields)}"
-                    )
-                abbrev = fields[0].strip()
-                full = fields[1].strip()
-                if not abbrev or not full:
-                    raise LexiconFormatError(path, lineno, "empty abbreviation or expansion")
-                hint = None
-                if len(fields) == 3 and fields[2].strip():
-                    hint = SemanticType.from_name(fields[2])
-                table.add(abbrev, Expansion(full, hint))
+        for lineno, line in read_lines(path):
+            fields = line.split("\t")
+            if len(fields) not in (2, 3):
+                raise InputFormatError(path, lineno, f"expected 2 or 3 fields, got {len(fields)}")
+            abbrev = fields[0].strip()
+            full = fields[1].strip()
+            if not abbrev or not full:
+                raise InputFormatError(path, lineno, "empty abbreviation or expansion")
+            hint = None
+            if len(fields) == 3 and fields[2].strip():
+                hint = SemanticType.from_name(fields[2])
+            table.add(abbrev, Expansion(full, hint))
         return table
 
 
@@ -410,25 +451,20 @@ class ApplicabilityTable:
 
     @classmethod
     def load(cls, path) -> "ApplicabilityTable":
-        """Load overrides from a key-value config: type name -> comma-separated
-        attribute kinds. Types not mentioned keep their defaults."""
-        path = Path(path)
+        """Load overrides from a key-value config (`read_lines`): type name ->
+        comma-separated attribute kinds. Types not mentioned keep their
+        defaults."""
         table = _default_applicability()
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise LexiconFormatError(path, lineno, "expected 'type name = kinds'")
-                name, _, kinds_text = line.partition("=")
-                sem_type = SemanticType.from_name(name)
-                if sem_type is SemanticType.OTHER:
-                    raise LexiconFormatError(path, lineno, f"unknown semantic type {name.strip()!r}")
-                kinds = frozenset(k.strip() for k in kinds_text.split(",") if k.strip())
-                bad = kinds - set(ATTRIBUTE_KINDS)
-                if bad:
-                    raise LexiconFormatError(path, lineno, f"unknown attribute kinds: {sorted(bad)}")
-                table[sem_type] = kinds
+        for lineno, line in read_lines(path):
+            if "=" not in line:
+                raise InputFormatError(path, lineno, "expected 'type name = kinds'")
+            name, _, kinds_text = line.partition("=")
+            sem_type = SemanticType.from_name(name)
+            if sem_type is SemanticType.OTHER:
+                raise InputFormatError(path, lineno, f"unknown semantic type {name.strip()!r}")
+            kinds = frozenset(k.strip() for k in kinds_text.split(",") if k.strip())
+            bad = kinds - set(ATTRIBUTE_KINDS)
+            if bad:
+                raise InputFormatError(path, lineno, f"unknown attribute kinds: {sorted(bad)}")
+            table[sem_type] = kinds
         return cls(table)
-

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ehrstruct.assertion import (
     AssertionStatus,
-    RuleFormatError,
     TriggerRule,
     classify,
     classify_mentions,
@@ -18,6 +17,7 @@ from ehrstruct.assertion import (
     mention_contexts,
 )
 from ehrstruct.preprocess import RawNote, restore_linebreaks, segment, split_paragraphs, split_sentences
+from ehrstruct.terminology import InputFormatError
 
 
 @pytest.fixture(scope="module")
@@ -159,15 +159,8 @@ class TestLoadRules:
         path.write_text(
             "denies\tforward\t6\tAbsent\t10\nno\tforward\t4\tAbsent\t10\n", encoding="utf-8"
         )
-        with pytest.raises(RuleFormatError):
+        with pytest.raises(InputFormatError):
             load_rules(path)
-
-    def test_bad_status_reports_lineno(self, tmp_path):
-        path = tmp_path / "rules.tsv"
-        path.write_text("denies\tforward\t6\tNope\t10\n", encoding="utf-8")
-        with pytest.raises(RuleFormatError) as exc:
-            load_rules(path)
-        assert exc.value.lineno == 1
 
     def test_default_set_size_and_priorities(self):
         rules = default_rules()

@@ -147,6 +147,16 @@ class TestModifiers:
         s = text.index("chest pain")
         assert "severe" not in rule_extract_modifiers(text, s, s + 10)
 
+    def test_comment_lines_are_not_modifiers(self):
+        words = RuleBackend().modifier_words
+        assert rule_extract_modifiers("pain side", 0, 4, words) == []
+        data = resources.files("ehrstruct.data").joinpath("modifiers.txt").read_text(encoding="utf-8")
+        comment_words = {
+            w for line in data.lower().splitlines() if line.lstrip().startswith("#") for w in line.split()
+        }
+        assert comment_words >= {"side", "severity", "laterality", "#", "/"}
+        assert not comment_words & words
+
 
 class TestRuleBackend:
     def test_purpose_always_null(self):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -293,6 +296,67 @@ class TestConfigErrors:
         code = main([command, "--config", str(missing), NOTES, str(tmp_path / "out.jsonl")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestHostileInputs:
+    """Each malformed input file ends the run with exit 1 and one error line
+    naming the file and, where known, the line."""
+
+    def error_line(self, capsys):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
+
+    @pytest.mark.parametrize(
+        "record",
+        ['{"prompt": "x"}', '["a","b"]', "not json", '{"prompt": 1, "response": "r"}',
+         '{"prompt": "p", "response": null}'],
+    )
+    def test_malformed_transcript(self, tmp_path, lexicon_args, record, capsys):
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text(f'{{"prompt": "p", "response": "r"}}\n{record}\n', encoding="utf-8")
+        code = main([
+            "structure", *lexicon_args, "--backend", "replay",
+            "--transcript", str(transcript), NOTES, str(tmp_path / "out.jsonl"),
+        ])
+        assert code == 1
+        assert self.error_line(capsys).startswith(f"error: {transcript}:2: ")
+
+    @pytest.mark.parametrize("command", ["structure", "preprocess", "recognize"])
+    def test_note_text_not_a_string(self, tmp_path, lexicon_args, command, capsys):
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text('{"note_id": "a", "text": 5}\n', encoding="utf-8")
+        args = lexicon_args if command != "preprocess" else []
+        assert main([command, *args, str(notes), str(tmp_path / "out.jsonl")]) == 1
+        assert self.error_line(capsys).startswith(f"error: {notes}:1: ")
+
+    @pytest.mark.parametrize("name", ["lexicon", "config", "notes"])
+    def test_file_not_utf8(self, tmp_path, lexicon_path, name, capsys):
+        files = {
+            "lexicon": tmp_path / "lexicon.tsv",
+            "config": tmp_path / "pipeline.cfg",
+            "notes": tmp_path / "notes.jsonl",
+        }
+        files["lexicon"].write_bytes(Path(lexicon_path).read_bytes())
+        files["config"].write_text(f"lexicon = {files['lexicon']}\n", encoding="utf-8")
+        files["notes"].write_bytes(Path(NOTES).read_bytes())
+        bad = files[name]
+        bad.write_bytes(bad.read_bytes() + b"caf\xe9\t\xff\n")
+        code = main(["structure", "--config", str(files["config"]), str(files["notes"]), "-"])
+        assert code == 1
+        line = self.error_line(capsys)
+        assert line.startswith(f"error: {bad}") and "UTF-8" in line
+
+    def test_bad_note_on_stdin_names_stdin(self, tmp_path, lexicon_args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehrstruct.cli", "structure", *lexicon_args, "-", "-"],
+            input='{"note_id": "a", "text": "x"}\n{"note_id": "b", "text": [1]}\n',
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: <stdin>:2: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestStageCommands:

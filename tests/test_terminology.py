@@ -4,12 +4,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ehrstruct.assertion import load_rules
+from ehrstruct.integrate import parse_entities
+from ehrstruct.llm_client import Transcript
+from ehrstruct.pipeline import PipelineConfig, read_notes
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
     PURPOSE,
     REPORTABLE_TYPES,
+    AbbreviationTable,
     ApplicabilityTable,
-    LexiconFormatError,
+    InputFormatError,
     SemanticType,
     TermIndex,
     load_lexicon,
@@ -62,12 +67,6 @@ class TestLoadLexicon:
         assert index.semantic_type("thing") is SemanticType.OTHER
         assert report.unknown_types == 1
 
-    def test_malformed_line_reports_lineno(self, tmp_path):
-        path = write_lexicon(tmp_path, ["good\tC1\tOther", "bad line without tabs"])
-        with pytest.raises(LexiconFormatError) as exc:
-            load_lexicon(path)
-        assert exc.value.lineno == 2
-
     def test_fields_stripped_and_counted(self, tmp_path):
         path = write_lexicon(
             tmp_path,
@@ -99,7 +98,7 @@ class TestLoadLexicon:
         ],
     )
     def test_format_errors(self, tmp_path, line, message):
-        with pytest.raises(LexiconFormatError, match=message):
+        with pytest.raises(InputFormatError, match=message):
             load_lexicon(write_lexicon(tmp_path, [line]))
 
     def test_unreadable_file(self, tmp_path):
@@ -312,7 +311,7 @@ class TestApplicability:
     def test_override_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "applic.cfg"
         path.write_text("Chemical or Drug = flavor\n", encoding="utf-8")
-        with pytest.raises(LexiconFormatError):
+        with pytest.raises(InputFormatError):
             ApplicabilityTable.load(path)
 
 
@@ -320,3 +319,63 @@ def test_semantic_type_names_serialize_with_commas():
     assert SemanticType.DISEASE.value == "Disease, Syndrome or Pathologic Function"
     assert SemanticType.SIGN_SYMPTOM_OR_FINDING.value == "Sign, Symptom, or Finding"
     assert SemanticType.from_name("Sign, Symptom, or Finding") is SemanticType.SIGN_SYMPTOM_OR_FINDING
+
+
+_ENTITY = '{"note_id": "n", "phrase": "fever", "span": {"start": 0, "end": 5}}'
+
+# One reader per input file: a valid line 1 and a malformed line 2.
+_MALFORMED_LINE_2 = {
+    "lexicon": (load_lexicon, "fever\tC1\tOther", "bad line without tabs"),
+    "lexicon-empty-surface": (load_lexicon, "fever\tC1\tOther", " \tC2\tOther"),
+    "abbreviations": (AbbreviationTable.load, "CHF\tcongestive heart failure", "CHF"),
+    "abbreviations-empty": (AbbreviationTable.load, "CHF\tcongestive heart failure", "CHF\t "),
+    "rules-fields": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tforward\t4"),
+    "rules-status": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tforward\t4\tNope\t20"),
+    "rules-window": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tforward\tfour\tAbsent\t20"),
+    "rules-scope": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tsideways\t4\tAbsent\t20"),
+    "rules-priority": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tforward\t4\tAbsent\t10"),
+    "applicability": (ApplicabilityTable.load, "Eukaryote = modifier", "Eukaryote = flavor"),
+    "applicability-type": (ApplicabilityTable.load, "Eukaryote = modifier", "Fungus = modifier"),
+    "config": (PipelineConfig.load, "workers = 2", "workers = four"),
+    "config-key": (PipelineConfig.load, "workers = 2", "validate = yes"),
+    "notes": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "b"}'),
+    "notes-text": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "b", "text": 5}'),
+    "notes-json": (read_notes, '{"note_id": "a", "text": "x"}', "not json"),
+    "notes-deep": (read_notes, '{"note_id": "a", "text": "x"}', "[" * 100_000 + "]" * 100_000),
+    "entities": (parse_entities, _ENTITY, '["n", "fever"]'),
+    "transcript": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": "x"}'),
+    "transcript-list": (Transcript.load, '{"prompt": "p", "response": "r"}', '["a", "b"]'),
+    "transcript-type": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": 1, "response": "r"}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_LINE_2))
+def test_malformed_line_2_names_file_and_line(tmp_path, case):
+    read, good, bad = _MALFORMED_LINE_2[case]
+    path = tmp_path / "input.txt"
+    path.write_text(f"{good}\n", encoding="utf-8")
+    read(path)
+    path.write_text(f"{good}\n{bad}\n{good}\n", encoding="utf-8")
+    with pytest.raises(InputFormatError) as exc:
+        read(path)
+    assert exc.value.lineno == 2
+    assert str(exc.value.path) == str(path)
+    assert str(exc.value).startswith(f"{path}:2: ")
+
+
+@pytest.mark.parametrize(
+    "read, line",
+    [
+        (lambda path: AbbreviationTable.load(path).expansions("CHF"), "CHF\tcongestive heart failure"),
+        (load_rules, "denies\tforward\t6\tAbsent\t10"),
+        (ApplicabilityTable.load, "Eukaryote = modifier"),
+        (PipelineConfig.load, "workers = 2"),
+    ],
+    ids=["abbreviations", "rules", "applicability", "config"],
+)
+def test_blank_and_comment_lines_are_skipped(tmp_path, read, line):
+    path = tmp_path / "input.txt"
+    path.write_text(f"{line}\n", encoding="utf-8")
+    expected = read(path)
+    path.write_text(f"# a comment\n\n \t# an indented comment\n{line}\n  \n#\n", encoding="utf-8")
+    assert read(path) == expected
