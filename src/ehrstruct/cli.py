@@ -29,8 +29,12 @@ log = logging.getLogger(__name__)
 
 
 def _input(path):
-    """What the readers take for an input argument: the path, or stdin."""
-    return sys.stdin if path == "-" else path
+    """What the readers take for an input argument: the path, or stdin,
+    decoded as strict UTF-8 as files are."""
+    if path != "-":
+        return path
+    sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    return sys.stdin
 
 
 def _open_out(path):

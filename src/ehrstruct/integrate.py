@@ -166,6 +166,8 @@ def entity_to_dict(e: StructuredEntity) -> dict:
 
 def entity_from_dict(d: dict) -> StructuredEntity:
     span = d.get("span") or {}
+    if not isinstance(span, dict):
+        raise TypeError(f"'span' must be an object, got {type(span).__name__}")
     return StructuredEntity(
         note_id=d["note_id"],
         phrase=d["phrase"],

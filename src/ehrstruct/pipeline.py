@@ -221,8 +221,8 @@ def run_structure(notes: list[RawNote], res: PipelineResources, workers: int = 1
 
 def read_notes(source) -> list[RawNote]:
     """Parse notes JSONL (`read_jsonl`): one {note_id, text} object per line,
-    text a string."""
-    return list(read_jsonl(source, _raw_note))
+    text a string, and no note_id on two lines."""
+    return list(read_jsonl(source, _raw_note, key=lambda note: f"note_id {note.note_id!r}"))
 
 
 def _raw_note(record: dict) -> RawNote:

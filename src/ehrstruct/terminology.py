@@ -2,20 +2,29 @@
 
 The lexicon is a 3-column TSV (surface, concept_id, semantic_type).
 `load_lexicon` reads it in one pass straight into a `TermIndex`, with no
-object per line. Surfaces are lowercased at load, and the first concept_id
-and type given for a surface are the ones kept: alternate concept_ids are
-counted in the load report, not stored. Matching is case-insensitive with raw
-casing preserved downstream. The index answers longest-match-at-position
-queries at word boundaries only.
+object per line, and keeps the finished tables of a large lexicon in a
+sidecar file beside it for the next load of the same bytes. Surfaces are
+lowercased at load, and the first concept_id and type given for a surface
+are the ones kept: alternate concept_ids are counted in the load report, not
+stored. Matching is case-insensitive with raw casing preserved downstream.
+The index answers longest-match-at-position queries at word boundaries only.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import enum
 import functools
+import hashlib
 import json
+import marshal
 import os
 import re
+import shutil
+import stat
+import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,12 +59,15 @@ def read_lines(source, comments: bool = True):
         raise InputFormatError(name, None, f"not UTF-8 ({exc.reason})") from exc
 
 
-def read_jsonl(source, parse):
+def read_jsonl(source, parse, key=None):
     """Yield parse(record) for each non-blank line of a JSONL source, as
     read_lines takes it, where record is the line's JSON object. A line that
     is not a JSON object, or that parse rejects with a KeyError, TypeError or
-    ValueError, raises InputFormatError. There are no comment lines."""
+    ValueError, raises InputFormatError. So does a line whose key(value), a
+    string naming the value such as "note_id 'a'", an earlier line had.
+    There are no comment lines."""
     path = source if isinstance(source, (str, os.PathLike)) else getattr(source, "name", None)
+    first_lines: dict[str, int] = {}
     for lineno, line in read_lines(source, comments=False):
         try:
             record = json.loads(line)
@@ -64,11 +76,17 @@ def read_jsonl(source, parse):
         if not isinstance(record, dict):
             raise InputFormatError(path, lineno, f"expected a JSON object, got {type(record).__name__}")
         try:
-            yield parse(record)
+            value = parse(record)
         except KeyError as exc:
             raise InputFormatError(path, lineno, f"missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InputFormatError(path, lineno, str(exc)) from exc
+        if key is not None:
+            name = key(value)
+            first = first_lines.setdefault(name, lineno)
+            if first != lineno:
+                raise InputFormatError(path, lineno, f"duplicate {name}, first on line {first}")
+        yield value
 
 
 class SemanticType(enum.Enum):
@@ -132,6 +150,14 @@ _NAME_TO_POSITION = {t.value: _TYPE_POSITION[t] for t in REPORTABLE_TYPES}
 _OTHER_POSITION = _TYPE_POSITION[SemanticType.OTHER]
 
 
+# A regular file of at least this many bytes keeps its built tables in a
+# sidecar, <lexicon>.ehrstruct-index: on 2 vCPUs a 300k-line lexicon parses in
+# about 0.7 s and its sidecar reads back in about 0.15 s, while a small
+# lexicon parses in milliseconds and needs no second file beside it.
+_SIDECAR_MIN_BYTES = 1 << 20
+_SIDECAR_SUFFIX = ".ehrstruct-index"
+
+
 def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
     """Index a lexicon TSV in one pass.
 
@@ -140,8 +166,17 @@ def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
     pair counts as a duplicate, and one with another concept_id counts as an
     entry but is not kept. Unknown semantic-type names map to Other and are
     counted in the report.
+
+    A lexicon of at least _SIDECAR_MIN_BYTES is read from its sidecar when
+    the sidecar's key matches (`_sidecar_key`), and otherwise parsed and its
+    sidecar rewritten. A sidecar that cannot be read or written is skipped.
     """
     path = Path(path)
+    key = _sidecar_key(path)
+    if key is not None:
+        cached = _read_sidecar(path, key)
+        if cached is not None:
+            return cached
     report = LoadReport()
     index = TermIndex()
     with path.open(encoding="utf-8") as fh:
@@ -149,7 +184,71 @@ def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
             report.entries, report.duplicates = index._insert(_read_rows(fh, path, report))
         except UnicodeDecodeError as exc:
             raise InputFormatError(path, None, f"not UTF-8 ({exc.reason})") from exc
+    # the file may have changed while it was parsed: store the tables only
+    # under the key of the bytes they were built from
+    if key is not None and _sidecar_key(path) == key:
+        _write_sidecar(path, key, index, report)
     return index, report
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(path.name + _SIDECAR_SUFFIX)
+
+
+def _sidecar_key(path: Path) -> bytes | None:
+    """SHA-256 over this module's source, the Python version (the marshal
+    format and the Unicode tables behind lower() and isalnum()) and the
+    lexicon's bytes; None for a file too small for a sidecar, or not a
+    regular file, such as a pipe, which can be read only once."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode) or info.st_size < _SIDECAR_MIN_BYTES:
+        return None
+    digest = hashlib.sha256(Path(__file__).read_bytes())
+    digest.update(sys.version.encode())
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _read_sidecar(path: Path, key: bytes) -> tuple["TermIndex", LoadReport] | None:
+    """The index and report stored beside the lexicon under key, or None when
+    the sidecar is missing, unreadable, truncated, foreign or stale. marshal
+    is not safe against crafted data: the sidecar is trusted as the lexicon
+    beside it is."""
+    try:
+        data = marshal.loads(_sidecar_path(path).read_bytes())
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+    if not (isinstance(data, tuple) and len(data) == 6 and data[0] == key):
+        return None
+    _, rows, concept_ids, types, lengths, counts = data
+    index = TermIndex()
+    index._rows, index._concept_ids, index._types, index._lengths = (
+        rows, concept_ids, bytearray(types), lengths
+    )
+    return index, LoadReport(*counts)
+
+
+def _write_sidecar(path: Path, key: bytes, index: "TermIndex", report: LoadReport) -> None:
+    """Store the tables beside the lexicon: written under a unique name, then
+    renamed over the sidecar, so a reader never sees a partial file. A
+    directory that cannot take it is left as it was."""
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=_SIDECAR_SUFFIX, dir=path.parent)
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            tables = (index._rows, index._concept_ids, index._types, index._lengths)
+            marshal.dump((key, *tables, dataclasses.astuple(report)), fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        shutil.copymode(path, temp)  # readable by whoever reads the lexicon
+        os.replace(temp, _sidecar_path(path))
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
 
 
 def _read_rows(lines, path, report: LoadReport):

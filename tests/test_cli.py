@@ -358,6 +358,35 @@ class TestHostileInputs:
         assert proc.stderr.startswith("error: <stdin>:2: ")
         assert "Traceback" not in proc.stderr
 
+    def test_stdin_not_utf8_under_the_c_locale(self, lexicon_args):
+        # with no locale set, Python decodes stdin as UTF-8 but lets bad bytes
+        # through as surrogates; stdin must be read as strictly as a file
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIO", "PYTHONUTF8"))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehrstruct.cli", "structure", *lexicon_args, "-", "-"],
+            input=b'{"note_id": "a", "text": "caf\xff fever"}\n',
+            capture_output=True, timeout=60,
+            env={**env, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.decode().startswith("error: <stdin>: not UTF-8")
+        assert proc.stdout == b""
+
+    def test_repeated_note_id_names_both_lines(self, tmp_path, lexicon_args, capsys):
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text(
+            '{"note_id": "a", "text": "x"}\n\n{"note_id": "b", "text": "y"}\n{"note_id": "a", "text": "z"}\n',
+            encoding="utf-8",
+        )
+        assert main(["structure", *lexicon_args, str(notes), str(tmp_path / "out.jsonl")]) == 1
+        assert self.error_line(capsys) == f"error: {notes}:4: duplicate note_id 'a', first on line 1"
+
+    def test_entity_span_not_an_object(self, tmp_path, capsys):
+        entities = tmp_path / "entities.jsonl"
+        entities.write_text('{"note_id": "n", "phrase": "fever", "span": [0, 5]}\n', encoding="utf-8")
+        assert main(["evaluate", str(entities), str(entities)]) == 1
+        assert self.error_line(capsys).startswith(f"error: {entities}:1: ")
+
 
 class TestStageCommands:
     def test_preprocess_emits_chunks(self, tmp_path, capsys):

@@ -1,4 +1,9 @@
 import gc
+import os
+import re
+import sys
+import tempfile
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 from ehrstruct.assertion import load_rules
 from ehrstruct.integrate import parse_entities
 from ehrstruct.llm_client import Transcript
+from ehrstruct import terminology
 from ehrstruct.pipeline import PipelineConfig, read_notes
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
@@ -15,6 +21,7 @@ from ehrstruct.terminology import (
     AbbreviationTable,
     ApplicabilityTable,
     InputFormatError,
+    LoadReport,
     SemanticType,
     TermIndex,
     load_lexicon,
@@ -117,6 +124,143 @@ class TestLoadLexicon:
         added = len(gc.get_objects()) - before
         assert len(index) == report.entries == 20_000
         assert added < 1_000
+
+
+def tables(loaded):
+    index, report = loaded
+    return index._rows, index._concept_ids, index._types, index._lengths, report
+
+
+_SIDECAR_LINES = [
+    "Heart Failure\tC1\tDisease, Syndrome or Pathologic Function",
+    "heart failure\tC1\tDisease, Syndrome or Pathologic Function",
+    "heart failure\tC9\tOther",
+    "",
+    "fever\tC2\tSign, Symptom, or Finding",
+    "rash\tC3\tNot A Real Type",
+    "st. john's wort\tC4\tChemical or Drug",
+]
+
+
+class TestLexiconSidecar:
+    """A lexicon of at least terminology._SIDECAR_MIN_BYTES keeps its built
+    tables in <lexicon>.ehrstruct-index; the threshold is lowered here so
+    that small lexicons take that path."""
+
+    @pytest.fixture
+    def lexicon(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(terminology, "_SIDECAR_MIN_BYTES", 1)
+        return write_lexicon(tmp_path, _SIDECAR_LINES)
+
+    @staticmethod
+    def sidecar(path):
+        return path.with_name(path.name + ".ehrstruct-index")
+
+    @staticmethod
+    def without_parsing(monkeypatch):
+        def fail(*args):
+            raise AssertionError("the lexicon was parsed")
+
+        monkeypatch.setattr(terminology, "_read_rows", fail)
+
+    def test_warm_load_equals_cold(self, lexicon, monkeypatch):
+        cold = tables(load_lexicon(lexicon))
+        assert self.sidecar(lexicon).stat().st_size > 0
+        assert cold[-1] == LoadReport(total_lines=6, entries=5, duplicates=1, unknown_types=1)
+        self.without_parsing(monkeypatch)
+        warm = load_lexicon(lexicon)
+        assert tables(warm) == cold
+        assert type(warm[0]._types) is bytearray
+        assert warm[0].longest_match("st. john's wort tea", 0) == len("st. john's wort")
+
+    def test_changed_byte_is_reloaded(self, lexicon, monkeypatch):
+        load_lexicon(lexicon)
+        data = lexicon.read_bytes()
+        lexicon.write_bytes(data.replace(b"fever\tC2", b"fever\tC7"))
+        index, _ = load_lexicon(lexicon)
+        assert index.concept_id("fever") == "C7"
+        self.without_parsing(monkeypatch)
+        assert load_lexicon(lexicon)[0].concept_id("fever") == "C7"
+
+    @pytest.mark.parametrize("damage", ["garbage", "empty", "truncated", "other-python"])
+    def test_bad_sidecar_is_rebuilt(self, lexicon, monkeypatch, damage):
+        cold = tables(load_lexicon(lexicon))
+        sidecar = self.sidecar(lexicon)
+        if damage == "other-python":
+            with monkeypatch.context() as m:
+                m.setattr(sys, "version", sys.version + " (another build)")
+                sidecar.unlink()
+                load_lexicon(lexicon)
+        else:
+            data = sidecar.read_bytes()
+            sidecar.write_bytes({"garbage": b"\x00not marshal", "empty": b"", "truncated": data[:-7]}[damage])
+        bad = sidecar.read_bytes()
+        assert tables(load_lexicon(lexicon)) == cold
+        assert sidecar.read_bytes() != bad
+        self.without_parsing(monkeypatch)
+        assert tables(load_lexicon(lexicon)) == cold
+
+    @pytest.mark.parametrize("failing", ["mkstemp", "fsync", "replace"])
+    def test_unwritable_directory_skips_the_sidecar(self, lexicon, monkeypatch, failing):
+        # mkstemp: a read-only directory; fsync and replace: a full disk
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        cold = tables(load_lexicon(lexicon))
+        self.sidecar(lexicon).unlink()
+        monkeypatch.setattr(tempfile if failing == "mkstemp" else os, failing, fail)
+        assert tables(load_lexicon(lexicon)) == cold
+        assert [p.name for p in lexicon.parent.iterdir()] == [lexicon.name]
+
+    def test_malformed_lexicon_fails_every_time(self, lexicon):
+        lexicon.write_text("\n".join(_SIDECAR_LINES) + "\nbad line\n", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(InputFormatError, match=f"^{re.escape(str(lexicon))}:8: expected 3"):
+                load_lexicon(lexicon)
+        assert not self.sidecar(lexicon).exists()
+
+    def test_file_changed_while_parsed_keeps_no_sidecar(self, lexicon, monkeypatch):
+        read_rows = terminology._read_rows
+
+        def appending(lines, path, report):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write("cough\tC5\tOther\n")
+            return read_rows(lines, path, report)
+
+        monkeypatch.setattr(terminology, "_read_rows", appending)
+        load_lexicon(lexicon)
+        assert not self.sidecar(lexicon).exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(terminology, "_SIDECAR_MIN_BYTES", 0)
+        pipe = tmp_path / "lexicon.fifo"
+        os.mkfifo(pipe)
+        loaded = []
+        # daemon threads: a loader that opened the pipe a second time would
+        # wait for a writer forever
+        writer = threading.Thread(target=pipe.write_text, args=("\n".join(_SIDECAR_LINES),), daemon=True)
+        reader = threading.Thread(target=lambda: loaded.append(load_lexicon(pipe)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=10)
+        writer.join(timeout=10)
+        assert not reader.is_alive() and not writer.is_alive()
+        index, report = loaded[0]
+        assert index.concept_id("fever") == "C2" and report.entries == 5
+        assert not self.sidecar(pipe).exists()
+
+    def test_threshold(self, tmp_path):
+        # blank lines are skipped, so newlines pad a file to an exact size
+        lines = [f"term{i}\tC{i}\tOther" for i in range(40_000)]
+        body = "\n".join(lines) + "\n"
+        minimum = terminology._SIDECAR_MIN_BYTES
+        for size, kept in ((minimum - 1, False), (minimum, True)):
+            path = tmp_path / f"{size}.tsv"
+            path.write_text(body + "\n" * (size - len(body)), encoding="utf-8")
+            assert path.stat().st_size == size
+            assert len(load_lexicon(path)[0]) == 40_000
+            assert self.sidecar(path).exists() is kept
 
 
 # Lines whose surfaces differ in case and surrounding whitespace, repeat
@@ -342,7 +486,9 @@ _MALFORMED_LINE_2 = {
     "notes-text": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "b", "text": 5}'),
     "notes-json": (read_notes, '{"note_id": "a", "text": "x"}', "not json"),
     "notes-deep": (read_notes, '{"note_id": "a", "text": "x"}', "[" * 100_000 + "]" * 100_000),
+    "notes-repeated-id": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "a", "text": "y"}'),
     "entities": (parse_entities, _ENTITY, '["n", "fever"]'),
+    "entities-span-list": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "span": [0, 5]}'),
     "transcript": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": "x"}'),
     "transcript-list": (Transcript.load, '{"prompt": "p", "response": "r"}', '["a", "b"]'),
     "transcript-type": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": 1, "response": "r"}'),
