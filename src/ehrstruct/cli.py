@@ -107,9 +107,8 @@ def cmd_evaluate(args) -> int:
         return _error(exc)
     print(render_table(report, name=args.name))
     if args.json:
-        payload = report.to_dict() if hasattr(report, "to_dict") else dataclasses.asdict(report)
         with _open_out(args.json) as out:
-            json.dump(payload, out, indent=2)
+            json.dump(report.to_dict(), out, indent=2)
             out.write("\n")
     return 0
 

@@ -9,14 +9,15 @@ unit-synonym and comparator-word tables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .integrate import ATTRIBUTE_FIELDS, StructuredEntity, parse_entities
 from .terminology import NOT_APPLICABLE, AbbreviationTable
 
-ATTRIBUTE_COLUMNS = ("location", "modifier", "value", "unit", "status")
-
+# Scored column -> the StructuredEntity field it reads: every attribute kind
+# the pipeline writes, then the assertion status.
 _KIND_FIELDS = {**ATTRIBUTE_FIELDS, "status": "assertion_status"}
+ATTRIBUTE_COLUMNS = tuple(_KIND_FIELDS)
 
 _COMPARATORS = {
     "<=": "less than or equal to",
@@ -78,37 +79,32 @@ def equivalent(a: str, b: str, kind: str = "value") -> bool:
 
 @dataclass
 class KindScore:
-    correct: int = 0
-    total: int = 0
+    """Matched pairs whose gold carries the kind (total), those judged
+    equivalent (correct), and the accuracy; None when no pair counts."""
 
-    @property
-    def accuracy(self) -> float | None:
-        return self.correct / self.total if self.total else None
+    correct: int
+    total: int
+    accuracy: float | None
 
 
 @dataclass
 class EvalReport:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    kinds: dict[str, KindScore] = field(
-        default_factory=lambda: {k: KindScore() for k in ATTRIBUTE_COLUMNS}
-    )
+    """Phrase and attribute counts, pooled over notes, and the rates of
+    `average`: "micro" rates come from the pooled counts, "macro" rates are
+    per-note means (`evaluate`)."""
 
-    @property
-    def precision(self) -> float:
-        return phrase_f1(self.tp, self.fp, self.fn)[0]
-
-    @property
-    def recall(self) -> float:
-        return phrase_f1(self.tp, self.fp, self.fn)[1]
-
-    @property
-    def f1(self) -> float:
-        return phrase_f1(self.tp, self.fp, self.fn)[2]
+    average: str
+    tp: int
+    fp: int
+    fn: int
+    precision: float
+    recall: float
+    f1: float
+    kinds: dict[str, KindScore]
 
     def to_dict(self) -> dict:
         return {
+            "average": self.average,
             "phrase": {
                 "tp": self.tp,
                 "fp": self.fp,
@@ -117,10 +113,7 @@ class EvalReport:
                 "recall": self.recall,
                 "f1": self.f1,
             },
-            "attributes": {
-                k: {"correct": s.correct, "total": s.total, "accuracy": s.accuracy}
-                for k, s in self.kinds.items()
-            },
+            "attributes": {k: asdict(s) for k, s in self.kinds.items()},
         }
 
 
@@ -206,19 +199,27 @@ def _values_equivalent(gold_value, pred_value, kind: str) -> bool:
     return equivalent(str(gold_value), str(pred_value), kind)
 
 
+def _ratio(part: int, whole: int) -> float | None:
+    return part / whole if whole else None
+
+
+def _mean(values: list[float]) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
 def score_attribute(tp_pairs, kind: str) -> KindScore:
     if kind not in ATTRIBUTE_COLUMNS:
         raise ValueError(f"unknown attribute kind {kind!r}")
     field_name = _KIND_FIELDS[kind]
-    score = KindScore()
+    correct = total = 0
     for g, p in tp_pairs:
         gold_value = getattr(g, field_name)
         if gold_value is NOT_APPLICABLE:
             continue
-        score.total += 1
+        total += 1
         if _values_equivalent(gold_value, getattr(p, field_name), kind):
-            score.correct += 1
-    return score
+            correct += 1
+    return KindScore(correct, total, _ratio(correct, total))
 
 
 def _group_by_note(entities):
@@ -228,70 +229,56 @@ def _group_by_note(entities):
     return groups
 
 
+def _pool(per_note: list[EvalReport], average: str) -> EvalReport:
+    """Sum the notes' counts. Micro rates come from the sums. Macro rates
+    are per-note means: precision, recall and F1 over the notes with any
+    gold or predicted entity (0.0 with none), each accuracy over the notes
+    with a scored pair (None with none)."""
+    tp, fp, fn = (sum(getattr(r, name) for r in per_note) for name in ("tp", "fp", "fn"))
+    kinds = {}
+    for kind in ATTRIBUTE_COLUMNS:
+        scores = [r.kinds[kind] for r in per_note]
+        correct, total = sum(s.correct for s in scores), sum(s.total for s in scores)
+        if average == "micro":
+            accuracy = _ratio(correct, total)
+        else:
+            accuracy = _mean([s.accuracy for s in scores if s.total > 0])
+        kinds[kind] = KindScore(correct, total, accuracy)
+    if average == "micro":
+        rates = phrase_f1(tp, fp, fn)
+    else:
+        scored = [r for r in per_note if r.tp + r.fp + r.fn > 0]
+        names = ("precision", "recall", "f1")
+        rates = tuple(_mean([getattr(r, n) for r in scored]) for n in names) if scored else (0.0, 0.0, 0.0)
+    return EvalReport(average, tp, fp, fn, *rates, kinds)
+
+
 def evaluate(gold_entities, pred_entities, abbrev=None, macro: bool = False):
-    """Aggregate scores across notes; micro-averaged by default."""
+    """Score each note, then pool the notes; micro-averaged by default.
+    Returns (report, per-note reports in note_id order)."""
     gold_by_note = _group_by_note(gold_entities)
     pred_by_note = _group_by_note(pred_entities)
-    note_ids = sorted(set(gold_by_note) | set(pred_by_note))
-    report = EvalReport()
     per_note: list[EvalReport] = []
-    for note_id in note_ids:
+    for note_id in sorted(set(gold_by_note) | set(pred_by_note)):
         tp_pairs, fp, fn = match_phrases(
             gold_by_note.get(note_id, []), pred_by_note.get(note_id, []), abbrev
         )
-        note_report = EvalReport(tp=len(tp_pairs), fp=len(fp), fn=len(fn))
-        for kind in ATTRIBUTE_COLUMNS:
-            note_report.kinds[kind] = score_attribute(tp_pairs, kind)
-        per_note.append(note_report)
-        report.tp += note_report.tp
-        report.fp += note_report.fp
-        report.fn += note_report.fn
-        for kind in ATTRIBUTE_COLUMNS:
-            report.kinds[kind].correct += note_report.kinds[kind].correct
-            report.kinds[kind].total += note_report.kinds[kind].total
-    if macro:
-        return _macro_report(per_note), per_note
-    return report, per_note
-
-
-@dataclass
-class MacroReport:
-    """Per-note-averaged metrics; cells with no contributing notes are None."""
-
-    f1: float = 0.0
-    precision: float = 0.0
-    recall: float = 0.0
-    accuracies: dict[str, float | None] = field(default_factory=dict)
-
-
-def _macro_report(per_note: list[EvalReport]) -> MacroReport:
-    out = MacroReport()
-    scored = [r for r in per_note if r.tp + r.fp + r.fn > 0]
-    if scored:
-        out.precision = sum(r.precision for r in scored) / len(scored)
-        out.recall = sum(r.recall for r in scored) / len(scored)
-        out.f1 = sum(r.f1 for r in scored) / len(scored)
-    for kind in ATTRIBUTE_COLUMNS:
-        cells = [r.kinds[kind].accuracy for r in per_note if r.kinds[kind].total > 0]
-        out.accuracies[kind] = sum(cells) / len(cells) if cells else None
-    return out
+        counts = (len(tp_pairs), len(fp), len(fn))
+        kinds = {kind: score_attribute(tp_pairs, kind) for kind in ATTRIBUTE_COLUMNS}
+        per_note.append(EvalReport("micro", *counts, *phrase_f1(*counts), kinds))
+    return _pool(per_note, "macro" if macro else "micro"), per_note
 
 
 def _cell(value: float | None) -> str:
     return "-" if value is None else f"{value:.3f}"
 
 
-def render_table(report, name: str = "pipeline") -> str:
-    """Render the score row in the standard column layout."""
-    header = ["Attributes", "Phrase", "Location", "Modifier", "Value", "Unit", "Status"]
-    metric = ["Metric", "F1", "Acc", "Acc", "Acc", "Acc", "Acc"]
-    if isinstance(report, MacroReport):
-        f1 = report.f1
-        accuracies = [report.accuracies[k] for k in ATTRIBUTE_COLUMNS]
-    else:
-        f1 = report.f1
-        accuracies = [report.kinds[k].accuracy for k in ATTRIBUTE_COLUMNS]
-    row = [name, f"{f1:.3f}"] + [_cell(a) for a in accuracies]
+def render_table(report: EvalReport, name: str = "pipeline") -> str:
+    """Render the score row in the standard column layout: phrase F1, then
+    each column's accuracy."""
+    header = ["Attributes", "Phrase", *(kind.capitalize() for kind in ATTRIBUTE_COLUMNS)]
+    metric = ["Metric", "F1", *(["Acc"] * len(ATTRIBUTE_COLUMNS))]
+    row = [name, f"{report.f1:.3f}", *(_cell(report.kinds[k].accuracy) for k in ATTRIBUTE_COLUMNS)]
     widths = [max(len(col[i]) for col in (header, metric, row)) for i in range(len(header))]
     lines = []
     for cols in (header, metric, row):
@@ -299,9 +286,8 @@ def render_table(report, name: str = "pipeline") -> str:
     return "\n".join(lines)
 
 
-def report_files(gold_path, pred_path, abbrev=None, macro: bool = False):
+def report_files(gold_path, pred_path, abbrev=None, macro: bool = False) -> EvalReport:
     """Score a prediction file against a gold file; both entity JSONL."""
     gold = parse_entities(gold_path)
     pred = parse_entities(pred_path)
-    report, per_note = evaluate(gold, pred, abbrev=abbrev, macro=macro)
-    return report
+    return evaluate(gold, pred, abbrev=abbrev, macro=macro)[0]

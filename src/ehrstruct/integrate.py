@@ -144,10 +144,26 @@ def _encode_field(value):
     return value
 
 
-def _decode_field(value):
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
+
+
+def _typed(value, name: str, expected: type):
+    """value, when its type is expected (a bool is not an integer)."""
+    if type(value) is not expected:
+        raise TypeError(f"{name!r} must be {_TYPE_NAMES[expected]}, got {type(value).__name__}")
+    return value
+
+
+def _decode_field(value, name: str):
+    """An attribute value read back: null, a string ("not applicable" for
+    NOT_APPLICABLE) or a list of strings."""
     if value == "not applicable":
         return NOT_APPLICABLE
-    return value
+    if value is None or type(value) is str:
+        return value
+    if type(value) is list and all(type(v) is str for v in value):
+        return value
+    raise TypeError(f"{name!r} must be null, a string or a list of strings")
 
 
 def entity_to_dict(e: StructuredEntity) -> dict:
@@ -165,17 +181,18 @@ def entity_to_dict(e: StructuredEntity) -> dict:
 
 
 def entity_from_dict(d: dict) -> StructuredEntity:
-    span = d.get("span") or {}
-    if not isinstance(span, dict):
-        raise TypeError(f"'span' must be an object, got {type(span).__name__}")
+    """The entity of one JSON object, each field checked for its type; only
+    note_id and phrase are required."""
+    span = _typed(d.get("span", {}), "span", dict)
+    phrase = _typed(d["phrase"], "phrase", str)
     return StructuredEntity(
-        note_id=d["note_id"],
-        phrase=d["phrase"],
-        surface=d.get("surface", d["phrase"]),
-        span=(span.get("start", 0), span.get("end", 0)),
-        semantic_type=SemanticType.from_name(d.get("semantic_type", "Other")),
-        assertion_status=d.get("assertion_status", "Present"),
-        **{name: _decode_field(d.get(name)) for name in ATTRIBUTE_FIELDS.values()},
+        note_id=_typed(d["note_id"], "note_id", str),
+        phrase=phrase,
+        surface=_typed(d.get("surface", phrase), "surface", str),
+        span=(_typed(span.get("start", 0), "span.start", int), _typed(span.get("end", 0), "span.end", int)),
+        semantic_type=SemanticType.from_name(_typed(d.get("semantic_type", "Other"), "semantic_type", str)),
+        assertion_status=_typed(d.get("assertion_status", "Present"), "assertion_status", str),
+        **{name: _decode_field(d.get(name), name) for name in ATTRIBUTE_FIELDS.values()},
     )
 
 

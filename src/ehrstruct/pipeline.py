@@ -109,7 +109,7 @@ class PipelineConfig:
             problems.append("transcript: not used by backend 'rule'")
         if self.backend == "llm" and not os.environ.get(self.api_key_env):
             problems.append(f"api_key_env: {self.api_key_env} is not set (backend=llm)")
-        if self.mismatch_threshold < 0:
+        if not self.mismatch_threshold >= 0:  # NaN too: no ratio is > NaN
             problems.append("mismatch_threshold: must be >= 0")
         if self.workers < 1:
             problems.append("workers: must be >= 1")

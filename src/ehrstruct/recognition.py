@@ -26,7 +26,6 @@ class Mention:
     canonical_phrase: str
     semantic_type: SemanticType
     concept_id: str | None = None
-    occurrence_ordinal: int = 0
     ambiguous: bool = False
 
 
@@ -84,26 +83,15 @@ def expand_abbreviation(m: Mention, table: AbbreviationTable) -> Mention:
     return m
 
 
-def assign_ordinals(mentions: list[Mention]) -> list[Mention]:
-    """Number repeated canonical phrases within a note; mentions are in
-    document order."""
-    counts: dict[str, int] = {}
-    for m in mentions:
-        key = m.canonical_phrase.lower()
-        counts[key] = counts.get(key, 0) + 1
-        m.occurrence_ordinal = counts[key]
-    return mentions
-
-
 def recognize_note(
     note: NormalizedNote,
     index: TermIndex,
     abbreviations: AbbreviationTable | None = None,
 ) -> list[Mention]:
-    """Full per-note recognition: match, filter, expand, number, in
-    document order."""
+    """Full per-note recognition: match, filter, expand, in document
+    order."""
     mentions = filter_reportable(recognize(note, index))
     if abbreviations is not None:
         for m in mentions:
             expand_abbreviation(m, abbreviations)
-    return assign_ordinals(mentions)
+    return mentions

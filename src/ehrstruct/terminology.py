@@ -467,8 +467,9 @@ class AbbreviationTable:
 
     @classmethod
     def load(cls, path) -> "AbbreviationTable":
-        """Parse a TSV of abbrev, expansion, optional semantic type name
-        (`read_lines`: blank and '#' lines are skipped)."""
+        """Parse a TSV of abbrev, expansion, optional semantic type name,
+        which must name a reportable type (`read_lines`: blank and '#' lines
+        are skipped)."""
         table = cls()
         for lineno, line in read_lines(path):
             fields = line.split("\t")
@@ -479,8 +480,10 @@ class AbbreviationTable:
             if not abbrev or not full:
                 raise InputFormatError(path, lineno, "empty abbreviation or expansion")
             hint = None
-            if len(fields) == 3 and fields[2].strip():
-                hint = SemanticType.from_name(fields[2])
+            if len(fields) == 3 and (name := fields[2].strip()):
+                hint = _NAME_TO_TYPE.get(name)
+                if hint is None:
+                    raise InputFormatError(path, lineno, f"unknown semantic type {name!r}")
             table.add(abbrev, Expansion(full, hint))
         return table
 

@@ -189,7 +189,7 @@ def test_criterion_4_metric_arithmetic(abbrev_table):
             note_id="n", phrase=phrase, surface=kw.get("surface", phrase), span=(0, 0),
             semantic_type=SemanticType.SIGN_SYMPTOM_OR_FINDING,
             assertion_status="Present", locations=["chest"], modifiers=["mild"],
-            value="1", unit="mg", purpose=NOT_APPLICABLE,
+            value="1", unit="mg", purpose="relief",
         )
 
     gold = [ent("fever"), ent("edema")]

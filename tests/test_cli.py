@@ -59,7 +59,7 @@ class TestStructure:
     def test_group_by_note(self, tmp_path, lexicon_args):
         out = tmp_path / "out.jsonl"
         assert main(["structure", *lexicon_args, "--group-by-note", NOTES, str(out)]) == 0
-        records = [json.loads(l) for l in out.read_text().splitlines()]
+        records = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert len(records) == 3
         assert all("entities" in r for r in records)
 
@@ -80,7 +80,9 @@ class TestStructure:
         # a mismatch threshold of -0 with forced drops is hard to hit with the
         # rule backend, so use a replay transcript that yields garbage lines
         notes = tmp_path / "one.jsonl"
-        notes.write_text(json.dumps({"note_id": "n", "text": "fever and chest pain"}) + "\n")
+        notes.write_text(
+            json.dumps({"note_id": "n", "text": "fever and chest pain"}) + "\n", encoding="utf-8"
+        )
         transcript = _make_transcript(notes, reply=lambda prompt: "zzz: 1\nqqq: 2")
         t_path = tmp_path / "t.jsonl"
         transcript.save(t_path)
@@ -91,8 +93,8 @@ class TestStructure:
             "--transcript", str(t_path), "--rejections", str(rej), str(notes), str(out),
         ])
         assert code == 2
-        assert out.read_text() == ""
-        report = [json.loads(l) for l in rej.read_text().splitlines()]
+        assert out.read_text(encoding="utf-8") == ""
+        report = [json.loads(l) for l in rej.read_text(encoding="utf-8").splitlines()]
         assert report and report[0]["note_id"] == "n"
 
 
@@ -161,7 +163,8 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(gold), str(gold)]) == 0
         table = capsys.readouterr().out
         assert "1.000" in table
-        assert "-" not in table.splitlines()[2]
+        # every cell scored, but Purpose: the fixture's gold has no purpose
+        assert table.splitlines()[2].split() == ["pipeline", *["1.000"] * 5, "-", "1.000"]
 
     def test_fixture_table(self, abbrev_path, capsys):
         code = main([
@@ -170,8 +173,8 @@ class TestEvaluateCommand:
         ])
         assert code == 0
         row = capsys.readouterr().out.splitlines()[2].split()
-        # hand-computed: F1=18/23, loc 1.0, mod 1.0, value 8/9, unit 1.0, status 8/9
-        assert row[1:] == ["0.783", "1.000", "1.000", "0.889", "1.000", "0.889"]
+        # hand-computed: F1=18/23, loc 1.0, mod 1.0, value 8/9, unit 1.0, no purpose, status 8/9
+        assert row[1:] == ["0.783", "1.000", "1.000", "0.889", "1.000", "-", "0.889"]
 
     def test_missing_file(self, tmp_path):
         assert main(["evaluate", str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")]) == 1
@@ -186,7 +189,7 @@ class TestEvaluateCommand:
         gold = FIXTURES / "eval_gold.jsonl"
         out = tmp_path / "report.json"
         assert main(["evaluate", str(gold), str(gold), "--json", str(out)]) == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["phrase"]["f1"] == 1.0
 
     def test_macro_flag(self, capsys):
@@ -244,6 +247,16 @@ class TestValidateConfig:
         captured = capsys.readouterr()
         assert f"config error: {message}" in captured.err
         assert "config OK" not in captured.out
+
+    def test_rejects_nan_mismatch_threshold(self, tmp_path, lexicon_path, capsys):
+        # a NaN threshold would turn rejection off: no ratio is > nan
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"lexicon = {lexicon_path}\nmismatch_threshold = nan\n", encoding="utf-8")
+        for args in (["--config", str(cfg_file)], ["--lexicon", lexicon_path, "--mismatch-threshold", "nan"]):
+            assert main(["validate-config", *args]) == 1
+            captured = capsys.readouterr()
+            assert "config error: mismatch_threshold: must be >= 0" in captured.err
+            assert "config OK" not in captured.out
 
     def test_config_file_round_trip(self, tmp_path, lexicon_path):
         cfg_file = tmp_path / "pipeline.cfg"
@@ -351,7 +364,7 @@ class TestHostileInputs:
         proc = subprocess.run(
             [sys.executable, "-m", "ehrstruct.cli", "structure", *lexicon_args, "-", "-"],
             input='{"note_id": "a", "text": "x"}\n{"note_id": "b", "text": [1]}\n',
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, encoding="utf-8", timeout=60,
             env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
         )
         assert proc.returncode == 1
@@ -387,19 +400,47 @@ class TestHostileInputs:
         assert main(["evaluate", str(entities), str(entities)]) == 1
         assert self.error_line(capsys).startswith(f"error: {entities}:1: ")
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ('"note_id": "a", "phrase": "fever", "span": {"start": 0, "end": 5}',
+             '"note_id": "a", "phrase": "cough", "span": {"start": "1", "end": 9}'),
+            ('"note_id": "a", "phrase": "fever"', '"note_id": 1, "phrase": "cough"'),
+            ('"note_id": "a", "phrase": "fever"', '"note_id": "a", "phrase": 5'),
+            ('"note_id": "a", "phrase": "fever"', '"note_id": "a", "phrase": "cough", "semantic_type": 5'),
+        ],
+        ids=["span-start", "note-id", "phrase", "semantic-type"],
+    )
+    def test_entity_field_of_the_wrong_type(self, tmp_path, first, second, capsys):
+        entities = tmp_path / "entities.jsonl"
+        entities.write_text(f"{{{first}}}\n{{{second}}}\n", encoding="utf-8")
+        assert main(["evaluate", str(entities), str(entities)]) == 1
+        assert self.error_line(capsys).startswith(f"error: {entities}:2: ")
+
+    @pytest.mark.parametrize("command", ["structure", "recognize"])
+    def test_abbreviation_hint_not_a_reportable_type(self, tmp_path, command, capsys):
+        lexicon, abbreviations = tmp_path / "lexicon.tsv", tmp_path / "abbreviations.tsv"
+        lexicon.write_text("ra\tC1\tDisease, Syndrome or Pathologic Function\n", encoding="utf-8")
+        abbreviations.write_text("RA\trheumatoid arthritis\tBogus Type\n", encoding="utf-8")
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text('{"note_id": "a", "text": "History of RA."}\n', encoding="utf-8")
+        args = ["--lexicon", str(lexicon), "--abbreviations", str(abbreviations)]
+        assert main([command, *args, str(notes), str(tmp_path / "out.jsonl")]) == 1
+        assert self.error_line(capsys) == f"error: {abbreviations}:1: unknown semantic type 'Bogus Type'"
+
 
 class TestStageCommands:
     def test_preprocess_emits_chunks(self, tmp_path, capsys):
         out = tmp_path / "chunks.jsonl"
         assert main(["preprocess", NOTES, str(out)]) == 0
-        chunks = [json.loads(l) for l in out.read_text().splitlines()]
+        chunks = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert {c["note_id"] for c in chunks} == {"note-001", "note-002", "note-003"}
         assert all(c["token_count"] <= 800 or c["oversize"] for c in chunks)
 
     def test_recognize_emits_mentions(self, tmp_path, lexicon_args):
         out = tmp_path / "mentions.jsonl"
         assert main(["recognize", *lexicon_args, NOTES, str(out)]) == 0
-        mentions = [json.loads(l) for l in out.read_text().splitlines()]
+        mentions = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert any(m["canonical_phrase"] == "hepatosplenomegaly" for m in mentions)
 
     def test_recognize_has_no_chunk_budget(self, tmp_path, lexicon_args):
@@ -407,7 +448,7 @@ class TestStageCommands:
         with pytest.raises(SystemExit):
             main(["recognize", *lexicon_args, "--max-tokens", "5", NOTES, str(out)])
         assert main(["recognize", *lexicon_args, NOTES, str(out)]) == 0
-        mentions = [json.loads(l) for l in out.read_text().splitlines()]
+        mentions = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert mentions and not any("chunk_index" in m for m in mentions)
 
     def test_recognize_ignores_backend_settings(self, tmp_path, lexicon_path, abbrev_path):

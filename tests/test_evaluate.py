@@ -206,6 +206,8 @@ class TestReport:
         report, _ = evaluate(gold, gold)
         table = render_table(report, name="run")
         lines = table.splitlines()
-        assert lines[0].split() == ["Attributes", "Phrase", "Location", "Modifier", "Value", "Unit", "Status"]
-        assert lines[1].split() == ["Metric", "F1", "Acc", "Acc", "Acc", "Acc", "Acc"]
+        assert lines[0].split() == [
+            "Attributes", "Phrase", "Location", "Modifier", "Value", "Unit", "Purpose", "Status"
+        ]
+        assert lines[1].split() == ["Metric", "F1", "Acc", "Acc", "Acc", "Acc", "Acc", "Acc"]
         assert lines[2].startswith("run")

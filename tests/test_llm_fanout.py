@@ -159,7 +159,9 @@ def test_recorded_transcript_replays_offline(stub_server, lexicon_path, abbrev_p
     transcripts, outputs = [], []
     for max_in_flight, workers in ((1, 1), (4, 3)):
         config = tmp_path / f"llm-{max_in_flight}.cfg"
-        config.write_text(f"base_url = {stub_server.base_url}\nmax_in_flight = {max_in_flight}\n")
+        config.write_text(
+            f"base_url = {stub_server.base_url}\nmax_in_flight = {max_in_flight}\n", encoding="utf-8"
+        )
         transcript = tmp_path / f"transcript-{max_in_flight}-{workers}.jsonl"
         out = tmp_path / f"live-{max_in_flight}-{workers}.jsonl"
         args = ["--config", str(config), "--backend", "llm", "--transcript", str(transcript),
@@ -185,7 +187,8 @@ def test_recorded_transcript_replays_offline(stub_server, lexicon_path, abbrev_p
     rejections = tmp_path / "rejections.jsonl"
     args = ["--backend", "replay", "--transcript", str(partial), "--rejections", str(rejections)]
     assert structure(args, lexicon_path, abbrev_path, replayed) == 2
-    assert [json.loads(line)["note_id"] for line in rejections.read_text().splitlines()] == [FAILED_NOTE]
+    rejected = rejections.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["note_id"] for line in rejected] == [FAILED_NOTE]
     kept = [line for line in outputs[0].decode("utf-8").splitlines(keepends=True) if FAILED_NOTE not in line]
     assert replayed.read_text(encoding="utf-8") == "".join(kept)
 

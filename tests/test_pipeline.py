@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from ehrstruct import integrate, pipeline, preprocess
 from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
-from ehrstruct.terminology import ATTRIBUTE_KINDS, ApplicabilityTable, SemanticType
+from ehrstruct.terminology import ATTRIBUTE_KINDS, PURPOSE, ApplicabilityTable, SemanticType
 from oracles import brute_force_recognize
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -94,7 +94,7 @@ def evaluate_json(tmp_path, abbrev_path, gold, pred) -> dict:
     gold_path.write_text("".join(json.dumps(g, ensure_ascii=False) + "\n" for g in gold), encoding="utf-8")
     args = ["evaluate", "--abbreviations", abbrev_path, "--json", str(report_path)]
     assert main([*args, str(gold_path), str(pred)]) == 0
-    return json.loads(report_path.read_text())
+    return json.loads(report_path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -104,7 +104,9 @@ def test_structure_recovers_planted_gold(corpus, tmp_path, lexicon_path, abbrev_
     classes = (corpus.LengthClass(500, 6), corpus.LengthClass(2000, 3))
     generated = corpus.make_corpus(seed, "gold", classes, lexicon, abbrev_types, fault_every=5)
     notes, pred = tmp_path / "notes.jsonl", tmp_path / "pred.jsonl"
-    notes.write_text("".join(json.dumps({"note_id": n.note_id, "text": n.text}) + "\n" for n in generated))
+    notes.write_text(
+        "".join(json.dumps({"note_id": n.note_id, "text": n.text}) + "\n" for n in generated), encoding="utf-8"
+    )
     lexicon_args = ["--lexicon", lexicon_path, "--abbreviations", abbrev_path]
     assert main(["structure", *lexicon_args, str(notes), str(pred)]) == 0
     # the generator's own gold; no attribute is scored, only phrase and status
@@ -155,13 +157,16 @@ _TEMPLATES = (
 )
 _VALUES = ("12", "3.5", "1,200", "0", "<= 7", ">10", "\u2265 4")
 _DIRECTIONS = ("left", "right", "bilateral", "upper", "lower")
+# A term that may carry a purpose gets " for {purpose}" at its sentence's end.
+_PURPOSES = ("anticoagulation", "rate control", "staging", "screening", "thrombosis prophylaxis", "diuresis")
 
 
 def planted_attribute_notes(seed, lexicon_path, abbrev_path, notes=30, per_note=6):
     """Notes made of sentences that each plant, next to one sample-lexicon
     term, a modifier from modifiers.txt, a value with a unit from units.txt
-    and an anatomy surface from anatomy.txt with or without a direction word;
-    and the gold records of those terms, from the construction.
+    and an anatomy surface from anatomy.txt with or without a direction word,
+    and, for a term whose type may carry one, a purpose; and the gold records
+    of those terms, from the construction.
 
     The data files are read here as text. A draw is taken again when the
     recognition oracle finds anything in its sentence but the term, or when
@@ -196,6 +201,10 @@ def planted_attribute_notes(seed, lexicon_path, abbrev_path, notes=30, per_note=
                 "loc": f"{direction} {surface}" if direction else surface,
             }
             sentence = rng.choice(_TEMPLATES).format(**parts)
+            applicable = table.applicable_attributes(sem_type)
+            purpose = rng.choice(_PURPOSES) if PURPOSE in applicable else None
+            if purpose:
+                sentence = f"{sentence[:-1]} for {purpose}."
             start = sentence.index(parts["term"])
             end = start + len(term)
             if brute_force_recognize(sentence, surfaces) != [(start, end)]:
@@ -210,9 +219,8 @@ def planted_attribute_notes(seed, lexicon_path, abbrev_path, notes=30, per_note=
                 "modifier": [parts["mod"]],
                 "value": parts["value"],
                 "unit": parts["unit"],
-                "purpose": None,
+                "purpose": purpose,
             }
-            applicable = table.applicable_attributes(sem_type)
             gold.append(
                 {
                     "note_id": note_id,
@@ -250,6 +258,84 @@ def test_structure_recovers_planted_attributes(tmp_path, lexicon_path, abbrev_pa
     valued[len(valued) // 2]["value"] = "999"
     flipped = evaluate_json(tmp_path, abbrev_path, gold, pred)["attributes"]["value"]
     m = len(valued)
+    assert flipped == {"correct": m - 1, "total": m, "accuracy": (m - 1) / m}
+
+
+@pytest.fixture(scope="module")
+def parse_prompt():
+    """The benchmark stub's reader of a per-kind prompt (read only)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import stub
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return stub.parse_prompt
+
+
+def perfect_model(parse_prompt, notes, gold, wrong=None):
+    """A reply function for the conftest stub that answers each per-kind
+    prompt from the planted gold: one 'term: value' line per listed term,
+    or 'term: null'. The prompt's line that holds the {{marked}} terms,
+    unmarked, is a part of one note, so each mark's offset in that note
+    names its gold record. wrong: the (note_id, start) of the one term whose
+    purpose it answers wrongly."""
+    texts = {n["note_id"]: n["text"] for n in notes}
+    records = {(g["note_id"], g["span"]["start"]): g for g in gold}
+
+    def reply(prompt):
+        kind, terms = parse_prompt(prompt)
+        marked = next(line for line in prompt.splitlines() if "{{" in line)
+        part = marked.replace("{{", "").replace("}}", "")
+        note_id, offset = next((i, text.find(part)) for i, text in texts.items() if part in text)
+        lines = []
+        for term, m in zip(terms, re.finditer(r"\{\{(.*?)\}\}", marked)):
+            start = offset + m.start() - 4 * len(lines)  # each earlier mark adds 4 characters
+            value = records[note_id, start][integrate.ATTRIBUTE_FIELDS[kind]]
+            if kind == PURPOSE and (note_id, start) == wrong:
+                value = "wrong purpose"
+            if isinstance(value, list):
+                (value,) = value
+            lines.append(f"{term}: {'null' if value is None else value}")
+        return "\n".join(lines)
+
+    return reply
+
+
+def test_llm_path_recovers_planted_attributes(
+    stub_server, monkeypatch, parse_prompt, tmp_path, lexicon_path, abbrev_path
+):
+    monkeypatch.setenv("GENIE_API_KEY", "test-key")
+    notes, gold = planted_attribute_notes(1, lexicon_path, abbrev_path)
+    notes_path, config = tmp_path / "notes.jsonl", tmp_path / "llm.cfg"
+    notes_path.write_text("".join(json.dumps(n, ensure_ascii=False) + "\n" for n in notes), encoding="utf-8")
+    config.write_text(f"base_url = {stub_server.base_url}\n", encoding="utf-8")
+    lexicon_args = ["--lexicon", lexicon_path, "--abbreviations", abbrev_path]
+
+    def replayed_report(reply) -> dict:
+        """Record reply's answers with the LLM backend, replay the transcript
+        and score the replayed entities."""
+        stub_server.reply = reply
+        transcript, live, replayed = (tmp_path / f"{name}.jsonl" for name in ("transcript", "live", "replayed"))
+        record = ["--config", str(config), "--backend", "llm", "--transcript", str(transcript)]
+        assert main(["structure", *lexicon_args, *record, str(notes_path), str(live)]) == 0
+        replay = ["--backend", "replay", "--transcript", str(transcript)]
+        assert main(["structure", *lexicon_args, *replay, str(notes_path), str(replayed)]) == 0
+        assert replayed.read_bytes() == live.read_bytes()
+        return evaluate_json(tmp_path, abbrev_path, gold, replayed)
+
+    report = replayed_report(perfect_model(parse_prompt, notes, gold))
+    n = len(gold)
+    assert report["phrase"] == {"tp": n, "fp": 0, "fn": 0, "precision": 1.0, "recall": 1.0, "f1": 1.0}
+    for kind in ATTRIBUTE_KINDS:
+        scored = report["attributes"][kind]
+        assert scored["total"] > 30, kind
+        assert scored["accuracy"] == 1.0, (kind, scored)
+    # the check can fail: one wrong purpose answer gives (m - 1) / m
+    purposed = [g for g in gold if g["purpose"] != "not applicable"]
+    wrong = purposed[len(purposed) // 2]
+    model = perfect_model(parse_prompt, notes, gold, wrong=(wrong["note_id"], wrong["span"]["start"]))
+    m = len(purposed)
+    flipped = replayed_report(model)["attributes"]["purpose"]
     assert flipped == {"correct": m - 1, "total": m, "accuracy": (m - 1) / m}
 
 

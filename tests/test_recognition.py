@@ -6,7 +6,6 @@ from ehrstruct.recognition import (
     expand_abbreviation,
     filter_reportable,
     recognize,
-    recognize_note,
 )
 from ehrstruct.terminology import AbbreviationTable, Expansion, SemanticType, TermIndex
 from oracles import brute_force_recognize
@@ -181,12 +180,3 @@ class TestExpandAbbreviation:
         assert m.canonical_phrase == "fever"
         assert not m.ambiguous
 
-
-def test_occurrence_ordinals(sample_index, abbrev_table):
-    text = "fever today. HSM noted. fever again with hepatosplenomegaly."
-    mentions = recognize_note(note_for(text), sample_index, abbrev_table)
-    by_phrase = [(m.canonical_phrase.lower(), m.occurrence_ordinal) for m in mentions]
-    assert ("fever", 1) in by_phrase and ("fever", 2) in by_phrase
-    # HSM expands, so the later full form is occurrence 2 of the same phrase
-    assert ("hepatosplenomegaly", 1) in by_phrase
-    assert ("hepatosplenomegaly", 2) in by_phrase

@@ -239,7 +239,9 @@ class TestLexiconSidecar:
         loaded = []
         # daemon threads: a loader that opened the pipe a second time would
         # wait for a writer forever
-        writer = threading.Thread(target=pipe.write_text, args=("\n".join(_SIDECAR_LINES),), daemon=True)
+        writer = threading.Thread(
+            target=pipe.write_text, args=("\n".join(_SIDECAR_LINES),), kwargs={"encoding": "utf-8"}, daemon=True
+        )
         reader = threading.Thread(target=lambda: loaded.append(load_lexicon(pipe)), daemon=True)
         writer.start()
         reader.start()
@@ -473,6 +475,8 @@ _MALFORMED_LINE_2 = {
     "lexicon-empty-surface": (load_lexicon, "fever\tC1\tOther", " \tC2\tOther"),
     "abbreviations": (AbbreviationTable.load, "CHF\tcongestive heart failure", "CHF"),
     "abbreviations-empty": (AbbreviationTable.load, "CHF\tcongestive heart failure", "CHF\t "),
+    "abbreviations-type": (AbbreviationTable.load, "CHF\tcongestive heart failure", "RA\trheumatoid arthritis\tBogus Type"),
+    "abbreviations-type-other": (AbbreviationTable.load, "CHF\tcongestive heart failure", "RA\trheumatoid arthritis\tOther"),
     "rules-fields": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tforward\t4"),
     "rules-status": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tforward\t4\tNope\t20"),
     "rules-window": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tforward\tfour\tAbsent\t20"),
@@ -489,6 +493,14 @@ _MALFORMED_LINE_2 = {
     "notes-repeated-id": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "a", "text": "y"}'),
     "entities": (parse_entities, _ENTITY, '["n", "fever"]'),
     "entities-span-list": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "span": [0, 5]}'),
+    "entities-span-start": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "span": {"start": "1", "end": 5}}'),
+    "entities-note-id": (parse_entities, _ENTITY, '{"note_id": 1, "phrase": "fever"}'),
+    "entities-phrase": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": 5}'),
+    "entities-surface": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "surface": ["fever"]}'),
+    "entities-semantic-type": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "semantic_type": 5}'),
+    "entities-status": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "assertion_status": true}'),
+    "entities-value": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "value": 5}'),
+    "entities-locations": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "locations": ["chest", 1]}'),
     "transcript": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": "x"}'),
     "transcript-list": (Transcript.load, '{"prompt": "p", "response": "r"}', '["a", "b"]'),
     "transcript-type": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": 1, "response": "r"}'),
