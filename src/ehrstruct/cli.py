@@ -7,6 +7,7 @@ and re-run independently; `structure` runs the whole pipeline in one pass.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -38,7 +39,9 @@ def _input(path):
 
 
 def _open_out(path):
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+    """A context for an output argument: the file, closed on exit, or
+    stdout, left open for the next output."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
 def _error(exc) -> int:

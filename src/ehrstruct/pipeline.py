@@ -134,7 +134,9 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResources:
-    """Immutable shared state, safe across worker threads."""
+    """Shared state, safe across worker threads. Nothing in it changes after
+    set-up but the index, which decodes a sidecar's head word tables as
+    lookups first ask for them (see `TermIndex`)."""
 
     index: object
     abbreviations: AbbreviationTable
@@ -148,7 +150,12 @@ def load_terms(cfg: PipelineConfig) -> tuple[TermIndex, AbbreviationTable]:
     """The lexicon index and abbreviation table: all that recognition reads."""
     if not cfg.lexicon:
         raise ValueError("config must name a lexicon file")
-    index, _report = load_lexicon(cfg.lexicon)
+    index, report = load_lexicon(cfg.lexicon)
+    if report.unknown_types:
+        log.warning(
+            "%s: %d line(s) with an unknown semantic type; their surfaces are typed Other and never reported",
+            cfg.lexicon, report.unknown_types,
+        )
     abbreviations = (
         AbbreviationTable.load(cfg.abbreviations) if cfg.abbreviations else AbbreviationTable()
     )

@@ -46,7 +46,7 @@ def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
         if length is None:
             continue
         surface = text[i : i + length]
-        key = lowered[i : i + length]
+        concept_id, semantic_type = index.lookup(lowered[i : i + length], head)
         raw_start, raw_end = note.raw_span(i, i + length)
         mentions.append(
             Mention(
@@ -57,8 +57,8 @@ def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
                 raw_end=raw_end,
                 surface=surface,
                 canonical_phrase=surface,
-                semantic_type=index.semantic_type(key),
-                concept_id=index.concept_id(key),
+                semantic_type=semantic_type,
+                concept_id=concept_id,
             )
         )
         resume = i + length

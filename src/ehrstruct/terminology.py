@@ -1,13 +1,15 @@
 """Input line readers, lexicon loading, head-word term index, and semantic types.
 
 The lexicon is a 3-column TSV (surface, concept_id, semantic_type).
-`load_lexicon` reads it in one pass straight into a `TermIndex`, with no
-object per line, and keeps the finished tables of a large lexicon in a
-sidecar file beside it for the next load of the same bytes. Surfaces are
-lowercased at load, and the first concept_id and type given for a surface
-are the ones kept: alternate concept_ids are counted in the load report, not
-stored. Matching is case-insensitive with raw casing preserved downstream.
-The index answers longest-match-at-position queries at word boundaries only.
+`load_lexicon` reads it in one pass straight into a `TermIndex`, one table
+of surfaces per head word, with no object per line, and keeps the finished
+tables of a large lexicon in a sidecar file beside it for the next load of
+the same bytes. A load from the sidecar decodes a head word's table only
+when a lookup first asks for it. Surfaces are lowercased at load, and the
+first concept_id and type given for a surface are the ones kept: alternate
+concept_ids are counted in the load report, not stored. Matching is
+case-insensitive with raw casing preserved downstream. The index answers
+longest-match-at-position queries at word boundaries only.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import shutil
 import stat
 import sys
 import tempfile
+import types
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,16 +147,19 @@ class LoadReport:
     unknown_types: int = 0
 
 
-# The index stores a surface's semantic type as its position in _TYPES.
+# The index answers a surface with one string, its type's tag (the character
+# whose code is the type's position in _TYPES) then its concept_id: a string,
+# unlike a tuple, is never tracked by the garbage collector.
 _TYPES = tuple(SemanticType)
-_TYPE_POSITION = {t: i for i, t in enumerate(_TYPES)}
-_NAME_TO_POSITION = {t.value: _TYPE_POSITION[t] for t in REPORTABLE_TYPES}
-_OTHER_POSITION = _TYPE_POSITION[SemanticType.OTHER]
+_TYPE_TAG = {t: chr(i) for i, t in enumerate(_TYPES)}
+_NAME_TO_TAG = {t.value: _TYPE_TAG[t] for t in REPORTABLE_TYPES}
+_OTHER_TAG = _TYPE_TAG[SemanticType.OTHER]
+_NO_SURFACES = types.MappingProxyType({})
 
 
 # A regular file of at least this many bytes keeps its built tables in a
 # sidecar, <lexicon>.ehrstruct-index: on 2 vCPUs a 300k-line lexicon parses in
-# about 0.7 s and its sidecar reads back in about 0.15 s, while a small
+# about 0.7 s and its sidecar reads back in about 0.02 s, while a small
 # lexicon parses in milliseconds and needs no second file beside it.
 _SIDECAR_MIN_BYTES = 1 << 20
 _SIDECAR_SUFFIX = ".ehrstruct-index"
@@ -168,8 +175,9 @@ def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
     counted in the report.
 
     A lexicon of at least _SIDECAR_MIN_BYTES is read from its sidecar when
-    the sidecar's key matches (`_sidecar_key`), and otherwise parsed and its
-    sidecar rewritten. A sidecar that cannot be read or written is skipped.
+    the sidecar's key matches (`_sidecar_key`) and its checksum holds, and
+    otherwise parsed and its sidecar rewritten. A sidecar that cannot be read
+    or written is skipped.
     """
     path = Path(path)
     key = _sidecar_key(path)
@@ -211,22 +219,40 @@ def _sidecar_key(path: Path) -> bytes | None:
     return digest.digest()
 
 
+# The sidecar: the 32-byte key; a CRC-32 (4 bytes, big-endian) of all that
+# follows; the header, marshal((surface count, head word -> length bits, load
+# report counts, encoded table sizes)); then each head word's table,
+# marshal({surface: answer}), in the header's head word order. The key covers
+# this module's source, so a change to this layout is a miss, not a misread.
+_KEY_BYTES = 32
+_CRC_END = _KEY_BYTES + 4
+
+
 def _read_sidecar(path: Path, key: bytes) -> tuple["TermIndex", LoadReport] | None:
-    """The index and report stored beside the lexicon under key, or None when
-    the sidecar is missing, unreadable, truncated, foreign or stale. marshal
-    is not safe against crafted data: the sidecar is trusted as the lexicon
-    beside it is."""
+    """The index and report stored beside the lexicon under key, its head
+    words' tables left encoded, or None when the sidecar is missing,
+    unreadable, foreign or stale, or fails its checksum: damage anywhere in
+    it, such as a cut-off or changed table, is found here and not at a
+    lookup. marshal is not safe against crafted data: the sidecar is trusted
+    as the lexicon beside it is."""
     try:
-        data = marshal.loads(_sidecar_path(path).read_bytes())
-    except (OSError, EOFError, ValueError, TypeError):
+        data = _sidecar_path(path).read_bytes()
+    except OSError:
         return None
-    if not (isinstance(data, tuple) and len(data) == 6 and data[0] == key):
+    view = memoryview(data)
+    crc = zlib.crc32(view[_CRC_END:]).to_bytes(4, "big")
+    if data[:_KEY_BYTES] != key or data[_KEY_BYTES:_CRC_END] != crc:
         return None
-    _, rows, concept_ids, types, lengths, counts = data
+    try:
+        size, lengths, counts, sizes = marshal.loads(view[_CRC_END:])  # ignores the tables after it
+    except (EOFError, ValueError, TypeError):
+        return None
     index = TermIndex()
-    index._rows, index._concept_ids, index._types, index._lengths = (
-        rows, concept_ids, bytearray(types), lengths
-    )
+    index._size, index._lengths = size, lengths
+    start = len(data) - sum(sizes)
+    for head, n in zip(lengths, sizes):
+        index._tables[head] = data[start : start + n]
+        start += n
     return index, LoadReport(*counts)
 
 
@@ -240,8 +266,16 @@ def _write_sidecar(path: Path, key: bytes, index: "TermIndex", report: LoadRepor
         return
     try:
         with os.fdopen(fd, "wb") as fh:
-            tables = (index._rows, index._concept_ids, index._types, index._lengths)
-            marshal.dump((key, *tables, dataclasses.astuple(report)), fh)
+            blobs = [marshal.dumps(index._tables[head]) for head in index._lengths]
+            header = marshal.dumps(
+                (len(index), index._lengths, dataclasses.astuple(report), [len(b) for b in blobs])
+            )
+            crc = zlib.crc32(header)
+            for blob in blobs:
+                crc = zlib.crc32(blob, crc)
+            fh.write(key + crc.to_bytes(4, "big"))
+            fh.write(header)
+            fh.writelines(blobs)
             fh.flush()
             os.fsync(fh.fileno())
         shutil.copymode(path, temp)  # readable by whoever reads the lexicon
@@ -252,7 +286,7 @@ def _write_sidecar(path: Path, key: bytes, index: "TermIndex", report: LoadRepor
 
 
 def _read_rows(lines, path, report: LoadReport):
-    """Yield (surface, concept_id, type position) for each non-blank line;
+    """Yield (surface, concept_id, type tag) for each non-blank line;
     fills report.total_lines and report.unknown_types once exhausted."""
     total = unknown = 0
     for lineno, line in enumerate(lines, start=1):
@@ -271,12 +305,12 @@ def _read_rows(lines, path, report: LoadReport):
             raise InputFormatError(path, lineno, "empty surface")
         total += 1
         type_name = type_name.strip()
-        position = _NAME_TO_POSITION.get(type_name)
-        if position is None:
-            position = _OTHER_POSITION
+        tag = _NAME_TO_TAG.get(type_name)
+        if tag is None:
+            tag = _OTHER_TAG
             if type_name != SemanticType.OTHER.value:
                 unknown += 1
-        yield surface, concept_id.strip(), position
+        yield surface, concept_id.strip(), tag
     report.total_lines, report.unknown_types = total, unknown
 
 
@@ -353,63 +387,82 @@ class TermIndex:
 
     A surface can match at a position, ending at a word boundary, only if its
     leading alphanumeric run equals the text's run there, so the index keys
-    each surface's distinct lengths by that head word and a query tries only
-    those. The tables hold strings, ints and bytes, so the garbage collector
-    tracks no object per surface. Immutable once built; safe to share across
-    threads. All queries expect already-lowercased text.
+    each surface by that head word: a table of the head's surfaces and the
+    bit set of their distinct lengths, and a query tries only those. The
+    tables hold strings and ints, so the garbage collector tracks no object
+    per surface or head. An index read from a sidecar holds each head's
+    table encoded until a lookup first asks for it; otherwise the index does
+    not change once built. It is safe to share across threads: threads that
+    race to decode one head each decode it whole and store equal tables. All
+    queries expect already-lowercased text.
     """
 
     def __init__(self, entries=()):
         """Index (surface, concept_id, SemanticType) triples, surfaces taken
         as given (no stripping or lowercasing); load_lexicon fills the index
         from a file."""
-        self._rows: dict[str, int] = {}  # surface -> row
-        self._concept_ids: list[str] = []  # by row
-        self._types = bytearray()  # by row: position in _TYPES
+        self._size = 0
         # head word -> bit n set when a surface of length n starts with it
         self._lengths: dict[str, int] = {}
-        self._insert((s, c, _TYPE_POSITION[t]) for s, c, t in entries)
+        # head word -> {surface: type tag + concept_id}, or that table
+        # marshalled, as a sidecar load leaves it until first use
+        self._tables: dict[str, dict[str, str] | bytes] = {}
+        self._insert((s, c, _TYPE_TAG[t]) for s, c, t in entries)
 
     def _insert(self, rows) -> tuple[int, int]:
-        """Add (surface, concept_id, type position) rows in order; the first
-        row for a surface wins. Returns the number of distinct (surface,
+        """Add (surface, concept_id, type tag) rows in order; the first row
+        for a surface wins. Returns the number of distinct (surface,
         concept_id) pairs added and of rows repeating one."""
-        rows_by_surface = self._rows
-        concept_ids = self._concept_ids
-        types = self._types
+        tables = self._tables
         lengths = self._lengths
-        alternates: set[tuple[str, str]] = set()  # pairs not stored as a row
+        alternates: set[tuple[str, str]] = set()  # pairs not stored
         entries = duplicates = 0
-        for surface, concept_id, position in rows:
-            row = rows_by_surface.get(surface)
-            if row is None:
-                rows_by_surface[surface] = len(concept_ids)
-                concept_ids.append(concept_id)
-                types.append(position)
-                # the first space-separated token is the head word when it is
-                # all alphanumeric; otherwise ask the word pattern
-                head = surface.partition(" ")[0]
-                if not head.isalnum():
-                    head = m.group() if (m := WORD_RUN.match(surface)) else ""
+        for surface, concept_id, tag in rows:
+            # _head_word, inlined: this loop runs once per lexicon line
+            head = surface.partition(" ")[0]
+            if not head.isalnum():
+                head = m.group() if (m := WORD_RUN.match(surface)) else ""
+            table = tables.get(head)
+            if table is None:
+                table = tables[head] = {}
+            answer = table.get(surface)
+            if answer is None:
+                table[surface] = tag + concept_id
                 lengths[head] = lengths.get(head, 0) | 1 << len(surface)
-            elif concept_ids[row] == concept_id or (surface, concept_id) in alternates:
+            elif answer[1:] == concept_id or (surface, concept_id) in alternates:
                 duplicates += 1
                 continue
             else:
                 alternates.add((surface, concept_id))
             entries += 1
+        self._size = sum(map(len, tables.values()))
         return entries, duplicates
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._size
+
+    def _table(self, head: str):
+        """The {surface: answer} table of head, decoded on first use."""
+        table = self._tables.get(head, _NO_SURFACES)
+        if type(table) is bytes:
+            # a thread racing this one decodes its own whole copy; each
+            # store replaces a table with an equal one
+            table = self._tables[head] = marshal.loads(table)
+        return table
+
+    def lookup(self, surface: str, head: str | None = None) -> tuple[str, SemanticType] | None:
+        """(concept_id, semantic type) of surface, or None. head, when given,
+        is surface's head word, as longest_match takes it."""
+        answer = self._table(_head_word(surface) if head is None else head).get(surface)
+        return None if answer is None else (answer[1:], _TYPES[ord(answer[0])])
 
     def concept_id(self, surface: str) -> str | None:
-        row = self._rows.get(surface)
-        return None if row is None else self._concept_ids[row]
+        found = self.lookup(surface)
+        return None if found is None else found[0]
 
     def semantic_type(self, surface: str) -> SemanticType | None:
-        row = self._rows.get(surface)
-        return None if row is None else _TYPES[self._types[row]]
+        found = self.lookup(surface)
+        return None if found is None else found[1]
 
     def head_words(self):
         """Read-only view of every head word: longest_match finds nothing at
@@ -423,16 +476,28 @@ class TermIndex:
         if head is None:
             head = m.group() if (m := WORD_RUN.match(text, start)) else ""
         lengths = self._lengths.get(head, 0)
+        if lengths <= 1:  # bit 0, an empty surface, never matches
+            return None
+        table = self._table(head)
         n = len(text)
-        while lengths > 1:  # bit 0, an empty surface, never matches
+        while lengths > 1:
             length = lengths.bit_length() - 1
             lengths ^= 1 << length
             end = start + length
             if end > n or (end < n and text[end].isalnum() and text[end - 1].isalnum()):
                 continue  # past the text, or ends inside an alphanumeric run
-            if text[start:end] in self._rows:
+            if text[start:end] in table:
                 return length
         return None
+
+
+def _head_word(surface: str) -> str:
+    """The leading alphanumeric run of surface: its first space-separated
+    token when that is all alphanumeric, else what the word pattern finds."""
+    head = surface.partition(" ")[0]
+    if head.isalnum():
+        return head
+    return m.group() if (m := WORD_RUN.match(surface)) else ""
 
 
 @dataclass(frozen=True)

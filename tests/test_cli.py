@@ -1,11 +1,13 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from ehrstruct import terminology
 from ehrstruct.cli import main
 from ehrstruct.llm_client import ChatClient, EndpointConfig, Transcript
 from ehrstruct.pipeline import PipelineConfig, build_resources, read_notes, run_structure
@@ -55,6 +57,47 @@ class TestStructure:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_workers_agree_on_a_lexicon_read_from_its_sidecar(
+        self, tmp_path, lexicon_path, abbrev_path, monkeypatch
+    ):
+        monkeypatch.setattr(terminology, "_SIDECAR_MIN_BYTES", 1)
+        lexicon = tmp_path / "lexicon.tsv"
+        shutil.copyfile(lexicon_path, lexicon)
+        args = ["--lexicon", str(lexicon), "--abbreviations", abbrev_path]
+        # the first run parses the lexicon and writes its sidecar; the later
+        # ones read it back, their threads decoding its head words as they meet them
+        for load in ("cold", "warm"):
+            out = tmp_path / f"{load}.jsonl"
+            assert main(["structure", *args, NOTES, str(out)]) == 0
+            assert out.read_bytes() == GOLDEN.read_bytes()
+        assert lexicon.with_name("lexicon.tsv.ehrstruct-index").exists()
+        notes = tmp_path / "notes.jsonl"
+        records = [json.loads(line) for line in Path(NOTES).read_text(encoding="utf-8").splitlines()]
+        notes.write_text(
+            "".join(json.dumps({**r, "note_id": f"{r['note_id']}-{i}"}) + "\n" for i in range(30) for r in records),
+            encoding="utf-8",
+        )
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 8):
+                out = tmp_path / f"out{workers}.jsonl"
+                assert main(["structure", *args, "--workers", str(workers), str(notes), str(out)]) == 0
+                outs.append(out.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 30 * len(GOLDEN.read_bytes().splitlines())
+
+    def test_entities_and_rejections_both_to_stdout(self, lexicon_args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehrstruct.cli", "structure", *lexicon_args, NOTES, "-", "--rejections", "-"],
+            capture_output=True, text=True, encoding="utf-8", timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == GOLDEN.read_text(encoding="utf-8")
 
     def test_group_by_note(self, tmp_path, lexicon_args):
         out = tmp_path / "out.jsonl"
@@ -191,6 +234,15 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(gold), str(gold), "--json", str(out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["phrase"]["f1"] == 1.0
+
+    def test_json_report_to_stdout(self, capsys):
+        gold = str(FIXTURES / "eval_gold.jsonl")
+        for _ in range(2):
+            assert main(["evaluate", gold, gold, "--json", "-"]) == 0
+            assert not sys.stdout.closed
+            out = capsys.readouterr().out
+            assert out.splitlines()[2].split()[0] == "pipeline"  # the table, then the JSON
+            assert json.loads(out[out.index("\n{") + 1 :])["phrase"]["f1"] == 1.0
 
     def test_macro_flag(self, capsys):
         gold = FIXTURES / "eval_gold.jsonl"

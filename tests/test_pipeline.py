@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import logging
 import random
 import re
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ehrstruct import integrate, pipeline, preprocess
+from ehrstruct import integrate, pipeline, preprocess, terminology
 from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
 from ehrstruct.terminology import ATTRIBUTE_KINDS, PURPOSE, ApplicabilityTable, SemanticType
@@ -29,6 +30,35 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 @pytest.fixture
 def lexicon_args(lexicon_path, abbrev_path):
     return ["--lexicon", lexicon_path, "--abbreviations", abbrev_path]
+
+
+@pytest.mark.parametrize("path", ["parse", "sidecar"])
+def test_unknown_semantic_type_is_logged(tmp_path, monkeypatch, caplog, path):
+    # "Sign, Symptom or Finding" lacks the comma of the reportable type's
+    # name, so its surface would be typed Other and silently never reported
+    if path == "sidecar":
+        monkeypatch.setattr(terminology, "_SIDECAR_MIN_BYTES", 1)
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(
+        "fever\tC1\tSign, Symptom or Finding\nrash\tC2\tDisease, Syndrome or Pathologic Function\n"
+        "cough\tC3\tOther\n",
+        encoding="utf-8",
+    )
+    cfg = pipeline.PipelineConfig(lexicon=str(lexicon))
+    for _ in ("cold", "warm"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            pipeline.load_terms(cfg)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{lexicon}: 1 line(s) with an unknown semantic type; their surfaces are typed Other and never reported")
+        ]
+    assert lexicon.with_name("lexicon.tsv.ehrstruct-index").exists() is (path == "sidecar")
+
+
+def test_shipped_lexicon_logs_nothing(lexicon_path, abbrev_path, caplog):
+    with caplog.at_level(logging.WARNING):
+        pipeline.load_terms(pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path))
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("max_tokens", [800, 50, 1])

@@ -126,11 +126,6 @@ class TestLoadLexicon:
         assert added < 1_000
 
 
-def tables(loaded):
-    index, report = loaded
-    return index._rows, index._concept_ids, index._types, index._lengths, report
-
-
 _SIDECAR_LINES = [
     "Heart Failure\tC1\tDisease, Syndrome or Pathologic Function",
     "heart failure\tC1\tDisease, Syndrome or Pathologic Function",
@@ -140,6 +135,22 @@ _SIDECAR_LINES = [
     "rash\tC3\tNot A Real Type",
     "st. john's wort\tC4\tChemical or Drug",
 ]
+# the surfaces of _SIDECAR_LINES, and strings that share a head word with one
+_SIDECAR_PROBES = ["heart failure", "heart", "fever", "fever now", "rash", "st. john's wort", "st", "cough"]
+
+
+def tables(loaded):
+    """What a load answers, read through the index's lookups: each probe's
+    concept id, type and longest match, the size, the head words and the
+    report."""
+    index, report = loaded
+    answers = [(p, *answer(index, p), index.longest_match(p, 0)) for p in _SIDECAR_PROBES]
+    return answers, len(index), sorted(index.head_words()), report
+
+
+def decoded_heads(index):
+    """The head words whose surface table the index holds decoded."""
+    return sorted(head for head, table in index._tables.items() if isinstance(table, dict))
 
 
 class TestLexiconSidecar:
@@ -170,8 +181,62 @@ class TestLexiconSidecar:
         self.without_parsing(monkeypatch)
         warm = load_lexicon(lexicon)
         assert tables(warm) == cold
-        assert type(warm[0]._types) is bytearray
+        assert warm[0].lookup("fever") == ("C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)
         assert warm[0].longest_match("st. john's wort tea", 0) == len("st. john's wort")
+
+    def test_warm_load_decodes_a_head_on_its_first_lookup(self, lexicon):
+        cold, _ = load_lexicon(lexicon)
+        assert decoded_heads(cold) == ["fever", "heart", "rash", "st"]
+        index, _ = load_lexicon(lexicon)
+        assert decoded_heads(index) == []
+        assert len(index) == 4 and sorted(index.head_words()) == ["fever", "heart", "rash", "st"]
+        assert index.longest_match("fever now", 0) == len("fever")
+        assert decoded_heads(index) == ["fever"]
+        assert index.lookup("fever", "fever") == ("C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)
+        assert index.concept_id("heart failure") == "C1"
+        assert decoded_heads(index) == ["fever", "heart"]
+        assert index.lookup("cough") is None and index.longest_match("cough", 0) is None
+        assert decoded_heads(index) == ["fever", "heart"]
+
+    def test_decoded_tables_are_not_tracked(self, tmp_path, monkeypatch):
+        # as test_index_tracks_almost_no_objects, for an index read from its
+        # sidecar with every head's table then decoded
+        monkeypatch.setattr(terminology, "_SIDECAR_MIN_BYTES", 1)
+        lines = [f"term{i} word{i % 97}\tC{i}\tOther" for i in range(20_000)]
+        path = write_lexicon(tmp_path, lines)
+        load_lexicon(path)
+        gc.collect()
+        before = len(gc.get_objects())
+        index, _ = load_lexicon(path)
+        assert decoded_heads(index) == []
+        assert all(index.longest_match(f"term{i} word{i % 97}", 0) for i in range(20_000))
+        assert decoded_heads(index) == sorted(index.head_words())
+        assert len(gc.get_objects()) - before < 1_000
+
+    def test_threads_share_a_warm_index(self, lexicon):
+        # each round's threads race to decode the same heads of a fresh index
+        cold = tables(load_lexicon(lexicon))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                loaded = load_lexicon(lexicon)
+                barrier = threading.Barrier(8)
+                results = []
+
+                def look():
+                    barrier.wait(timeout=10)
+                    results.append(tables(loaded))
+
+                threads = [threading.Thread(target=look) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [cold] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_changed_byte_is_reloaded(self, lexicon, monkeypatch):
         load_lexicon(lexicon)
@@ -182,7 +247,9 @@ class TestLexiconSidecar:
         self.without_parsing(monkeypatch)
         assert load_lexicon(lexicon)[0].concept_id("fever") == "C7"
 
-    @pytest.mark.parametrize("damage", ["garbage", "empty", "truncated", "other-python"])
+    @pytest.mark.parametrize(
+        "damage", ["garbage", "empty", "truncated", "other-python", "byte-in-a-blob", "last-blob-cut"]
+    )
     def test_bad_sidecar_is_rebuilt(self, lexicon, monkeypatch, damage):
         cold = tables(load_lexicon(lexicon))
         sidecar = self.sidecar(lexicon)
@@ -193,8 +260,18 @@ class TestLexiconSidecar:
                 load_lexicon(lexicon)
         else:
             data = sidecar.read_bytes()
-            sidecar.write_bytes({"garbage": b"\x00not marshal", "empty": b"", "truncated": data[:-7]}[damage])
+            # the last "C2" is fever's concept id, inside the encoded table of
+            # its head; the last surface is written inside the last head's
+            c2 = data.rindex(b"C2")
+            sidecar.write_bytes({
+                "garbage": b"\x00not marshal",
+                "empty": b"",
+                "truncated": data[:-7],
+                "byte-in-a-blob": data[:c2] + b"C7" + data[c2 + 2 :],
+                "last-blob-cut": data[: data.rindex(b"st. john's wort")],
+            }[damage])
         bad = sidecar.read_bytes()
+        # a damaged sidecar is rewritten, so the load found the damage at set-up
         assert tables(load_lexicon(lexicon)) == cold
         assert sidecar.read_bytes() != bad
         self.without_parsing(monkeypatch)
