@@ -1,7 +1,8 @@
 """Command-line interface wiring the pipeline stages together.
 
-Every stage reads and writes JSONL so intermediate results can be inspected
-and re-run independently; `structure` runs the whole pipeline in one pass.
+`preprocess` and `recognize` read notes JSONL and write one stage's output
+(chunks, mentions) as JSONL for inspection; no command reads those back.
+`structure` runs the whole pipeline in one pass.
 """
 
 from __future__ import annotations

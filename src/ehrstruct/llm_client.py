@@ -55,12 +55,21 @@ class EndpointConfig:
     backoff_base: float = 1.0
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        problems = endpoint_problems(self.timeout, self.max_retries, self.max_in_flight)
+        if problems:
+            raise ValueError("; ".join(problems))
+
+
+def endpoint_problems(timeout: float, max_retries: int, max_in_flight: int) -> list[str]:
+    """What is wrong with these endpoint settings; empty means valid."""
+    problems = []
+    if max_retries < 0:
+        problems.append("max_retries must be >= 0")
+    if max_in_flight < 1:
+        problems.append("max_in_flight must be >= 1")
+    if not timeout > 0:  # NaN too: a socket rejects it at every call
+        problems.append("timeout must be positive")
+    return problems
 
 
 class Transcript:
@@ -204,9 +213,12 @@ class ChatClient:
                     continue
                 if resp.status_code == 200:
                     try:
-                        return resp.json()["choices"][0]["message"]["content"]
-                    except (KeyError, IndexError, ValueError) as exc:
+                        content = resp.json()["choices"][0]["message"]["content"]
+                    except (KeyError, IndexError, TypeError, ValueError) as exc:
                         raise TransportError(f"malformed completion response: {exc}") from exc
+                    if not isinstance(content, str):  # null, or a list of parts
+                        raise TransportError(f"malformed completion response: content is {content!r:.80}")
+                    return content
                 if resp.status_code == 429 or resp.status_code >= 500:
                     last_error = TransportError(f"HTTP {resp.status_code}")
                     continue

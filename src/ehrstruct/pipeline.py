@@ -35,6 +35,7 @@ from .llm_client import (
     EndpointConfig,
     Transcript,
     TransportError,
+    endpoint_problems,
 )
 from .preprocess import RawNote, restore_linebreaks, segment
 from .recognition import recognize_note
@@ -115,11 +116,7 @@ class PipelineConfig:
             problems.append("workers: must be >= 1")
         if self.max_tokens <= 0:
             problems.append("max_tokens must be positive")
-        try:
-            self.endpoint()
-        except ValueError as exc:
-            problems.append(str(exc))
-        return problems
+        return problems + endpoint_problems(self.timeout, self.max_retries, self.max_in_flight)
 
     def endpoint(self) -> EndpointConfig:
         return EndpointConfig(
@@ -135,8 +132,8 @@ class PipelineConfig:
 @dataclass
 class PipelineResources:
     """Shared state, safe across worker threads. Nothing in it changes after
-    set-up but the index, which decodes a sidecar's head word tables as
-    lookups first ask for them (see `TermIndex`)."""
+    set-up but the index, which decodes the tables of a lexicon's sidecar
+    as queries first ask for them (see `TermIndex`)."""
 
     index: object
     abbreviations: AbbreviationTable
@@ -155,6 +152,11 @@ def load_terms(cfg: PipelineConfig) -> tuple[TermIndex, AbbreviationTable]:
         log.warning(
             "%s: %d line(s) with an unknown semantic type; their surfaces are typed Other and never reported",
             cfg.lexicon, report.unknown_types,
+        )
+    if report.unmatchable:
+        log.warning(
+            "%s: %d surface(s) with no leading letter or digit; no match can start with them",
+            cfg.lexicon, report.unmatchable,
         )
     abbreviations = (
         AbbreviationTable.load(cfg.abbreviations) if cfg.abbreviations else AbbreviationTable()

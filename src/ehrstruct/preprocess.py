@@ -68,10 +68,14 @@ def restore_linebreaks(raw: RawNote) -> NormalizedNote:
     A break is kept when the previous line ends in sentence-terminal
     punctuation, the next line is a list item or section header, or either
     side is blank. Replaced breaks collapse with adjacent spaces so no
-    characters are ever inserted.
+    characters are ever inserted. A "\r\n" is one line break, so a CRLF note
+    normalizes to the text of its LF twin; the break's character maps to the
+    "\r".
     """
     text = raw.text
     lines = text.split("\n")
+    if "\r" in text:  # a "\r\n" is one line break: its "\r" is no part of the line
+        lines[:-1] = [line.removesuffix("\r") for line in lines[:-1]]
     out: list[str] = []
     offset_map: list[int] = []
     pos = 0
@@ -79,7 +83,7 @@ def restore_linebreaks(raw: RawNote) -> NormalizedNote:
         out.append(line)
         offset_map.extend(range(pos, pos + len(line)))
         pos += len(line)
-        if idx < len(lines) - 1:  # the '\n' at raw offset pos
+        if idx < len(lines) - 1:  # the break at raw offset pos
             if _keep_break(line, lines[idx + 1]):
                 out.append("\n")
                 offset_map.append(pos)
@@ -90,7 +94,7 @@ def restore_linebreaks(raw: RawNote) -> NormalizedNote:
                 if not prev_is_space and not next_is_space:
                     out.append(" ")
                     offset_map.append(pos)
-            pos += 1
+            pos += 2 if text[pos] == "\r" else 1
     return NormalizedNote(raw.note_id, "".join(out), offset_map)
 
 

@@ -1,9 +1,8 @@
-"""Forward maximum matching over the whole normalized note.
+"""Recognition: lexicon matches in the whole normalized note, filtered to
+reportable types, with abbreviations expanded.
 
-Scans left to right, emitting the longest lexicon match at each word-boundary
-position and resuming after it. Only a word that is a head word of the index
-(`TermIndex.head_words`) can start a match, so every other word is skipped
-before the index is asked. Matched spans map back to raw-text offsets via the
+The index finds the matches (`TermIndex.scan`, forward maximum matching over
+the case-folded note). Matched spans map back to raw-text offsets via the
 note's offset map.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preprocess import NormalizedNote
-from .terminology import WORD_RUN, AbbreviationTable, SemanticType, TermIndex, fold_case
+from .terminology import AbbreviationTable, SemanticType, TermIndex, fold_case
 
 
 @dataclass
@@ -33,26 +32,16 @@ def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
     """Forward-maximum-match the whole normalized note against the index
     (unfiltered)."""
     text = note.text
-    lowered = fold_case(text)
     mentions: list[Mention] = []
-    heads = index.head_words()
-    resume = 0  # end of the last match; a match never ends inside a word
-    # fold_case keeps isalnum(), so lowered has the same runs as text
-    for word in WORD_RUN.finditer(lowered):
-        i = word.start()
-        if i < resume or (head := word.group()) not in heads:
-            continue
-        length = index.longest_match(lowered, i, head)
-        if length is None:
-            continue
-        surface = text[i : i + length]
-        concept_id, semantic_type = index.lookup(lowered[i : i + length], head)
-        raw_start, raw_end = note.raw_span(i, i + length)
+    # fold_case keeps every character's length, so its spans index text
+    for start, end, concept_id, semantic_type in index.scan(fold_case(text)):
+        surface = text[start:end]
+        raw_start, raw_end = note.raw_span(start, end)
         mentions.append(
             Mention(
                 note_id=note.note_id,
-                norm_start=i,
-                norm_end=i + length,
+                norm_start=start,
+                norm_end=end,
                 raw_start=raw_start,
                 raw_end=raw_end,
                 surface=surface,
@@ -61,7 +50,6 @@ def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
                 concept_id=concept_id,
             )
         )
-        resume = i + length
     return mentions
 
 
@@ -78,20 +66,16 @@ def expand_abbreviation(m: Mention, table: AbbreviationTable) -> Mention:
         if exp.semantic_type is not None:
             m.semantic_type = exp.semantic_type
     elif len(expansions) >= 2:
-        m.canonical_phrase = m.surface
         m.ambiguous = True
     return m
 
 
 def recognize_note(
-    note: NormalizedNote,
-    index: TermIndex,
-    abbreviations: AbbreviationTable | None = None,
+    note: NormalizedNote, index: TermIndex, abbreviations: AbbreviationTable
 ) -> list[Mention]:
     """Full per-note recognition: match, filter, expand, in document
     order."""
     mentions = filter_reportable(recognize(note, index))
-    if abbreviations is not None:
-        for m in mentions:
-            expand_abbreviation(m, abbreviations)
+    for m in mentions:
+        expand_abbreviation(m, abbreviations)
     return mentions

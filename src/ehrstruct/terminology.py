@@ -5,11 +5,12 @@ The lexicon is a 3-column TSV (surface, concept_id, semantic_type).
 of surfaces per head word, with no object per line, and keeps the finished
 tables of a large lexicon in a sidecar file beside it for the next load of
 the same bytes. A load from the sidecar decodes a head word's table only
-when a lookup first asks for it. Surfaces are lowercased at load, and the
+when a query first asks for it. Surfaces are lowercased at load, and the
 first concept_id and type given for a surface are the ones kept: alternate
 concept_ids are counted in the load report, not stored. Matching is
 case-insensitive with raw casing preserved downstream. The index answers
-longest-match-at-position queries at word boundaries only.
+two queries: `scan`, forward maximum matching over a lowercased text, and
+`lookup`, the answer for one surface.
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ class LoadReport:
     entries: int = 0  # distinct (surface, concept_id) pairs
     duplicates: int = 0
     unknown_types: int = 0
+    unmatchable: int = 0  # distinct surfaces with no leading letter or digit, which no scan finds
 
 
 # The index answers a surface with one string, its type's tag (the character
@@ -172,7 +174,7 @@ def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
     its concept_id and type; a later line repeating a (surface, concept_id)
     pair counts as a duplicate, and one with another concept_id counts as an
     entry but is not kept. Unknown semantic-type names map to Other and are
-    counted in the report.
+    counted in the report, as are surfaces no scan can match.
 
     A lexicon of at least _SIDECAR_MIN_BYTES is read from its sidecar when
     the sidecar's key matches (`_sidecar_key`) and its checksum holds, and
@@ -189,7 +191,8 @@ def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
     index = TermIndex()
     with path.open(encoding="utf-8") as fh:
         try:
-            report.entries, report.duplicates = index._insert(_read_rows(fh, path, report))
+            counts = index._insert(_read_rows(fh, path, report))
+            report.entries, report.duplicates, report.unmatchable = counts
         except UnicodeDecodeError as exc:
             raise InputFormatError(path, None, f"not UTF-8 ({exc.reason})") from exc
     # the file may have changed while it was parsed: store the tables only
@@ -379,22 +382,25 @@ class LiteralIndex:
 
 # A maximal run of characters for which str.isalnum() is true: [^\W_]
 # matches exactly the code points isalnum() accepts.
-WORD_RUN = re.compile(r"[^\W_]+")
+_WORD_RUN = re.compile(r"[^\W_]+")
 
 
 class TermIndex:
-    """Surface dictionary supporting longest-match queries.
+    """Surface dictionary answering forward maximum matching (`scan`) and
+    point lookups (`lookup`).
 
     A surface can match at a position, ending at a word boundary, only if its
     leading alphanumeric run equals the text's run there, so the index keys
     each surface by that head word: a table of the head's surfaces and the
-    bit set of their distinct lengths, and a query tries only those. The
-    tables hold strings and ints, so the garbage collector tracks no object
-    per surface or head. An index read from a sidecar holds each head's
-    table encoded until a lookup first asks for it; otherwise the index does
-    not change once built. It is safe to share across threads: threads that
-    race to decode one head each decode it whole and store equal tables. All
-    queries expect already-lowercased text.
+    bit set of their distinct lengths, and a scan tries only those. A surface
+    with no leading letter or digit has the empty head word, which starts no
+    run, so a scan never finds it. The tables hold strings and ints, so the
+    garbage collector tracks no object per surface or head. An index read
+    from a sidecar holds each head's table encoded until a query first asks
+    for it; otherwise the index does not change once built. It is safe to
+    share across threads: threads that race to decode one head each decode
+    it whole and store equal tables. All queries expect already-lowercased
+    text.
     """
 
     def __init__(self, entries=()):
@@ -409,10 +415,11 @@ class TermIndex:
         self._tables: dict[str, dict[str, str] | bytes] = {}
         self._insert((s, c, _TYPE_TAG[t]) for s, c, t in entries)
 
-    def _insert(self, rows) -> tuple[int, int]:
+    def _insert(self, rows) -> tuple[int, int, int]:
         """Add (surface, concept_id, type tag) rows in order; the first row
         for a surface wins. Returns the number of distinct (surface,
-        concept_id) pairs added and of rows repeating one."""
+        concept_id) pairs added, of rows repeating one, and of surfaces the
+        index holds under the empty head word."""
         tables = self._tables
         lengths = self._lengths
         alternates: set[tuple[str, str]] = set()  # pairs not stored
@@ -421,7 +428,7 @@ class TermIndex:
             # _head_word, inlined: this loop runs once per lexicon line
             head = surface.partition(" ")[0]
             if not head.isalnum():
-                head = m.group() if (m := WORD_RUN.match(surface)) else ""
+                head = m.group() if (m := _WORD_RUN.match(surface)) else ""
             table = tables.get(head)
             if table is None:
                 table = tables[head] = {}
@@ -436,7 +443,7 @@ class TermIndex:
                 alternates.add((surface, concept_id))
             entries += 1
         self._size = sum(map(len, tables.values()))
-        return entries, duplicates
+        return entries, duplicates, len(tables.get("", ()))
 
     def __len__(self) -> int:
         return self._size
@@ -450,45 +457,43 @@ class TermIndex:
             table = self._tables[head] = marshal.loads(table)
         return table
 
-    def lookup(self, surface: str, head: str | None = None) -> tuple[str, SemanticType] | None:
-        """(concept_id, semantic type) of surface, or None. head, when given,
-        is surface's head word, as longest_match takes it."""
-        answer = self._table(_head_word(surface) if head is None else head).get(surface)
+    def lookup(self, surface: str) -> tuple[str, SemanticType] | None:
+        """(concept_id, semantic type) of surface, or None. No pipeline stage
+        calls it; it is the point query for callers that hold one surface."""
+        answer = self._table(_head_word(surface)).get(surface)
         return None if answer is None else (answer[1:], _TYPES[ord(answer[0])])
 
-    def concept_id(self, surface: str) -> str | None:
-        found = self.lookup(surface)
-        return None if found is None else found[0]
+    def scan(self, text: str) -> list[tuple[int, int, str, SemanticType]]:
+        """Forward maximum matching over text: (start, end, concept_id,
+        semantic type) of each match, left to right.
 
-    def semantic_type(self, surface: str) -> SemanticType | None:
-        found = self.lookup(surface)
-        return None if found is None else found[1]
-
-    def head_words(self):
-        """Read-only view of every head word: longest_match finds nothing at
-        a position whose alphanumeric run is not one of them."""
-        return self._lengths.keys()
-
-    def longest_match(self, text: str, start: int, head: str | None = None) -> int | None:
-        """Length of the longest surface matching text[start:] that ends at a
-        word boundary, or None. text must be lowercased; head, when given, is
-        the alphanumeric run of text that begins at start."""
-        if head is None:
-            head = m.group() if (m := WORD_RUN.match(text, start)) else ""
-        lengths = self._lengths.get(head, 0)
-        if lengths <= 1:  # bit 0, an empty surface, never matches
-            return None
-        table = self._table(head)
+        Only a head word starts a match: at each alphanumeric run of text
+        that is a head word, the longest of its surfaces that text continues
+        with and that ends at a word boundary (no letter or digit on both
+        sides of its end) is a match, and the walk resumes at the match's
+        end, so no match starts inside another.
+        """
+        matches = []
+        heads = self._lengths
         n = len(text)
-        while lengths > 1:
-            length = lengths.bit_length() - 1
-            lengths ^= 1 << length
-            end = start + length
-            if end > n or (end < n and text[end].isalnum() and text[end - 1].isalnum()):
-                continue  # past the text, or ends inside an alphanumeric run
-            if text[start:end] in table:
-                return length
-        return None
+        resume = 0  # end of the last match; a match never ends inside a word
+        for word in _WORD_RUN.finditer(text):
+            start = word.start()
+            if start < resume or (lengths := heads.get(head := word.group())) is None:
+                continue
+            table = self._table(head)
+            while lengths:
+                length = lengths.bit_length() - 1
+                lengths ^= 1 << length
+                end = start + length
+                if end > n or (end < n and text[end].isalnum() and text[end - 1].isalnum()):
+                    continue  # past the text, or ends inside an alphanumeric run
+                answer = table.get(text[start:end])
+                if answer is not None:
+                    matches.append((start, end, answer[1:], _TYPES[ord(answer[0])]))
+                    resume = end
+                    break
+        return matches
 
 
 def _head_word(surface: str) -> str:
@@ -497,7 +502,7 @@ def _head_word(surface: str) -> str:
     head = surface.partition(" ")[0]
     if head.isalnum():
         return head
-    return m.group() if (m := WORD_RUN.match(surface)) else ""
+    return m.group() if (m := _WORD_RUN.match(surface)) else ""
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,19 @@ class TestValidateConfig:
         assert f"config error: {message}" in captured.err
         assert "config OK" not in captured.out
 
+    def test_lists_every_bad_endpoint_setting(self, tmp_path, lexicon_path, capsys):
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(
+            f"lexicon = {lexicon_path}\ntimeout = -1\nmax_in_flight = 0\nmax_retries = -1\n", encoding="utf-8"
+        )
+        assert main(["validate-config", "--config", str(cfg_file)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config error:")]
+        assert errors == [
+            "config error: max_retries must be >= 0",
+            "config error: max_in_flight must be >= 1",
+            "config error: timeout must be positive",
+        ]
+
     def test_rejects_nan_mismatch_threshold(self, tmp_path, lexicon_path, capsys):
         # a NaN threshold would turn rejection off: no ratio is > nan
         cfg_file = tmp_path / "pipeline.cfg"

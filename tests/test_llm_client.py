@@ -63,6 +63,15 @@ class TestLiveMode:
             client.complete("x")
         assert stub_server.request_count == 1
 
+    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "ok"}]], ids=["null", "parts"])
+    def test_content_that_is_not_a_string_is_a_transport_error(self, stub_server, content):
+        stub_server.reply = lambda prompt: content
+        client = make_client(stub_server, mode="record", max_retries=2)
+        with pytest.raises(TransportError, match="malformed completion response"):
+            client.complete("x")
+        assert stub_server.request_count == 1
+        assert client.transcript.get("x") is None
+
     def test_missing_key_is_configuration_error(self, stub_server, monkeypatch):
         monkeypatch.delenv("GENIE_API_KEY")
         client = make_client(stub_server)
@@ -265,6 +274,8 @@ def test_config_validation():
         EndpointConfig(max_retries=-1)
     with pytest.raises(ValueError):
         EndpointConfig(max_in_flight=0)
+    with pytest.raises(ValueError, match="^max_retries must be >= 0; max_in_flight must be >= 1; timeout must be positive$"):
+        EndpointConfig(timeout=-1, max_in_flight=0, max_retries=-1)
 
 
 def test_request_pins_temperature_to_zero():
@@ -287,6 +298,6 @@ def test_request_pins_temperature_to_zero():
 
 
 def test_timeout_must_be_positive():
-    for timeout in (0, -1):
+    for timeout in (0, -1, float("nan")):
         with pytest.raises(ValueError, match="timeout must be positive"):
             EndpointConfig(timeout=timeout)

@@ -69,6 +69,7 @@ FAULTS = {
     "500-storm": (500, dict(max_retries=2)),
     "400": (400, dict(max_retries=2)),
     "non-json": ("non-json", dict(max_retries=2)),
+    "null-content": ("null-content", dict(max_retries=2)),
     "timeout": (None, dict(max_retries=1, timeout=0.2)),
 }
 

@@ -55,6 +55,49 @@ def test_unknown_semantic_type_is_logged(tmp_path, monkeypatch, caplog, path):
     assert lexicon.with_name("lexicon.tsv.ehrstruct-index").exists() is (path == "sidecar")
 
 
+@pytest.mark.parametrize("path", ["parse", "sidecar"])
+def test_unmatchable_surfaces_are_logged(tmp_path, monkeypatch, caplog, path):
+    # a surface that starts with no letter or digit can be looked up, but no
+    # match can start with it
+    if path == "sidecar":
+        monkeypatch.setattr(terminology, "_SIDECAR_MIN_BYTES", 1)
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(
+        "[x]malaria\tC1\tDisease, Syndrome or Pathologic Function\n-ve\tC2\tClinical Attribute\n"
+        "fever\tC3\tSign, Symptom, or Finding\n",
+        encoding="utf-8",
+    )
+    cfg = pipeline.PipelineConfig(lexicon=str(lexicon))
+    for _ in ("cold", "warm"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            index, _ = pipeline.load_terms(cfg)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{lexicon}: 2 surface(s) with no leading letter or digit; no match can start with them")
+        ]
+        assert index.lookup("[x]malaria") == ("C1", SemanticType.DISEASE)
+    assert lexicon.with_name("lexicon.tsv.ehrstruct-index").exists() is (path == "sidecar")
+
+
+def test_crlf_notes_give_the_entities_of_their_lf_twins(lexicon_path, abbrev_path):
+    # "\r\n" is one line break, so a CRLF note finds what its LF twin finds,
+    # at spans into its own text
+    res = pipeline.build_resources(pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path))
+    with NOTES.open(encoding="utf-8") as fh:
+        notes = pipeline.read_notes(fh)
+    found = 0
+    for lf in notes:
+        crlf = preprocess.RawNote(lf.note_id, lf.text.replace("\n", "\r\n"))
+        lf_entities = pipeline.structure_note(lf, res).entities
+        crlf_entities = pipeline.structure_note(crlf, res).entities
+        unplaced = [dataclasses.replace(e, span=None) for e in crlf_entities]
+        assert unplaced == [dataclasses.replace(e, span=None) for e in lf_entities]
+        for e, twin in zip(crlf_entities, lf_entities):
+            assert crlf.text[slice(*e.span)].replace("\r\n", "\n") == lf.text[slice(*twin.span)]
+        found += len(lf_entities)
+    assert found == 13
+
+
 def test_shipped_lexicon_logs_nothing(lexicon_path, abbrev_path, caplog):
     with caplog.at_level(logging.WARNING):
         pipeline.load_terms(pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path))
@@ -499,9 +542,9 @@ def sample_plus_st_johns(tmp_path_factory, lexicon_path, abbrev_path):
 
 
 def read_as_normalized(raw):
-    """A raw span as normalization renders it: a line break next to a space
-    disappears, any other becomes a space."""
-    return re.sub(r"(?<= )\n|\n(?= )", "", raw).replace("\n", " ")
+    """A raw span as normalization renders it: a line break ("\n" or
+    "\r\n") next to a space disappears, any other becomes a space."""
+    return re.sub(r"(?<= )\n|\n(?= )", "", raw.replace("\r\n", "\n")).replace("\n", " ")
 
 
 @given(generated_notes)

@@ -254,6 +254,26 @@ def test_restore_linebreaks_matches_character_loop(text):
     assert (note.text, note.offset_map) == reference_restore_linebreaks(text)
 
 
+@given(
+    st.one_of(
+        st.text(alphabet="ab .\n-ABC:", max_size=300),
+        st.lists(st.sampled_from(_LINES), max_size=12).map("\n".join),
+    )
+)
+@example("shortness of\nbreath.\n\nALLERGIES:\n- penicillin\n")
+@settings(max_examples=200, deadline=None)
+def test_crlf_note_normalizes_to_its_lf_twin(text):
+    crlf = text.replace("\n", "\r\n")
+    lf_note = restore_linebreaks(RawNote("n", text))
+    crlf_note = restore_linebreaks(RawNote("n", crlf))
+    assert crlf_note.text == lf_note.text
+    # each character maps to itself in the CRLF text, a line break to its "\r"
+    assert [crlf[i] for i in crlf_note.offset_map] == [
+        "\r" if text[i] == "\n" else text[i] for i in lf_note.offset_map
+    ]
+    assert split_paragraphs(crlf_note.text) == split_paragraphs(lf_note.text)
+
+
 def reference_chunk_note(note, max_tokens):
     """chunk_note as it was before the segmentation was shared: it splits the
     note itself with split_paragraphs and split_sentences."""

@@ -120,6 +120,19 @@ class TestRecognize:
         for a, b in zip(mentions, mentions[1:]):
             assert a.norm_end <= b.norm_start
 
+    def test_one_index_call_per_note(self, sample_index):
+        # the index does the matching; recognize only builds mentions
+        calls = []
+
+        class ScanOnly:
+            def scan(self, text):
+                calls.append(text)
+                return sample_index.scan(text)
+
+        mentions = recognize(note_for("Chest pain, fever and HSM."), ScanOnly())
+        assert [m.surface for m in mentions] == ["Chest pain", "fever", "HSM"]
+        assert calls == ["chest pain, fever and hsm."]
+
     def test_offset_fidelity(self, sample_index):
         text = "Severe Chest Pain and HSM"
         note = note_for(text)

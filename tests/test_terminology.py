@@ -35,7 +35,7 @@ def write_lexicon(tmp_path, lines):
 
 
 def answer(index, surface):
-    return index.concept_id(surface), index.semantic_type(surface)
+    return index.lookup(surface) or (None, None)
 
 
 class TestLoadLexicon:
@@ -65,13 +65,13 @@ class TestLoadLexicon:
     def test_surfaces_lowercased(self, tmp_path):
         path = write_lexicon(tmp_path, ["Heart Failure\tC1\tDisease, Syndrome or Pathologic Function"])
         index, _ = load_lexicon(path)
-        assert index.concept_id("heart failure") == "C1"
-        assert index.concept_id("Heart Failure") is None
+        assert index.lookup("heart failure")[0] == "C1"
+        assert index.lookup("Heart Failure") is None
 
     def test_unknown_type_maps_to_other(self, tmp_path):
         path = write_lexicon(tmp_path, ["thing\tC1\tNot A Real Type"])
         index, report = load_lexicon(path)
-        assert index.semantic_type("thing") is SemanticType.OTHER
+        assert index.lookup("thing")[1] is SemanticType.OTHER
         assert report.unknown_types == 1
 
     def test_fields_stripped_and_counted(self, tmp_path):
@@ -140,12 +140,17 @@ _SIDECAR_PROBES = ["heart failure", "heart", "fever", "fever now", "rash", "st. 
 
 
 def tables(loaded):
-    """What a load answers, read through the index's lookups: each probe's
-    concept id, type and longest match, the size, the head words and the
-    report."""
+    """What a load answers, read through the index's queries: each probe's
+    concept id and type and its scan's matches, the size, the head words and
+    the report."""
     index, report = loaded
-    answers = [(p, *answer(index, p), index.longest_match(p, 0)) for p in _SIDECAR_PROBES]
-    return answers, len(index), sorted(index.head_words()), report
+    answers = [(p, *answer(index, p), index.scan(p)) for p in _SIDECAR_PROBES]
+    return answers, len(index), head_words(index), report
+
+
+def head_words(index):
+    """Every head word the index holds a surface table for."""
+    return sorted(index._tables)
 
 
 def decoded_heads(index):
@@ -182,20 +187,20 @@ class TestLexiconSidecar:
         warm = load_lexicon(lexicon)
         assert tables(warm) == cold
         assert warm[0].lookup("fever") == ("C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)
-        assert warm[0].longest_match("st. john's wort tea", 0) == len("st. john's wort")
+        assert warm[0].scan("st. john's wort tea") == [(0, len("st. john's wort"), "C4", SemanticType.CHEMICAL_OR_DRUG)]
 
     def test_warm_load_decodes_a_head_on_its_first_lookup(self, lexicon):
         cold, _ = load_lexicon(lexicon)
         assert decoded_heads(cold) == ["fever", "heart", "rash", "st"]
         index, _ = load_lexicon(lexicon)
         assert decoded_heads(index) == []
-        assert len(index) == 4 and sorted(index.head_words()) == ["fever", "heart", "rash", "st"]
-        assert index.longest_match("fever now", 0) == len("fever")
+        assert len(index) == 4 and head_words(index) == ["fever", "heart", "rash", "st"]
+        assert index.scan("fever now") == [(0, len("fever"), "C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)]
         assert decoded_heads(index) == ["fever"]
-        assert index.lookup("fever", "fever") == ("C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)
-        assert index.concept_id("heart failure") == "C1"
+        assert index.lookup("fever") == ("C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)
+        assert index.lookup("heart failure")[0] == "C1"
         assert decoded_heads(index) == ["fever", "heart"]
-        assert index.lookup("cough") is None and index.longest_match("cough", 0) is None
+        assert index.lookup("cough") is None and index.scan("cough") == []
         assert decoded_heads(index) == ["fever", "heart"]
 
     def test_decoded_tables_are_not_tracked(self, tmp_path, monkeypatch):
@@ -209,8 +214,8 @@ class TestLexiconSidecar:
         before = len(gc.get_objects())
         index, _ = load_lexicon(path)
         assert decoded_heads(index) == []
-        assert all(index.longest_match(f"term{i} word{i % 97}", 0) for i in range(20_000))
-        assert decoded_heads(index) == sorted(index.head_words())
+        assert all(index.scan(f"term{i} word{i % 97}") for i in range(20_000))
+        assert decoded_heads(index) == head_words(index)
         assert len(gc.get_objects()) - before < 1_000
 
     def test_threads_share_a_warm_index(self, lexicon):
@@ -243,9 +248,9 @@ class TestLexiconSidecar:
         data = lexicon.read_bytes()
         lexicon.write_bytes(data.replace(b"fever\tC2", b"fever\tC7"))
         index, _ = load_lexicon(lexicon)
-        assert index.concept_id("fever") == "C7"
+        assert index.lookup("fever")[0] == "C7"
         self.without_parsing(monkeypatch)
-        assert load_lexicon(lexicon)[0].concept_id("fever") == "C7"
+        assert load_lexicon(lexicon)[0].lookup("fever")[0] == "C7"
 
     @pytest.mark.parametrize(
         "damage", ["garbage", "empty", "truncated", "other-python", "byte-in-a-blob", "last-blob-cut"]
@@ -326,7 +331,7 @@ class TestLexiconSidecar:
         writer.join(timeout=10)
         assert not reader.is_alive() and not writer.is_alive()
         index, report = loaded[0]
-        assert index.concept_id("fever") == "C2" and report.entries == 5
+        assert index.lookup("fever")[0] == "C2" and report.entries == 5
         assert not self.sidecar(pipe).exists()
 
     def test_threshold(self, tmp_path):
@@ -373,7 +378,7 @@ _lines = st.one_of(
 
 def _reference_load(lines):
     """Naive loader: a set of (surface, concept_id) pairs and a first-wins
-    dict of surface -> (concept_id, type)."""
+    dict of surface -> (concept_id, type), and the report's counts."""
     pairs, first = set(), {}
     total = duplicates = unknown = 0
     for line in lines:
@@ -390,7 +395,8 @@ def _reference_load(lines):
             continue
         pairs.add((surface, concept_id))
         first.setdefault(surface, (concept_id, sem_type))
-    return first, (total, len(pairs), duplicates, unknown)
+    unmatchable = sum(not surface[0].isalnum() for surface in first)
+    return first, (total, len(pairs), duplicates, unknown, unmatchable)
 
 
 @given(lines=st.lists(_lines, max_size=30))
@@ -400,11 +406,17 @@ def test_loader_agrees_with_reference(lines, tmp_path_factory):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     index, report = load_lexicon(path)
     first, counts = _reference_load(lines)
-    assert (report.total_lines, report.entries, report.duplicates, report.unknown_types) == counts
+    assert (
+        report.total_lines, report.entries, report.duplicates, report.unknown_types, report.unmatchable
+    ) == counts
     assert len(index) == len(first)
     for surface, expected in first.items():
         assert answer(index, surface) == expected
-        assert index.longest_match(surface, 0) == len(surface)
+        matches = index.scan(surface)
+        if surface[0].isalnum():
+            assert matches[0] == (0, len(surface), *expected)
+        else:  # the empty head word starts no match
+            assert all(start > 0 for start, *_ in matches)
     assert answer(index, "not a surface") == (None, None)
 
 
@@ -418,36 +430,36 @@ class TestTermIndex:
             ],
         )
         index, _ = load_lexicon(path)
-        assert index.longest_match("heart failure now", 0) == len("heart failure")
+        assert index.scan("heart failure now") == [(0, len("heart failure"), "C2", SemanticType.DISEASE)]
 
     def test_empty_index_matches_nothing(self):
         index = TermIndex()
-        assert index.longest_match("heart failure", 0) is None
+        assert index.scan("heart failure") == []
 
     def test_match_must_end_at_word_boundary(self, tmp_path):
         path = write_lexicon(tmp_path, ["ra\tC1\tOther"])
         index, _ = load_lexicon(path)
-        assert index.longest_match("ra level", 0) == 2
-        assert index.longest_match("rapid", 0) is None
+        assert index.scan("ra level") == [(0, 2, "C1", SemanticType.OTHER)]
+        assert index.scan("rapid") == []
 
     def test_first_entry_wins_for_a_surface(self, tmp_path):
         path = write_lexicon(tmp_path, ["fever\tC1\tOther", "Fever\tC2\tOther"])
         index, _ = load_lexicon(path)
-        assert index.concept_id("fever") == "C1"
+        assert index.lookup("fever")[0] == "C1"
 
     def test_loaded_surface_lookup_succeeds(self, sample_index, lexicon_path):
         with open(lexicon_path, encoding="utf-8") as fh:
             surfaces = [line.split("\t")[0].strip().lower() for line in fh if line.strip()]
         assert len(surfaces) == len(sample_index)
         for surface in surfaces:
-            assert sample_index.longest_match(surface, 0) is not None
+            assert sample_index.scan(surface)[0][:2] == (0, len(surface))
 
     def test_deterministic_build(self, lexicon_path):
         a, _ = load_lexicon(lexicon_path)
         b, _ = load_lexicon(lexicon_path)
         probes = ["heart failure", "hsm noted", "no ileus today", "xyzzy"]
         for text in probes:
-            assert a.longest_match(text, 0) == b.longest_match(text, 0)
+            assert a.scan(text) == b.scan(text)
 
 
 # Pieces where matching is easy to get wrong: 'i\u0307' is what 'İ' lowercases
@@ -472,22 +484,33 @@ def _brute_longest_match(text, start, surfaces):
     return best
 
 
+def _brute_scan(text, surfaces):
+    """Forward maximum matching by brute force: the longest match at each
+    start of an alphanumeric run that is not inside the last match, as
+    (start, end, concept id of the first such surface)."""
+    found, resume = [], 0
+    for start in range(len(text)):
+        if start < resume or not text[start].isalnum() or (start and text[start - 1].isalnum()):
+            continue
+        length = _brute_longest_match(text, start, surfaces)
+        if length is not None:
+            resume = start + length
+            found.append((start, resume, f"C{surfaces.index(text[start:resume])}"))
+    return found
+
+
 @given(
     surfaces=st.lists(_pieces, max_size=12),
     text=st.lists(st.one_of(_pieces, st.sampled_from(_PIECES)), max_size=12).map("".join),
 )
 @example(surfaces=["fever"], text="fever\0 today")  # NUL right after a surface
 @example(surfaces=[""], text=" a.")  # an empty surface never matches, not even with length 0
+@example(surfaces=["a b", "b"], text="a b")  # no match starts inside another
 @settings(max_examples=400, deadline=None)
 def test_longest_match_agrees_with_brute_force(surfaces, text):
     index = TermIndex((s, f"C{i}", SemanticType.DISEASE) for i, s in enumerate(surfaces))
-    for start in range(len(text) + 1):
-        expected = _brute_longest_match(text, start, surfaces)
-        run_end = start
-        while run_end < len(text) and text[run_end].isalnum():
-            run_end += 1
-        assert index.longest_match(text, start) == expected
-        assert index.longest_match(text, start, text[start:run_end]) == expected
+    expected = [(*match, SemanticType.DISEASE) for match in _brute_scan(text, surfaces)]
+    assert index.scan(text) == expected
 
 
 class TestApplicability:
