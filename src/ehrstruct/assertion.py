@@ -166,14 +166,16 @@ class AllergyScopes:
     A mention's scope opens at the last allergy token before it and closes at
     the next blank line or at the next section header that is not an allergy
     header; a blank line or such a header between the token and the mention
-    leaves the mention out of scope. An allergy header holds an allergy token
-    (`ALLERGIES:`, `DRUG ALLERGIES AND INTOLERANCES:`), so only a header whose
-    line starts after the token can close its scope. The paragraph's tokens,
-    blank lines, non-allergy headers and no-known-allergies phrases are each
-    found once, and a mention looks them up by bisection. A header is also
-    known by the last line start before its first letter (`header_lines`): a
-    scan for headers that begins at or before that line start meets the
-    header.
+    leaves the mention out of scope. The scope says no known allergies when a
+    no-known-allergies phrase lies in it or holds its opening token, as "No
+    known allergies" holds "allergies". An allergy header holds an allergy
+    token (`ALLERGIES:`, `DRUG ALLERGIES AND INTOLERANCES:`), so only a header
+    whose line starts after the token can close its scope. The paragraph's
+    tokens, blank lines, non-allergy headers and no-known-allergies phrases
+    are each found once, and a mention looks them up by bisection. A header
+    is also known by the last line start before its first letter
+    (`header_lines`): a scan for headers that begins at or before that line
+    start meets the header.
     """
 
     def __init__(self, paragraph: str):
@@ -195,7 +197,7 @@ class AllergyScopes:
             self.header_lines.append(header.start() if newline == -1 else newline + 1)
             self.header_starts.append(header.start())
             self.header_ends.append(header.end())
-        self.nka = [m.span() for m in _NKA_PATTERN.finditer(paragraph)]
+        self.nka_ends = [m.end() for m in _NKA_PATTERN.finditer(paragraph)]
 
     def _opening(self, pos: int) -> tuple[int, int] | None:
         """The last allergy token in paragraph[:pos], read as if the
@@ -214,7 +216,7 @@ class AllergyScopes:
         (Absent when the scope says no known allergies); None outside one."""
         if self.tokens is None or (opening := self._opening(pos)) is None:
             return None
-        open_start, open_end = opening
+        open_end = opening[1]
         i = bisect_left(self.blanks, open_end)
         if i < len(self.blanks) and self.blanks[i] + 2 <= pos:
             return None  # a blank line between the token and the mention
@@ -231,8 +233,10 @@ class AllergyScopes:
             # scope at its own start: that moves the end over whitespace
             # only, which no no-known-allergies phrase can end in.
             scope_end = min(scope_end, self.header_starts[j])
-        k = bisect_left(self.nka, (open_start,))
-        if k < len(self.nka) and self.nka[k][1] <= scope_end:
+        # a phrase that ends at or after the opening token's end lies in the
+        # scope or, as "no known allergies" does, holds that token
+        k = bisect_left(self.nka_ends, open_end)
+        if k < len(self.nka_ends) and self.nka_ends[k] <= scope_end:
             return AssertionStatus.ABSENT
         return AssertionStatus.CONDITIONAL
 

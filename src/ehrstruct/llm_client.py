@@ -23,11 +23,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
-from requests.adapters import HTTPAdapter
+from typing import TYPE_CHECKING
 
 from .terminology import read_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_API_KEY_ENV = "GENIE_API_KEY"
 
@@ -131,11 +132,16 @@ class ChatClient:
         self.cfg = cfg or EndpointConfig()
         self.mode = mode
         self.transcript = transcript if transcript is not None else Transcript()
-        if session is None:
+        if session is None and mode != "replay":
+            # requests is imported here, not with this module: the import
+            # takes about 0.12 s (2 vCPUs), which the rule and replay
+            # backends, which never send, would pay on every run
+            import requests
+
             # One pooled connection per call in flight: a smaller pool opens
             # and discards a connection for every call beyond its size.
             session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=self.cfg.max_in_flight)
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=self.cfg.max_in_flight)
             session.mount("http://", adapter)
             session.mount("https://", adapter)
         self._session = session
@@ -182,6 +188,8 @@ class ChatClient:
         return [future.result() for future in futures]
 
     def _complete_live(self, prompt: str, cancel: threading.Event | None) -> str:
+        import requests
+
         api_key = os.environ.get(self.cfg.api_key_env)
         if not api_key:
             raise ConfigurationError(

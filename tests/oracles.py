@@ -132,8 +132,9 @@ def reference_modifiers(sentence: str, start: int, end: int, words) -> list[str]
     return out
 
 
-def reference_allergy_scope(paragraph: str, mention_start: int) -> str | None:
-    """The allergy-scope text holding the mention, rescanning the paragraph."""
+def reference_allergy_scope(paragraph: str, mention_start: int) -> tuple[re.Match, int] | None:
+    """The opening token of the allergy scope holding the mention, and the
+    scope's end, rescanning the paragraph."""
     if "allerg" not in paragraph.lower():
         return None
     best_open = None
@@ -155,14 +156,20 @@ def reference_allergy_scope(paragraph: str, mention_start: int) -> str | None:
         if not _ALLERGY_TOKEN.search(header.group(0)):
             scope_end = min(scope_end, header.start())
             break
-    return paragraph[best_open.start() : scope_end]
+    return best_open, scope_end
 
 
 def reference_allergy_status(paragraph: str, mention_start: int) -> AssertionStatus | None:
+    """Absent when a no-known-allergies phrase lies in the scope or holds
+    its opening token, else Conditional; None outside a scope."""
     scope = reference_allergy_scope(paragraph, mention_start)
     if scope is None:
         return None
-    return AssertionStatus.ABSENT if _NKA_PATTERN.search(scope) else AssertionStatus.CONDITIONAL
+    opening, scope_end = scope
+    holds = any(m.start() <= opening.start() and opening.end() <= m.end() for m in _NKA_PATTERN.finditer(paragraph))
+    if holds or _NKA_PATTERN.search(paragraph[opening.start() : scope_end]):
+        return AssertionStatus.ABSENT
+    return AssertionStatus.CONDITIONAL
 
 
 def reference_trigger_covers(sentence: str, trigger_m, start: int, end: int, rule) -> bool:

@@ -1,8 +1,11 @@
 import json
 import logging
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -301,3 +304,29 @@ def test_timeout_must_be_positive():
     for timeout in (0, -1, float("nan")):
         with pytest.raises(ValueError, match="timeout must be positive"):
             EndpointConfig(timeout=timeout)
+
+
+def test_requests_is_imported_only_for_a_live_call(stub_server):
+    # the rule and replay backends never send a request, so importing the
+    # CLI or answering from a transcript must not pay for importing requests
+    stub_server.reply = lambda prompt: f"echo:{prompt}"
+    script = f"""
+import sys
+import ehrstruct.cli
+from ehrstruct.llm_client import ChatClient, EndpointConfig, Transcript
+assert "requests" not in sys.modules, "imported with the CLI"
+transcript = Transcript()
+transcript.put("p", "recorded")
+assert ChatClient(EndpointConfig(), mode="replay", transcript=transcript).complete("p") == "recorded"
+assert "requests" not in sys.modules, "imported for a replay"
+client = ChatClient(EndpointConfig(base_url={stub_server.base_url!r}))
+assert client.complete("hello") == "echo:hello"
+assert "requests" in sys.modules
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "NO_PROXY": "127.0.0.1,localhost"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert stub_server.prompts == ["hello"]

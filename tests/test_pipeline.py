@@ -586,3 +586,20 @@ def test_a_long_list_sentence_is_structured_in_under_a_second(lexicon_path, abbr
     elapsed = time.perf_counter() - started
     assert len(result.entities) > 350
     assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+@pytest.mark.parametrize(
+    "text, phrase, status",
+    [
+        ("ALLERGIES: No known allergies.\nAspirin daily.", "Aspirin", "Absent"),
+        ("ALLERGIES: No known drug allergies.\nAspirin daily.", "Aspirin", "Absent"),
+        ("ALLERGIES: NKDA.\nAspirin daily.", "Aspirin", "Absent"),
+        ("ALLERGIES:\n- penicillin", "penicillin", "Conditional"),
+    ],
+)
+def test_no_known_allergies_phrase_that_holds_the_scope_opening(lexicon_path, abbrev_path, text, phrase, status):
+    # the spelled-out phrases end in an allergy token, which opens the scope
+    # that holds the phrase itself
+    res = pipeline.build_resources(pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path))
+    entities = pipeline.structure_note(preprocess.RawNote("n", text), res).entities
+    assert [e.assertion_status for e in entities if e.surface == phrase] == [status]

@@ -230,11 +230,19 @@ def allergy_paragraphs(draw):
 @example("Allergies\n \nMEDICATIONS: x allergyx allergiesy NKA")
 @example("allergy\n\n  \nPLAN: hives")
 @example("ALLERGIES AND MEDS: rash")
+@example("ALLERGIES: No known drug allergies\nrash NKDA allergy hives")
 @settings(max_examples=500, deadline=None)
 def test_allergy_scopes_match_the_per_mention_rescan(paragraph):
     scopes = AllergyScopes(paragraph)
     for pos in range(len(paragraph) + 1):
         assert scopes.status(pos) == reference_allergy_status(paragraph, pos), pos
+
+
+@pytest.mark.parametrize("phrase", ["No known allergies", "no known drug allergies", "NKDA"])
+def test_reference_allergy_status_counts_a_phrase_that_holds_the_opening(phrase):
+    paragraph = f"ALLERGIES: {phrase}.\nrash"
+    assert reference_allergy_status(paragraph, paragraph.index("rash")) is AssertionStatus.ABSENT
+    assert reference_allergy_status("ALLERGIES:\n- rash", 13) is AssertionStatus.CONDITIONAL
 
 
 _SCAN_PIECES = sorted(

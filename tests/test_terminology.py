@@ -1,9 +1,11 @@
 import gc
+import hashlib
 import os
 import re
 import sys
 import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -179,6 +181,25 @@ class TestLexiconSidecar:
 
         monkeypatch.setattr(terminology, "_read_rows", fail)
 
+    @staticmethod
+    def parses(monkeypatch):
+        """A list that grows by one entry for each parse of a lexicon."""
+        read_rows, calls = terminology._read_rows, []
+
+        def counting(*args):
+            calls.append(1)
+            return read_rows(*args)
+
+        monkeypatch.setattr(terminology, "_read_rows", counting)
+        return calls
+
+    @staticmethod
+    def parsed(path):
+        """What a parse of the lexicon as it now is gives, its sidecar passed by."""
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(terminology, "_SIDECAR_MIN_BYTES", sys.maxsize)
+            return tables(load_lexicon(path))
+
     def test_warm_load_equals_cold(self, lexicon, monkeypatch):
         cold = tables(load_lexicon(lexicon))
         assert self.sidecar(lexicon).stat().st_size > 0
@@ -253,7 +274,11 @@ class TestLexiconSidecar:
         assert load_lexicon(lexicon)[0].lookup("fever")[0] == "C7"
 
     @pytest.mark.parametrize(
-        "damage", ["garbage", "empty", "truncated", "other-python", "byte-in-a-blob", "last-blob-cut"]
+        "damage",
+        [
+            "garbage", "empty", "truncated", "other-python", "byte-in-a-blob", "last-blob-cut",
+            "byte-in-the-copy", "copyless-lexicon-hash", "copyless-same-tag",
+        ],
     )
     def test_bad_sidecar_is_rebuilt(self, lexicon, monkeypatch, damage):
         cold = tables(load_lexicon(lexicon))
@@ -266,14 +291,24 @@ class TestLexiconSidecar:
         else:
             data = sidecar.read_bytes()
             # the last "C2" is fever's concept id, inside the encoded table of
-            # its head; the last surface is written inside the last head's
+            # its head; the last surface is written inside the last head's. The
+            # first "fever\tC2" is in the copy of the lexicon, which comes before
+            # the tables, and they hold no "\tC".
             c2 = data.rindex(b"C2")
+            # the layout before the copy was kept: a 32-byte key, which hashed
+            # the lexicon's bytes too, then the CRC, header and tables
+            tables_part = data[terminology._COPY_START + lexicon.stat().st_size :]
+            source = Path(terminology.__file__).read_bytes()
+            lexicon_hash = hashlib.sha256(source + sys.version.encode() + lexicon.read_bytes()).digest()
             sidecar.write_bytes({
                 "garbage": b"\x00not marshal",
                 "empty": b"",
                 "truncated": data[:-7],
                 "byte-in-a-blob": data[:c2] + b"C7" + data[c2 + 2 :],
                 "last-blob-cut": data[: data.rindex(b"st. john's wort")],
+                "byte-in-the-copy": data.replace(b"fever\tC2", b"fever\tC7", 1),
+                "copyless-lexicon-hash": lexicon_hash + tables_part,
+                "copyless-same-tag": data[:32] + tables_part,
             }[damage])
         bad = sidecar.read_bytes()
         # a damaged sidecar is rewritten, so the load found the damage at set-up
@@ -282,15 +317,34 @@ class TestLexiconSidecar:
         self.without_parsing(monkeypatch)
         assert tables(load_lexicon(lexicon)) == cold
 
-    @pytest.mark.parametrize("failing", ["mkstemp", "fsync", "replace"])
+    @pytest.mark.parametrize("failing", ["mkstemp", "write", "fsync", "replace"])
     def test_unwritable_directory_skips_the_sidecar(self, lexicon, monkeypatch, failing):
-        # mkstemp: a read-only directory; fsync and replace: a full disk
+        # mkstemp: a read-only directory; write, fsync and replace: a full disk
         def fail(*args, **kwargs):
             raise OSError(28, "No space left on device")
 
+        class Full:
+            """A file open for writing on a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return fail if name in ("write", "writelines") else getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
         cold = tables(load_lexicon(lexicon))
         self.sidecar(lexicon).unlink()
-        monkeypatch.setattr(tempfile if failing == "mkstemp" else os, failing, fail)
+        if failing == "write":
+            fdopen = os.fdopen
+            monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: Full(fdopen(*args, **kwargs)))
+        else:
+            monkeypatch.setattr(tempfile if failing == "mkstemp" else os, failing, fail)
         assert tables(load_lexicon(lexicon)) == cold
         assert [p.name for p in lexicon.parent.iterdir()] == [lexicon.name]
 
@@ -301,17 +355,82 @@ class TestLexiconSidecar:
                 load_lexicon(lexicon)
         assert not self.sidecar(lexicon).exists()
 
-    def test_file_changed_while_parsed_keeps_no_sidecar(self, lexicon, monkeypatch):
+    @pytest.mark.parametrize("change", ["append", "rewrite", "truncate"])
+    def test_file_changed_while_parsed_is_never_misread(self, lexicon, monkeypatch, change):
+        # the file grows before the parse reads it, or is rewritten or cut
+        # after the parse read its bytes: no later load may answer from tables
+        # of bytes the file no longer holds
         read_rows = terminology._read_rows
+        data = lexicon.read_bytes()
 
-        def appending(lines, path, report):
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write("cough\tC5\tOther\n")
-            return read_rows(lines, path, report)
+        def changing(lines, path, report):
+            if change == "append":
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write("cough\tC5\tOther\n")
+            rows = read_rows(lines, path, report)
+            yield next(rows)
+            if change == "rewrite":
+                lexicon.write_bytes(data.replace(b"fever\tC2", b"fever\tC7"))
+            elif change == "truncate":
+                lexicon.write_bytes(data[: data.index(b"st. john's wort")])
+            yield from rows
 
-        monkeypatch.setattr(terminology, "_read_rows", appending)
+        with monkeypatch.context() as m:
+            m.setattr(terminology, "_read_rows", changing)
+            load_lexicon(lexicon)
+        for _ in ("next", "then"):
+            assert tables(load_lexicon(lexicon)) == self.parsed(lexicon)
+
+    @pytest.mark.parametrize("edit", ["first", "middle", "last", "longer", "shorter"])
+    def test_edited_lexicon_is_a_miss(self, lexicon, monkeypatch, edit):
+        # "Heart" -> "Jeart", "heart" -> "hxart", the last line break -> a
+        # space, one more line break, one line break fewer: the last three
+        # parse to the same tables, only the file's bytes change
         load_lexicon(lexicon)
-        assert not self.sidecar(lexicon).exists()
+        data = lexicon.read_bytes()
+        middle = len(data) // 2
+        lexicon.write_bytes({
+            "first": b"J" + data[1:],
+            "middle": data[:middle] + b"x" + data[middle + 1 :],
+            "last": data[:-1] + b" ",
+            "longer": data + b"\n",
+            "shorter": data[:-1],
+        }[edit])
+        parses = self.parses(monkeypatch)
+        loaded = tables(load_lexicon(lexicon))
+        assert parses == [1]
+        assert loaded == self.parsed(lexicon)
+
+    def test_warm_load_hashes_no_lexicon_byte(self, lexicon, monkeypatch):
+        load_lexicon(lexicon)
+        sha256, fed = hashlib.sha256, []
+
+        class Counting:
+            def __init__(self, data=b""):
+                self.inner = sha256()
+                self.update(data)
+
+            def update(self, data):
+                fed.append(bytes(data))
+                self.inner.update(data)
+
+            def digest(self):
+                return self.inner.digest()
+
+        monkeypatch.setattr(hashlib, "sha256", Counting)
+        self.without_parsing(monkeypatch)
+        assert load_lexicon(lexicon)[0].lookup("fever")[0] == "C2"
+        # the tag hashes this module's source and the Python version only
+        assert b"".join(fed) == Path(terminology.__file__).read_bytes() + sys.version.encode()
+
+    @pytest.mark.parametrize("bad", [b"bad line", b"caf\xe9\tC8\tOther"], ids=["format", "encoding"])
+    def test_failed_parse_leaves_no_temp_file(self, lexicon, bad):
+        # the bad line comes after chunks of the lexicon the parse has read
+        good = "".join(f"term{i}\tC{i}\tOther\n" for i in range(5_000)).encode()
+        lexicon.write_bytes(good + bad + b"\n" + lexicon.read_bytes())
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(lexicon))}"):
+            load_lexicon(lexicon)
+        assert [p.name for p in lexicon.parent.iterdir()] == [lexicon.name]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_pipe_is_read_once(self, tmp_path, monkeypatch):
