@@ -10,10 +10,10 @@ pattern negates the whole block).
 (`mention_contexts`). It scans each sentence once for its trigger matches
 (`SentenceTriggers`) and each paragraph once for its allergy scopes
 (`AllergyScopes`), and each mention looks its status up in those tables by
-bisection; `classify` does the same for a single mention. The rules are
-keyed by the leading ASCII run of their trigger (`terminology.LiteralIndex`,
-built by `load_triggers`), so a sentence runs the patterns, compiled once
-per trigger, of only the rules its words can start.
+bisection. The rules are keyed by the leading ASCII run of their trigger
+(`terminology.LiteralIndex`, built by `load_triggers`), so a sentence runs
+the patterns, compiled once per trigger, of only the rules its words can
+start.
 """
 
 from __future__ import annotations
@@ -342,25 +342,6 @@ def classify_mentions(contexts, triggers: LiteralIndex) -> list[AssertionStatus]
             status = sentence_triggers.status(start, end) or AssertionStatus.PRESENT
         statuses.append(status)
     return statuses
-
-
-def classify(
-    sentence: str,
-    start: int,
-    end: int,
-    triggers: LiteralIndex,
-    paragraph: str | None = None,
-    paragraph_start: int | None = None,
-) -> AssertionStatus:
-    """Classify the mention at sentence[start:end] (see classify_mentions).
-
-    paragraph (with paragraph_start = mention offset within it) supplies
-    block context for the allergy rule; it defaults to the sentence itself.
-    """
-    if paragraph is None:
-        paragraph = sentence
-        paragraph_start = start
-    return classify_mentions([(sentence, start, end, paragraph, paragraph_start)], triggers)[0]
 
 
 def mention_contexts(note_text: str, segmentation, mentions) -> list[tuple[str, int, int, str, int]]:

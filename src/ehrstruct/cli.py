@@ -1,8 +1,8 @@
 """Command-line interface wiring the pipeline stages together.
 
-`preprocess` and `recognize` read notes JSONL and write one stage's output
-(chunks, mentions) as JSONL for inspection; no command reads those back.
-`structure` runs the whole pipeline in one pass.
+`structure` runs the whole pipeline in one pass. `recognize` reads notes
+JSONL and writes the lexicon stage's mentions as JSONL for inspection; no
+command reads them back.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .pipeline import (
     read_notes,
     run_structure,
 )
-from .preprocess import chunk_note, restore_linebreaks, segment
+from .preprocess import restore_linebreaks
 from .recognition import recognize_note
 from .terminology import AbbreviationTable
 
@@ -133,22 +133,6 @@ def cmd_validate_config(args) -> int:
     return 0
 
 
-def cmd_preprocess(args) -> int:
-    cfg = _checked_config(args, ("max_tokens",))
-    if cfg is None:
-        return 1
-    try:
-        notes = read_notes(_input(args.input))
-    except (OSError, ValueError) as exc:
-        return _error(exc)
-    with _open_out(args.output) as out:
-        for raw in notes:
-            note = restore_linebreaks(raw)
-            for chunk in chunk_note(note, segment(note.text), cfg.max_tokens):
-                out.write(json.dumps(dataclasses.asdict(chunk), ensure_ascii=False) + "\n")
-    return 0
-
-
 def cmd_recognize(args) -> int:
     cfg = _checked_config(args, ("lexicon", "abbreviations"))
     if cfg is None:
@@ -167,14 +151,12 @@ def cmd_recognize(args) -> int:
     return 0
 
 
-def _add_common(parser, lexicon=True, max_tokens=True, run=False):
+def _add_common(parser, run=False):
     parser.add_argument("--config", help="plain-text key = value configuration file")
-    if lexicon:
-        parser.add_argument("--lexicon", help="lexicon TSV (surface, concept_id, semantic_type)")
-        parser.add_argument("--abbreviations", help="abbreviation table TSV")
-    if max_tokens:
-        parser.add_argument("--max-tokens", type=int, dest="max_tokens", help="chunk token budget")
+    parser.add_argument("--lexicon", help="lexicon TSV (surface, concept_id, semantic_type)")
+    parser.add_argument("--abbreviations", help="abbreviation table TSV")
     if run:  # the settings of a whole-pipeline run
+        parser.add_argument("--max-tokens", type=int, dest="max_tokens", help="chunk token budget")
         parser.add_argument("--backend", choices=["rule", "llm", "replay"])
         parser.add_argument(
             "--transcript", help="transcript JSONL: written by --backend llm, read by --backend replay"
@@ -213,14 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, run=True)
     p.set_defaults(func=cmd_validate_config)
 
-    p = sub.add_parser("preprocess", help="normalize and chunk notes")
-    _add_common(p, lexicon=False)
-    p.add_argument("input")
-    p.add_argument("output")
-    p.set_defaults(func=cmd_preprocess)
-
     p = sub.add_parser("recognize", help="emit recognized mentions as JSONL")
-    _add_common(p, max_tokens=False)
+    _add_common(p)
     p.add_argument("input")
     p.add_argument("output")
     p.set_defaults(func=cmd_recognize)

@@ -70,6 +70,8 @@ def endpoint_problems(timeout: float, max_retries: int, max_in_flight: int) -> l
         problems.append("max_in_flight must be >= 1")
     if not timeout > 0:  # NaN too: a socket rejects it at every call
         problems.append("timeout must be positive")
+    elif timeout > threading.TIMEOUT_MAX:  # inf too: a socket's settimeout overflows
+        problems.append(f"timeout must be at most {threading.TIMEOUT_MAX:.0f} s")
     return problems
 
 

@@ -235,6 +235,10 @@ def read_notes(source) -> list[RawNote]:
 
 
 def _raw_note(record: dict) -> RawNote:
+    note_id = record["note_id"]
+    # bool is an int, but true would become the id "True"
+    if type(note_id) not in (str, int):
+        raise ValueError("'note_id' must be a string or an integer")
     if not isinstance(record["text"], str):
         raise ValueError("'text' must be a string")
-    return RawNote(note_id=str(record["note_id"]), text=record["text"])
+    return RawNote(note_id=str(note_id), text=record["text"])

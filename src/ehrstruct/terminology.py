@@ -10,8 +10,8 @@ head word's table only when a query first asks for it. Surfaces are
 lowercased at load, and the first concept_id and type given for a surface
 are the ones kept: alternate concept_ids are counted in the load report,
 not stored. Matching is case-insensitive with raw casing preserved
-downstream. The index answers two queries: `scan`, forward maximum matching
-over a lowercased text, and `lookup`, the answer for one surface.
+downstream. The index answers one query, `scan`: forward maximum matching
+over a lowercased text.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ def _read_sidecar(path: Path, size: int) -> tuple["TermIndex", LoadReport] | Non
     any changed, added or missing byte is a miss. The copy is compared in
     chunks, as bytearrays, whose == is one memcmp (a memoryview's compares
     item by item). The checksum finds damage anywhere in the tables, such as
-    a cut-off or changed table, here and not at a lookup. marshal is not
+    a cut-off or changed table, here and not at a scan. marshal is not
     safe against crafted data: the sidecar is trusted as the lexicon beside
     it is."""
     try:
@@ -477,8 +477,7 @@ _WORD_RUN = re.compile(r"[^\W_]+")
 
 
 class TermIndex:
-    """Surface dictionary answering forward maximum matching (`scan`) and
-    point lookups (`lookup`).
+    """Surface dictionary answering forward maximum matching (`scan`).
 
     A surface can match at a position, ending at a word boundary, only if its
     leading alphanumeric run equals the text's run there, so the index keys
@@ -490,8 +489,7 @@ class TermIndex:
     from a sidecar holds each head's table encoded until a query first asks
     for it; otherwise the index does not change once built. It is safe to
     share across threads: threads that race to decode one head each decode
-    it whole and store equal tables. All queries expect already-lowercased
-    text.
+    it whole and store equal tables. A scan expects already-lowercased text.
     """
 
     def __init__(self, entries=()):
@@ -516,7 +514,8 @@ class TermIndex:
         alternates: set[tuple[str, str]] = set()  # pairs not stored
         entries = duplicates = 0
         for surface, concept_id, tag in rows:
-            # _head_word, inlined: this loop runs once per lexicon line
+            # the leading alphanumeric run: the first space-separated token
+            # when that is all alphanumeric, else what the word pattern finds
             head = surface.partition(" ")[0]
             if not head.isalnum():
                 head = m.group() if (m := _WORD_RUN.match(surface)) else ""
@@ -547,12 +546,6 @@ class TermIndex:
             # store replaces a table with an equal one
             table = self._tables[head] = marshal.loads(table)
         return table
-
-    def lookup(self, surface: str) -> tuple[str, SemanticType] | None:
-        """(concept_id, semantic type) of surface, or None. No pipeline stage
-        calls it; it is the point query for callers that hold one surface."""
-        answer = self._table(_head_word(surface)).get(surface)
-        return None if answer is None else (answer[1:], _TYPES[ord(answer[0])])
 
     def scan(self, text: str) -> list[tuple[int, int, str, SemanticType]]:
         """Forward maximum matching over text: (start, end, concept_id,
@@ -585,15 +578,6 @@ class TermIndex:
                     resume = end
                     break
         return matches
-
-
-def _head_word(surface: str) -> str:
-    """The leading alphanumeric run of surface: its first space-separated
-    token when that is all alphanumeric, else what the word pattern finds."""
-    head = surface.partition(" ")[0]
-    if head.isalnum():
-        return head
-    return m.group() if (m := _WORD_RUN.match(surface)) else ""
 
 
 @dataclass(frozen=True)

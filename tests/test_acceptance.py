@@ -8,7 +8,7 @@ import threading
 import time
 from pathlib import Path
 
-from ehrstruct.assertion import AssertionStatus, classify, load_triggers
+from ehrstruct.assertion import AssertionStatus, classify_mentions, load_triggers
 from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
 from ehrstruct.evaluate import evaluate, match_phrases, phrase_f1
@@ -74,6 +74,11 @@ def test_criterion_1_fmm_oracle_equivalence():
         f"FMM oracle equivalence, 1000 randomized instances, 0 mismatches, {elapsed:.1f}s < 10s",
         mismatches == 0 and elapsed < 10.0,
     )
+
+
+def classify(sentence, start, end, rules):
+    """classify_mentions of the one mention sentence[start:end], the sentence its own paragraph."""
+    return classify_mentions([(sentence, start, end, sentence, start)], rules)[0]
 
 
 def test_criterion_2_assertion_case_fixtures():

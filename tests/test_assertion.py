@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ehrstruct.assertion import (
     AssertionStatus,
     TriggerRule,
-    classify,
     classify_mentions,
     default_rules,
     load_rules,
@@ -23,6 +22,13 @@ from ehrstruct.terminology import InputFormatError
 @pytest.fixture(scope="module")
 def rules():
     return load_triggers()
+
+
+def classify(sentence, start, end, rules, paragraph=None, paragraph_start=None):
+    """classify_mentions of the one mention sentence[start:end]; its paragraph is the sentence unless given."""
+    if paragraph is None:
+        paragraph, paragraph_start = sentence, start
+    return classify_mentions([(sentence, start, end, paragraph, paragraph_start)], rules)[0]
 
 
 def classify_in(text, phrase, rules, paragraph=None):

@@ -1,14 +1,16 @@
+import argparse
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from ehrstruct import terminology
-from ehrstruct.cli import main
+from ehrstruct.cli import build_parser, main
 from ehrstruct.llm_client import ChatClient, EndpointConfig, Transcript
 from ehrstruct.pipeline import PipelineConfig, build_resources, read_notes, run_structure
 
@@ -289,6 +291,8 @@ class TestValidateConfig:
             ("max_in_flight = 0", "max_in_flight must be >= 1"),
             ("max_retries = -2", "max_retries must be >= 0"),
             ("timeout = -1", "timeout must be positive"),
+            ("timeout = inf", f"timeout must be at most {threading.TIMEOUT_MAX:.0f} s"),
+            ("timeout = 1e10", f"timeout must be at most {threading.TIMEOUT_MAX:.0f} s"),
         ],
     )
     def test_rejects_bad_endpoint_settings(self, tmp_path, lexicon_path, line, message, capsys):
@@ -350,14 +354,14 @@ class TestConfigErrors:
         with pytest.raises(ValueError, match=r"pipeline\.cfg:2: unknown setting 'hard_note_limit'"):
             PipelineConfig.load(cfg_file)
 
-    @pytest.mark.parametrize("command", ["structure", "preprocess", "recognize"])
+    @pytest.mark.parametrize("command", ["structure", "recognize"])
     def test_bad_value_exits_cleanly(self, tmp_path, lexicon_path, command, capsys):
         cfg_file = self.write_config(tmp_path, lexicon_path, "max_tokens = many")
         code = main([command, "--config", str(cfg_file), NOTES, str(tmp_path / "out.jsonl")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg_file}:2: max_tokens:")
 
-    @pytest.mark.parametrize("command", ["structure", "preprocess"])
+    @pytest.mark.parametrize("command", ["structure"])
     def test_zero_max_tokens_exits_1_with_one_line(self, tmp_path, lexicon_path, command, capsys):
         cfg_file = tmp_path / "pipeline.cfg"
         cfg_file.write_text(f"lexicon = {lexicon_path}\n", encoding="utf-8")
@@ -368,7 +372,7 @@ class TestConfigErrors:
         assert err.splitlines() == ["config error: max_tokens must be positive"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["structure", "preprocess", "recognize"])
+    @pytest.mark.parametrize("command", ["structure", "recognize"])
     def test_missing_config_file_exits_1(self, tmp_path, command, capsys):
         missing = tmp_path / "missing.cfg"
         code = main([command, "--config", str(missing), NOTES, str(tmp_path / "out.jsonl")])
@@ -400,12 +404,11 @@ class TestHostileInputs:
         assert code == 1
         assert self.error_line(capsys).startswith(f"error: {transcript}:2: ")
 
-    @pytest.mark.parametrize("command", ["structure", "preprocess", "recognize"])
+    @pytest.mark.parametrize("command", ["structure", "recognize"])
     def test_note_text_not_a_string(self, tmp_path, lexicon_args, command, capsys):
         notes = tmp_path / "notes.jsonl"
         notes.write_text('{"note_id": "a", "text": 5}\n', encoding="utf-8")
-        args = lexicon_args if command != "preprocess" else []
-        assert main([command, *args, str(notes), str(tmp_path / "out.jsonl")]) == 1
+        assert main([command, *lexicon_args, str(notes), str(tmp_path / "out.jsonl")]) == 1
         assert self.error_line(capsys).startswith(f"error: {notes}:1: ")
 
     @pytest.mark.parametrize("name", ["lexicon", "config", "notes"])
@@ -495,12 +498,18 @@ class TestHostileInputs:
 
 
 class TestStageCommands:
-    def test_preprocess_emits_chunks(self, tmp_path, capsys):
-        out = tmp_path / "chunks.jsonl"
-        assert main(["preprocess", NOTES, str(out)]) == 0
-        chunks = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
-        assert {c["note_id"] for c in chunks} == {"note-001", "note-002", "note-003"}
-        assert all(c["token_count"] <= 800 or c["oversize"] for c in chunks)
+    def test_commands_offered(self, capsys):
+        commands = ["structure", "evaluate", "validate-config", "recognize"]
+        (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(action.choices) == commands
+        for command in commands:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["preprocess", "--help"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'preprocess'" in capsys.readouterr().err
 
     def test_recognize_emits_mentions(self, tmp_path, lexicon_args):
         out = tmp_path / "mentions.jsonl"

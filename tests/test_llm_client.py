@@ -306,6 +306,15 @@ def test_timeout_must_be_positive():
             EndpointConfig(timeout=timeout)
 
 
+def test_timeout_must_fit_a_socket():
+    # a socket's settimeout overflows above threading.TIMEOUT_MAX, an error
+    # that requests passes through uncaught
+    for timeout in (float("inf"), 1e10, threading.TIMEOUT_MAX * (1 + 1e-15)):
+        with pytest.raises(ValueError, match=f"^timeout must be at most {threading.TIMEOUT_MAX:.0f} s$"):
+            EndpointConfig(timeout=timeout)
+    assert EndpointConfig(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
+
+
 def test_requests_is_imported_only_for_a_live_call(stub_server):
     # the rule and replay backends never send a request, so importing the
     # CLI or answering from a transcript must not pay for importing requests

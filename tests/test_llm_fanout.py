@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -93,15 +94,24 @@ def test_a_failing_prompt_rejects_only_its_note(stub_server, rule_resources, not
     failed_prompts = prompts_of[FAILED_NOTE]
     assert len(failed_prompts) > 2 * 4
 
-    # The second prompt of the note fails. With max_in_flight 4, the other
-    # three prompts of the first window are already in flight; the stub holds
-    # them until after the failure (on a timeout they time out as well), so
-    # every later prompt of the note starts after it and must not be sent.
+    # The second prompt of the note fails. With max_in_flight 4, the stub
+    # answers it only once the other three prompts of the first window are in
+    # flight, and holds them until after the failure (on a timeout they time
+    # out as well), so every later prompt of the note starts after it and
+    # must not be sent.
     target = failed_prompts[1]
     held = set(failed_prompts[:max_in_flight]) - {target} if max_in_flight > 1 else set()
     before_target = {failed_prompts[0]} - held
+
+    def delay(prompt):
+        if prompt == target:
+            deadline = time.monotonic() + 10
+            while not held <= set(stub_server.prompts) and time.monotonic() < deadline:
+                time.sleep(0.005)
+        return SLOW if prompt in held or (timeout and prompt == target) else 0.0
+
     stub_server.fault = lambda p: fault if p == target else None
-    stub_server.delay = lambda p: SLOW if p in held or (timeout and p == target) else 0.0
+    stub_server.delay = delay
     stub_server.prompts.clear()
     stub_server.request_count = 0
     res = llm_resources(rule_resources, stub_server, max_in_flight, **endpoint)

@@ -1,6 +1,6 @@
 """The rule path's scans against references.
 
-The trigger scan of `classify` and the anatomy scan of `SentenceLocations`
+The trigger scan of `classify_mentions` and the anatomy scan of `SentenceLocations`
 against unfiltered scans (every trigger rule and every anatomy surface, each
 pattern compiled per call); and the scans made once per sentence or
 paragraph against the per-mention scans of tests/oracles.py."""
@@ -16,7 +16,6 @@ from ehrstruct.assertion import (
     AssertionStatus,
     SentenceTriggers,
     TriggerRule,
-    classify,
     classify_mentions,
     default_rules,
     load_rules,
@@ -61,6 +60,11 @@ ANATOMY = {**dict(_anatomy_rows()), "chest wall": "chest wall"}
 def triggers(rules):
     """The rules indexed in the order given, as load_triggers indexes a file's."""
     return LiteralIndex((rule.trigger, rule) for rule in rules)
+
+
+def classify(sentence, start, end, rules):
+    """classify_mentions of the one mention sentence[start:end], the sentence its own paragraph."""
+    return classify_mentions([(sentence, start, end, sentence, start)], rules)[0]
 
 
 def locations(sentence, start, end, anatomy):

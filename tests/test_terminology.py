@@ -37,7 +37,14 @@ def write_lexicon(tmp_path, lines):
 
 
 def answer(index, surface):
-    return index.lookup(surface) or (None, None)
+    """(concept_id, semantic type) the index holds for surface, or (None,
+    None). A scan of the surface alone matches it whole exactly when the
+    index holds it, for the whole surface is the longest match possible at
+    0; a surface with no leading letter or digit is never matched."""
+    matches = index.scan(surface)
+    if matches and matches[0][:2] == (0, len(surface)):
+        return matches[0][2:]
+    return None, None
 
 
 class TestLoadLexicon:
@@ -67,13 +74,13 @@ class TestLoadLexicon:
     def test_surfaces_lowercased(self, tmp_path):
         path = write_lexicon(tmp_path, ["Heart Failure\tC1\tDisease, Syndrome or Pathologic Function"])
         index, _ = load_lexicon(path)
-        assert index.lookup("heart failure")[0] == "C1"
-        assert index.lookup("Heart Failure") is None
+        assert answer(index, "heart failure")[0] == "C1"
+        assert answer(index, "Heart Failure") == (None, None)
 
     def test_unknown_type_maps_to_other(self, tmp_path):
         path = write_lexicon(tmp_path, ["thing\tC1\tNot A Real Type"])
         index, report = load_lexicon(path)
-        assert index.lookup("thing")[1] is SemanticType.OTHER
+        assert answer(index, "thing")[1] is SemanticType.OTHER
         assert report.unknown_types == 1
 
     def test_fields_stripped_and_counted(self, tmp_path):
@@ -207,7 +214,7 @@ class TestLexiconSidecar:
         self.without_parsing(monkeypatch)
         warm = load_lexicon(lexicon)
         assert tables(warm) == cold
-        assert warm[0].lookup("fever") == ("C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)
+        assert answer(warm[0], "fever") == ("C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)
         assert warm[0].scan("st. john's wort tea") == [(0, len("st. john's wort"), "C4", SemanticType.CHEMICAL_OR_DRUG)]
 
     def test_warm_load_decodes_a_head_on_its_first_lookup(self, lexicon):
@@ -218,10 +225,10 @@ class TestLexiconSidecar:
         assert len(index) == 4 and head_words(index) == ["fever", "heart", "rash", "st"]
         assert index.scan("fever now") == [(0, len("fever"), "C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)]
         assert decoded_heads(index) == ["fever"]
-        assert index.lookup("fever") == ("C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)
-        assert index.lookup("heart failure")[0] == "C1"
+        assert answer(index, "fever") == ("C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)
+        assert answer(index, "heart failure")[0] == "C1"
         assert decoded_heads(index) == ["fever", "heart"]
-        assert index.lookup("cough") is None and index.scan("cough") == []
+        assert answer(index, "cough") == (None, None) and index.scan("cough") == []
         assert decoded_heads(index) == ["fever", "heart"]
 
     def test_decoded_tables_are_not_tracked(self, tmp_path, monkeypatch):
@@ -269,9 +276,9 @@ class TestLexiconSidecar:
         data = lexicon.read_bytes()
         lexicon.write_bytes(data.replace(b"fever\tC2", b"fever\tC7"))
         index, _ = load_lexicon(lexicon)
-        assert index.lookup("fever")[0] == "C7"
+        assert answer(index, "fever")[0] == "C7"
         self.without_parsing(monkeypatch)
-        assert load_lexicon(lexicon)[0].lookup("fever")[0] == "C7"
+        assert answer(load_lexicon(lexicon)[0], "fever")[0] == "C7"
 
     @pytest.mark.parametrize(
         "damage",
@@ -419,7 +426,7 @@ class TestLexiconSidecar:
 
         monkeypatch.setattr(hashlib, "sha256", Counting)
         self.without_parsing(monkeypatch)
-        assert load_lexicon(lexicon)[0].lookup("fever")[0] == "C2"
+        assert answer(load_lexicon(lexicon)[0], "fever")[0] == "C2"
         # the tag hashes this module's source and the Python version only
         assert b"".join(fed) == Path(terminology.__file__).read_bytes() + sys.version.encode()
 
@@ -450,7 +457,7 @@ class TestLexiconSidecar:
         writer.join(timeout=10)
         assert not reader.is_alive() and not writer.is_alive()
         index, report = loaded[0]
-        assert index.lookup("fever")[0] == "C2" and report.entries == 5
+        assert answer(index, "fever")[0] == "C2" and report.entries == 5
         assert not self.sidecar(pipe).exists()
 
     def test_threshold(self, tmp_path):
@@ -530,11 +537,11 @@ def test_loader_agrees_with_reference(lines, tmp_path_factory):
     ) == counts
     assert len(index) == len(first)
     for surface, expected in first.items():
-        assert answer(index, surface) == expected
         matches = index.scan(surface)
         if surface[0].isalnum():
+            assert answer(index, surface) == expected
             assert matches[0] == (0, len(surface), *expected)
-        else:  # the empty head word starts no match
+        else:  # the empty head word starts no match; the report counts it
             assert all(start > 0 for start, *_ in matches)
     assert answer(index, "not a surface") == (None, None)
 
@@ -564,7 +571,7 @@ class TestTermIndex:
     def test_first_entry_wins_for_a_surface(self, tmp_path):
         path = write_lexicon(tmp_path, ["fever\tC1\tOther", "Fever\tC2\tOther"])
         index, _ = load_lexicon(path)
-        assert index.lookup("fever")[0] == "C1"
+        assert answer(index, "fever")[0] == "C1"
 
     def test_loaded_surface_lookup_succeeds(self, sample_index, lexicon_path):
         with open(lexicon_path, encoding="utf-8") as fh:
@@ -710,6 +717,11 @@ _MALFORMED_LINE_2 = {
     "notes-json": (read_notes, '{"note_id": "a", "text": "x"}', "not json"),
     "notes-deep": (read_notes, '{"note_id": "a", "text": "x"}', "[" * 100_000 + "]" * 100_000),
     "notes-repeated-id": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "a", "text": "y"}'),
+    "notes-note-id": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": null, "text": "y"}'),
+    "notes-note-id-bool": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": true, "text": "y"}'),
+    "notes-note-id-float": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": 1.5, "text": "y"}'),
+    "notes-note-id-list": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": ["b"], "text": "y"}'),
+    "notes-note-id-object": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": {"a": 1}, "text": "y"}'),
     "entities": (parse_entities, _ENTITY, '["n", "fever"]'),
     "entities-span-list": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "span": [0, 5]}'),
     "entities-span-start": (parse_entities, _ENTITY, '{"note_id": "n", "phrase": "fever", "span": {"start": "1", "end": 5}}'),
@@ -738,6 +750,12 @@ def test_malformed_line_2_names_file_and_line(tmp_path, case):
     assert exc.value.lineno == 2
     assert str(exc.value.path) == str(path)
     assert str(exc.value).startswith(f"{path}:2: ")
+
+
+def test_integer_note_ids_are_read_as_strings(tmp_path):
+    path = tmp_path / "notes.jsonl"
+    path.write_text('{"note_id": 7, "text": "x"}\n{"note_id": "a", "text": "y"}\n', encoding="utf-8")
+    assert [note.note_id for note in read_notes(path)] == ["7", "a"]
 
 
 @pytest.mark.parametrize(
