@@ -32,10 +32,10 @@ log = logging.getLogger(__name__)
 
 def _input(path):
     """What the readers take for an input argument: the path, or stdin,
-    decoded as strict UTF-8 as files are."""
+    decoded as strict UTF-8 less a leading byte-order mark, as files are."""
     if path != "-":
         return path
-    sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    sys.stdin.reconfigure(encoding="utf-8-sig", errors="strict")
     return sys.stdin
 
 

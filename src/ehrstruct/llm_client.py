@@ -5,6 +5,10 @@ semaphore), record (live plus transcript capture), and replay (transcript
 only, zero network). Replay keeps the whole test suite deterministic and
 offline.
 
+The client reads its endpoint settings from a `PipelineConfig` and checks
+them when it is built (`endpoint_problems`). A live answer that is not a
+string UTF-8 can hold (null, a list of parts, a lone surrogate) is malformed.
+
 `complete` sends one prompt. `complete_all` sends a batch at once on a
 short-lived pool of up to `max_in_flight` threads and returns the answers in
 prompt order; the one semaphore still bounds the calls in flight across every
@@ -21,7 +25,6 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,7 +33,11 @@ from .terminology import read_jsonl
 if TYPE_CHECKING:
     import requests
 
-DEFAULT_API_KEY_ENV = "GENIE_API_KEY"
+    from .pipeline import PipelineConfig
+
+# seconds before the first retry of a live call; each later retry waits
+# twice as long, plus up to 25% jitter
+BACKOFF_BASE = 1.0
 
 
 class TransportError(RuntimeError):
@@ -43,22 +50,6 @@ class ConfigurationError(RuntimeError):
 
 class _Cancelled(Exception):
     """Another prompt of the batch failed before this one was sent."""
-
-
-@dataclass
-class EndpointConfig:
-    base_url: str = "http://localhost:8000/v1"
-    model: str = "gpt-4o-mini"
-    api_key_env: str = DEFAULT_API_KEY_ENV
-    timeout: float = 60.0
-    max_retries: int = 3
-    max_in_flight: int = 4
-    backoff_base: float = 1.0
-
-    def __post_init__(self):
-        problems = endpoint_problems(self.timeout, self.max_retries, self.max_in_flight)
-        if problems:
-            raise ValueError("; ".join(problems))
 
 
 def endpoint_problems(timeout: float, max_retries: int, max_in_flight: int) -> list[str]:
@@ -114,6 +105,8 @@ def _exchange(record: dict) -> tuple[str, str]:
     prompt, response = record["prompt"], record["response"]
     if not isinstance(prompt, str) or not isinstance(response, str):
         raise ValueError("'prompt' and 'response' must be strings")
+    for text in (prompt, response):
+        text.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
     return prompt, response
 
 
@@ -122,16 +115,19 @@ class ChatClient:
 
     def __init__(
         self,
-        cfg: EndpointConfig | None = None,
+        cfg: PipelineConfig,
         mode: str = "live",
         transcript: Transcript | None = None,
         session: requests.Session | None = None,
     ):
+        problems = endpoint_problems(cfg.timeout, cfg.max_retries, cfg.max_in_flight)
+        if problems:
+            raise ValueError("; ".join(problems))
         if mode not in ("live", "record", "replay"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "replay" and transcript is None:
             raise ConfigurationError("replay mode requires a transcript")
-        self.cfg = cfg or EndpointConfig()
+        self.cfg = cfg
         self.mode = mode
         self.transcript = transcript if transcript is not None else Transcript()
         if session is None and mode != "replay":
@@ -207,7 +203,7 @@ class ChatClient:
         last_error = None
         for attempt in range(self.cfg.max_retries + 1):
             if attempt:  # back off outside the slot, so others can use it
-                delay = self.cfg.backoff_base * (2 ** (attempt - 1))
+                delay = BACKOFF_BASE * (2 ** (attempt - 1))
                 time.sleep(delay * (1.0 + random.random() * 0.25))
             with self._semaphore:
                 if cancel is not None and cancel.is_set():
@@ -226,8 +222,10 @@ class ChatClient:
                         content = resp.json()["choices"][0]["message"]["content"]
                     except (KeyError, IndexError, TypeError, ValueError) as exc:
                         raise TransportError(f"malformed completion response: {exc}") from exc
-                    if not isinstance(content, str):  # null, or a list of parts
-                        raise TransportError(f"malformed completion response: content is {content!r:.80}")
+                    try:  # AttributeError: null, or a list of parts
+                        content.encode("utf-8")  # a lone surrogate, which no transcript can hold
+                    except (AttributeError, UnicodeEncodeError):
+                        raise TransportError(f"malformed completion response: content is {content!r:.80}") from None
                     return content
                 if resp.status_code == 429 or resp.status_code >= 500:
                     last_error = TransportError(f"HTTP {resp.status_code}")

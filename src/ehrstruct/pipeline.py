@@ -29,14 +29,7 @@ from pathlib import Path
 from . import assertion as assertion_mod
 from .attributes import BackendError, LlmBackend, RuleBackend, annotate_note
 from .integrate import DEFAULT_MISMATCH_THRESHOLD, NoteResult, assemble
-from .llm_client import (
-    ChatClient,
-    ConfigurationError,
-    EndpointConfig,
-    Transcript,
-    TransportError,
-    endpoint_problems,
-)
+from .llm_client import ChatClient, ConfigurationError, Transcript, TransportError, endpoint_problems
 from .preprocess import RawNote, restore_linebreaks, segment
 from .recognition import recognize_note
 from .terminology import AbbreviationTable, ApplicabilityTable, LiteralIndex, TermIndex, load_lexicon
@@ -53,6 +46,7 @@ class PipelineConfig:
     applicability: str | None = None
     backend: str = "rule"  # rule | llm | replay
     transcript: str | None = None
+    # the endpoint settings, which llm_client.ChatClient reads
     base_url: str = "http://localhost:8000/v1"
     model: str = "gpt-4o-mini"
     api_key_env: str = "GENIE_API_KEY"
@@ -118,16 +112,6 @@ class PipelineConfig:
             problems.append("max_tokens must be positive")
         return problems + endpoint_problems(self.timeout, self.max_retries, self.max_in_flight)
 
-    def endpoint(self) -> EndpointConfig:
-        return EndpointConfig(
-            base_url=self.base_url,
-            model=self.model,
-            api_key_env=self.api_key_env,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            max_in_flight=self.max_in_flight,
-        )
-
 
 @dataclass
 class PipelineResources:
@@ -174,9 +158,9 @@ def build_resources(cfg: PipelineConfig) -> PipelineResources:
         backend = RuleBackend()
     else:
         if cfg.backend == "replay":
-            client = ChatClient(cfg.endpoint(), mode="replay", transcript=Transcript.load(cfg.transcript))
+            client = ChatClient(cfg, mode="replay", transcript=Transcript.load(cfg.transcript))
         else:
-            client = ChatClient(cfg.endpoint(), mode="record" if cfg.transcript else "live")
+            client = ChatClient(cfg, mode="record" if cfg.transcript else "live")
         backend = LlmBackend(client, max_tokens=cfg.max_tokens)
     return PipelineResources(
         index=index,
@@ -241,4 +225,6 @@ def _raw_note(record: dict) -> RawNote:
         raise ValueError("'note_id' must be a string or an integer")
     if not isinstance(record["text"], str):
         raise ValueError("'text' must be a string")
+    for value in (str(note_id), record["text"]):
+        value.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
     return RawNote(note_id=str(note_id), text=record["text"])

@@ -1,9 +1,12 @@
-"""Recognition: lexicon matches in the whole normalized note, filtered to
-reportable types, with abbreviations expanded.
+"""Recognition: the reportable lexicon matches of a whole normalized note,
+as mentions in document order, with abbreviations resolved.
 
-The index finds the matches (`TermIndex.scan`, forward maximum matching over
-the case-folded note). Matched spans map back to raw-text offsets via the
-note's offset map.
+`recognize_note` makes one pass over the index's matches (`TermIndex.scan`,
+forward maximum matching over the case-folded note). A match of a type that
+is not reportable is skipped before a mention is built. A kept match whose
+surface has one expansion takes its full form, and its type hint if any; one
+with several expansions is flagged ambiguous. Spans map back to raw-text
+offsets via the note's offset map.
 """
 
 from __future__ import annotations
@@ -28,54 +31,26 @@ class Mention:
     ambiguous: bool = False
 
 
-def recognize(note: NormalizedNote, index: TermIndex) -> list[Mention]:
-    """Forward-maximum-match the whole normalized note against the index
-    (unfiltered)."""
+def recognize_note(
+    note: NormalizedNote, index: TermIndex, abbreviations: AbbreviationTable
+) -> list[Mention]:
+    """The note's reportable mentions, in document order, from one index
+    scan: the lexicon type filters first, and an expansion's type hint can
+    only change a mention that was kept."""
     text = note.text
     mentions: list[Mention] = []
     # fold_case keeps every character's length, so its spans index text
     for start, end, concept_id, semantic_type in index.scan(fold_case(text)):
-        surface = text[start:end]
+        if not semantic_type.reportable:
+            continue
+        surface = canonical_phrase = text[start:end]
+        expansions = abbreviations.expansions(surface)
+        if len(expansions) == 1:
+            canonical_phrase = expansions[0].full_form
+            semantic_type = expansions[0].semantic_type or semantic_type
         raw_start, raw_end = note.raw_span(start, end)
         mentions.append(
-            Mention(
-                note_id=note.note_id,
-                norm_start=start,
-                norm_end=end,
-                raw_start=raw_start,
-                raw_end=raw_end,
-                surface=surface,
-                canonical_phrase=surface,
-                semantic_type=semantic_type,
-                concept_id=concept_id,
-            )
+            Mention(note.note_id, start, end, raw_start, raw_end, surface, canonical_phrase,
+                    semantic_type, concept_id, ambiguous=len(expansions) > 1)
         )
-    return mentions
-
-
-def filter_reportable(mentions: list[Mention]) -> list[Mention]:
-    return [m for m in mentions if m.semantic_type.reportable]
-
-
-def expand_abbreviation(m: Mention, table: AbbreviationTable) -> Mention:
-    """Expand an unambiguous abbreviation in place; flag ambiguous ones."""
-    expansions = table.expansions(m.surface)
-    if len(expansions) == 1:
-        exp = expansions[0]
-        m.canonical_phrase = exp.full_form
-        if exp.semantic_type is not None:
-            m.semantic_type = exp.semantic_type
-    elif len(expansions) >= 2:
-        m.ambiguous = True
-    return m
-
-
-def recognize_note(
-    note: NormalizedNote, index: TermIndex, abbreviations: AbbreviationTable
-) -> list[Mention]:
-    """Full per-note recognition: match, filter, expand, in document
-    order."""
-    mentions = filter_reportable(recognize(note, index))
-    for m in mentions:
-        expand_abbreviation(m, abbreviations)
     return mentions

@@ -49,11 +49,12 @@ class InputFormatError(ValueError):
 
 def read_lines(source, comments: bool = True):
     """Yield (lineno, line), line less its line break, for each line of
-    source (a file path, read as UTF-8, or an iterable of text lines such as
-    an open file) that is not blank nor, with comments, has '#' as its first
-    non-blank character. Undecodable bytes raise InputFormatError."""
+    source (a file path, read as UTF-8 less a leading byte-order mark, or an
+    iterable of text lines such as an open file) that is not blank nor, with
+    comments, has '#' as its first non-blank character. Undecodable bytes
+    raise InputFormatError."""
     if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             yield from read_lines(fh, comments)
         return
     try:
@@ -207,13 +208,14 @@ def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
 
 def _parse(path: Path, copy=None) -> tuple["TermIndex", LoadReport]:
     """The index and report of the lexicon, parsed in one pass; copy, when
-    given, is called with each chunk of bytes read from the file, in order."""
+    given, is called with each chunk of bytes read from the file, in order.
+    A leading UTF-8 byte-order mark is not part of the first surface."""
     report = LoadReport()
     index = TermIndex()
     if copy is None:  # the copying reader costs a small lexicon's parse about 7%
-        source = open(path, encoding="utf-8")
+        source = open(path, encoding="utf-8-sig")
     else:
-        source = io.TextIOWrapper(io.BufferedReader(_Tee(path, copy)), encoding="utf-8")
+        source = io.TextIOWrapper(io.BufferedReader(_Tee(path, copy)), encoding="utf-8-sig")
     with source as fh:
         try:
             counts = index._insert(_read_rows(fh, path, report))

@@ -42,8 +42,9 @@ class _StubHandler(BaseHTTPRequestHandler):
     repeats), `reply` (a callable from prompt text to response text), `delay`
     (seconds before answering, or a callable from prompt text to seconds) and
     `fault` (a callable from prompt text to None, an HTTP status to answer
-    with, "non-json" for a 200 whose body is not JSON, or "null-content" for
-    a 200 whose message content is null). It keeps each
+    with, "non-json" for a 200 whose body is not JSON, "null-content" for
+    a 200 whose message content is null, or "surrogate" for a 200 whose
+    content holds a lone surrogate escape). It keeps each
     prompt in `prompts`, in arrival order, and counts requests, connections
     and the most requests in flight at once. Connections are kept alive, as a
     real endpoint keeps them.
@@ -82,7 +83,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             elif fault == "non-json":
                 payload = b"<html>bad gateway</html>"
             else:
-                content = None if fault == "null-content" else server.reply(prompt)
+                content = None if fault == "null-content" else "x\ud800y" if fault == "surrogate" else server.reply(prompt)
                 payload = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

@@ -20,8 +20,9 @@ from ehrstruct.integrate import (
     parse_entities,
     serialize,
 )
-from ehrstruct.llm_client import ChatClient, ConfigurationError, EndpointConfig, Transcript
-from ehrstruct.pipeline import PipelineResources, structure_note
+from ehrstruct import llm_client
+from ehrstruct.llm_client import ChatClient, ConfigurationError, Transcript
+from ehrstruct.pipeline import PipelineConfig, PipelineResources, structure_note
 from ehrstruct.preprocess import (
     NormalizedNote,
     RawNote,
@@ -29,7 +30,7 @@ from ehrstruct.preprocess import (
     restore_linebreaks,
     segment,
 )
-from ehrstruct.recognition import recognize
+from ehrstruct.recognition import recognize_note
 from ehrstruct.terminology import (
     NOT_APPLICABLE,
     AbbreviationTable,
@@ -65,7 +66,7 @@ def test_criterion_1_fmm_oracle_equivalence():
         text = " ".join(words)[:2000]
         index = TermIndex((s, f"C{i}", SemanticType.DISEASE) for i, s in enumerate(surfaces))
         note = NormalizedNote("n", text, list(range(len(text))))
-        got = [(m.norm_start, m.norm_end) for m in recognize(note, index)]
+        got = [(m.norm_start, m.norm_end) for m in recognize_note(note, index, AbbreviationTable())]
         if got != brute_force_recognize(text, surfaces):
             mismatches += 1
     elapsed = time.monotonic() - start_time
@@ -110,7 +111,7 @@ def _case_resources(transcript):
         ("small bowel obstruction", "C3", SemanticType.DISEASE),
         ("lisinopril", "C4", SemanticType.CHEMICAL_OR_DRUG),
     ]
-    client = ChatClient(EndpointConfig(), mode="replay", transcript=transcript)
+    client = ChatClient(PipelineConfig(), mode="replay", transcript=transcript)
     return PipelineResources(
         index=TermIndex(entries),
         abbreviations=AbbreviationTable(),
@@ -320,18 +321,19 @@ def test_criterion_8_worker_determinism(tmp_path, lexicon_path, abbrev_path):
 
 def test_criterion_9_llm_client_contract(stub_server, monkeypatch):
     monkeypatch.setenv("GENIE_API_KEY", "k")
+    monkeypatch.setattr(llm_client, "BACKOFF_BASE", 0.01)
     ok = True
 
-    cfg = dict(base_url=stub_server.base_url, backoff_base=0.01)
+    cfg = dict(base_url=stub_server.base_url)
 
     stub_server.script = [500, 429, 200]
-    client = ChatClient(EndpointConfig(max_retries=3, **cfg))
+    client = ChatClient(PipelineConfig(max_retries=3, **cfg))
     ok &= client.complete("retry me") == "ok"
     ok &= stub_server.request_count == 3
 
     stub_server.script = [401]
     stub_server.request_count = 0
-    client = ChatClient(EndpointConfig(max_retries=3, **cfg))
+    client = ChatClient(PipelineConfig(max_retries=3, **cfg))
     try:
         client.complete("reject me")
         ok = False
@@ -342,7 +344,7 @@ def test_criterion_9_llm_client_contract(stub_server, monkeypatch):
     stub_server.request_count = 0
     stub_server.max_observed_in_flight = 0
     stub_server.delay = 0.04
-    client = ChatClient(EndpointConfig(max_in_flight=3, **cfg))
+    client = ChatClient(PipelineConfig(max_in_flight=3, **cfg))
     threads = [threading.Thread(target=client.complete, args=(f"p{i}",)) for i in range(9)]
     for t in threads:
         t.start()
@@ -352,7 +354,7 @@ def test_criterion_9_llm_client_contract(stub_server, monkeypatch):
 
     transcript = Transcript()
     transcript.put("replayed", "stored answer")
-    replay = ChatClient(EndpointConfig(**cfg), mode="replay", transcript=transcript)
+    replay = ChatClient(PipelineConfig(**cfg), mode="replay", transcript=transcript)
     ok &= replay.complete("replayed") == "stored answer"
     ok &= replay.network_calls == 0
 

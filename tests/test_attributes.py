@@ -16,7 +16,8 @@ from ehrstruct.attributes import (
     render_prompt,
     rule_extract_modifiers,
 )
-from ehrstruct.llm_client import ChatClient, EndpointConfig, Transcript
+from ehrstruct.llm_client import ChatClient, Transcript
+from ehrstruct.pipeline import PipelineConfig
 from ehrstruct.preprocess import Chunk, NormalizedNote, count_tokens, segment
 from ehrstruct.recognition import Mention
 from ehrstruct.terminology import (
@@ -299,7 +300,7 @@ def replay_client(pairs):
     transcript = Transcript()
     for prompt, response in pairs:
         transcript.put(prompt, response)
-    return ChatClient(EndpointConfig(), mode="replay", transcript=transcript)
+    return ChatClient(PipelineConfig(), mode="replay", transcript=transcript)
 
 
 class StubClient:

@@ -11,12 +11,13 @@ import pytest
 
 from ehrstruct import terminology
 from ehrstruct.cli import build_parser, main
-from ehrstruct.llm_client import ChatClient, EndpointConfig, Transcript
+from ehrstruct.llm_client import Transcript
 from ehrstruct.pipeline import PipelineConfig, build_resources, read_notes, run_structure
 
 FIXTURES = Path(__file__).parent / "fixtures"
 NOTES = str(FIXTURES / "sample_notes.jsonl")
 GOLDEN = FIXTURES / "sample_entities.golden.jsonl"
+MENTIONS_GOLDEN = FIXTURES / "sample_mentions.golden.jsonl"
 
 
 @pytest.fixture
@@ -453,6 +454,51 @@ class TestHostileInputs:
         assert proc.stderr.decode().startswith("error: <stdin>: not UTF-8")
         assert proc.stdout == b""
 
+    def test_byte_order_mark_on_stdin_is_not_read(self, lexicon_args):
+        notes = Path(NOTES).read_bytes()
+        outputs = []
+        for data in (notes, b"\xef\xbb\xbf" + notes):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ehrstruct.cli", "structure", *lexicon_args, "-", "-"],
+                input=data, capture_output=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] == GOLDEN.read_bytes()
+
+    def test_byte_order_mark_does_not_hide_a_rule(self, tmp_path, lexicon_args):
+        rules, notes = tmp_path / "rules.tsv", tmp_path / "notes.jsonl"
+        rules.write_bytes(b"\xef\xbb\xbfdenies\tforward\t8\tAbsent\t10\n")
+        notes.write_text('{"note_id": "a", "text": "Patient denies fever."}\n', encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["structure", *lexicon_args, "--assertion-rules", str(rules), str(notes), str(out)]) == 0
+        (entity,) = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert (entity["phrase"], entity["assertion_status"]) == ("fever", "Absent")
+
+    @pytest.mark.parametrize(
+        "record", ['{"note_id": "a\\ud800", "text": "fever"}', '{"note_id": "a", "text": "x\\udfff fever"}'],
+        ids=["note-id", "text"],
+    )
+    def test_lone_surrogate_in_a_note_fails_at_its_line(self, tmp_path, lexicon_args, record, capsys):
+        notes, out = tmp_path / "notes.jsonl", tmp_path / "out.jsonl"
+        notes.write_text(f'{{"note_id": "ok", "text": "fever"}}\n{record}\n', encoding="utf-8")
+        assert main(["structure", *lexicon_args, str(notes), str(out)]) == 1
+        assert self.error_line(capsys).startswith(f"error: {notes}:2: ")
+
+    def test_lone_surrogate_in_a_replayed_answer_fails_at_its_line(self, tmp_path, lexicon_args, capsys):
+        transcript = tmp_path / "transcript.jsonl"
+        _make_transcript(Path(NOTES), reply=_echo_null_reply).save(transcript)
+        with transcript.open("a", encoding="utf-8") as fh:
+            fh.write('{"prompt": "q", "response": "fever: x\\ud800y"}\n')
+        lines = len(transcript.read_text(encoding="utf-8").splitlines())
+        code = main([
+            "structure", *lexicon_args, "--backend", "replay",
+            "--transcript", str(transcript), NOTES, str(tmp_path / "out.jsonl"),
+        ])
+        assert code == 1
+        assert self.error_line(capsys).startswith(f"error: {transcript}:{lines}: ")
+
     def test_repeated_note_id_names_both_lines(self, tmp_path, lexicon_args, capsys):
         notes = tmp_path / "notes.jsonl"
         notes.write_text(
@@ -516,6 +562,11 @@ class TestStageCommands:
         assert main(["recognize", *lexicon_args, NOTES, str(out)]) == 0
         mentions = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert any(m["canonical_phrase"] == "hepatosplenomegaly" for m in mentions)
+
+    def test_recognize_golden_fixture(self, tmp_path, lexicon_args):
+        out = tmp_path / "mentions.jsonl"
+        assert main(["recognize", *lexicon_args, NOTES, str(out)]) == 0
+        assert out.read_bytes() == MENTIONS_GOLDEN.read_bytes()
 
     def test_recognize_has_no_chunk_budget(self, tmp_path, lexicon_args):
         out = tmp_path / "mentions.jsonl"

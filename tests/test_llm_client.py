@@ -13,10 +13,10 @@ from ehrstruct import llm_client
 from ehrstruct.llm_client import (
     ChatClient,
     ConfigurationError,
-    EndpointConfig,
     Transcript,
     TransportError,
 )
+from ehrstruct.pipeline import PipelineConfig
 
 
 @pytest.fixture(autouse=True)
@@ -24,12 +24,13 @@ def api_key(monkeypatch):
     monkeypatch.setenv("GENIE_API_KEY", "test-key")
 
 
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    monkeypatch.setattr(llm_client, "BACKOFF_BASE", 0.01)
+
+
 def make_client(server, mode="live", transcript=None, **cfg_overrides):
-    cfg = EndpointConfig(
-        base_url=server.base_url if server else "http://127.0.0.1:1/v1",
-        backoff_base=0.01,
-        **cfg_overrides,
-    )
+    cfg = PipelineConfig(base_url=server.base_url if server else "http://127.0.0.1:1/v1", **cfg_overrides)
     return ChatClient(cfg, mode=mode, transcript=transcript)
 
 
@@ -66,7 +67,9 @@ class TestLiveMode:
             client.complete("x")
         assert stub_server.request_count == 1
 
-    @pytest.mark.parametrize("content", [None, [{"type": "text", "text": "ok"}]], ids=["null", "parts"])
+    @pytest.mark.parametrize(
+        "content", [None, [{"type": "text", "text": "ok"}], "x\ud800y"], ids=["null", "parts", "surrogate"]
+    )
     def test_content_that_is_not_a_string_is_a_transport_error(self, stub_server, content):
         stub_server.reply = lambda prompt: content
         client = make_client(stub_server, mode="record", max_retries=2)
@@ -93,10 +96,10 @@ class TestLiveMode:
         assert stub_server.request_count == 8
         assert stub_server.max_observed_in_flight <= 2
 
-    def test_backoff_does_not_hold_an_in_flight_slot(self, stub_server):
+    def test_backoff_does_not_hold_an_in_flight_slot(self, stub_server, monkeypatch):
         stub_server.script = [500, 200]  # only the first request fails
         client = make_client(stub_server, max_in_flight=1)
-        client.cfg.backoff_base = 1.0
+        monkeypatch.setattr(llm_client, "BACKOFF_BASE", 1.0)
         backing_off = threading.Thread(target=client.complete, args=("retried",))
         backing_off.start()
         deadline = time.monotonic() + 5
@@ -206,7 +209,7 @@ class TestReplayMode:
 
     def test_replay_requires_transcript(self):
         with pytest.raises(ConfigurationError):
-            ChatClient(EndpointConfig(), mode="replay")
+            ChatClient(PipelineConfig(), mode="replay")
 
     def test_replay_deterministic(self):
         transcript = Transcript()
@@ -273,12 +276,13 @@ class TestTranscript:
 
 
 def test_config_validation():
+    # ChatClient checks its endpoint settings when it is built, in any mode
     with pytest.raises(ValueError):
-        EndpointConfig(max_retries=-1)
+        make_client(None, max_retries=-1)
     with pytest.raises(ValueError):
-        EndpointConfig(max_in_flight=0)
+        make_client(None, mode="replay", transcript=Transcript(), max_in_flight=0)
     with pytest.raises(ValueError, match="^max_retries must be >= 0; max_in_flight must be >= 1; timeout must be positive$"):
-        EndpointConfig(timeout=-1, max_in_flight=0, max_retries=-1)
+        make_client(None, timeout=-1, max_in_flight=0, max_retries=-1)
 
 
 def test_request_pins_temperature_to_zero():
@@ -295,7 +299,7 @@ def test_request_pins_temperature_to_zero():
             posted.append(json)
             return FakeResponse()
 
-    client = ChatClient(EndpointConfig(), session=FakeSession())
+    client = ChatClient(PipelineConfig(), session=FakeSession())
     assert client.complete("p") == "ok"
     assert [body["temperature"] for body in posted] == [0.0]
 
@@ -303,7 +307,7 @@ def test_request_pins_temperature_to_zero():
 def test_timeout_must_be_positive():
     for timeout in (0, -1, float("nan")):
         with pytest.raises(ValueError, match="timeout must be positive"):
-            EndpointConfig(timeout=timeout)
+            make_client(None, timeout=timeout)
 
 
 def test_timeout_must_fit_a_socket():
@@ -311,8 +315,8 @@ def test_timeout_must_fit_a_socket():
     # that requests passes through uncaught
     for timeout in (float("inf"), 1e10, threading.TIMEOUT_MAX * (1 + 1e-15)):
         with pytest.raises(ValueError, match=f"^timeout must be at most {threading.TIMEOUT_MAX:.0f} s$"):
-            EndpointConfig(timeout=timeout)
-    assert EndpointConfig(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
+            make_client(None, timeout=timeout)
+    assert make_client(None, timeout=threading.TIMEOUT_MAX).cfg.timeout == threading.TIMEOUT_MAX
 
 
 def test_requests_is_imported_only_for_a_live_call(stub_server):
@@ -322,13 +326,14 @@ def test_requests_is_imported_only_for_a_live_call(stub_server):
     script = f"""
 import sys
 import ehrstruct.cli
-from ehrstruct.llm_client import ChatClient, EndpointConfig, Transcript
+from ehrstruct.llm_client import ChatClient, Transcript
+from ehrstruct.pipeline import PipelineConfig
 assert "requests" not in sys.modules, "imported with the CLI"
 transcript = Transcript()
 transcript.put("p", "recorded")
-assert ChatClient(EndpointConfig(), mode="replay", transcript=transcript).complete("p") == "recorded"
+assert ChatClient(PipelineConfig(), mode="replay", transcript=transcript).complete("p") == "recorded"
 assert "requests" not in sys.modules, "imported for a replay"
-client = ChatClient(EndpointConfig(base_url={stub_server.base_url!r}))
+client = ChatClient(PipelineConfig(base_url={stub_server.base_url!r}))
 assert client.complete("hello") == "echo:hello"
 assert "requests" in sys.modules
 """

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from ehrstruct import integrate, pipeline
+from ehrstruct import integrate, llm_client, pipeline
 from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
-from ehrstruct.llm_client import ChatClient, EndpointConfig
+from ehrstruct.llm_client import ChatClient
 
 NOTES = Path(__file__).parent / "fixtures" / "sample_notes.jsonl"
 FAILED_NOTE = "note-002"
@@ -24,6 +24,11 @@ FAILED_NOTE = "note-002"
 @pytest.fixture(autouse=True)
 def api_key(monkeypatch):
     monkeypatch.setenv("GENIE_API_KEY", "test-key")
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    monkeypatch.setattr(llm_client, "BACKOFF_BASE", 0.01)
 
 
 def reply(prompt):
@@ -51,9 +56,7 @@ def rule_resources(lexicon_path, abbrev_path):
 
 
 def llm_resources(rule_resources, server, max_in_flight, max_tokens=1, **endpoint):
-    cfg = EndpointConfig(
-        base_url=server.base_url, backoff_base=0.01, max_in_flight=max_in_flight, **endpoint
-    )
+    cfg = pipeline.PipelineConfig(base_url=server.base_url, max_in_flight=max_in_flight, **endpoint)
     return dataclasses.replace(rule_resources, backend=LlmBackend(ChatClient(cfg), max_tokens=max_tokens))
 
 
@@ -71,6 +74,7 @@ FAULTS = {
     "400": (400, dict(max_retries=2)),
     "non-json": ("non-json", dict(max_retries=2)),
     "null-content": ("null-content", dict(max_retries=2)),
+    "surrogate": ("surrogate", dict(max_retries=2)),
     "timeout": (None, dict(max_retries=1, timeout=0.2)),
 }
 
@@ -202,6 +206,24 @@ def test_recorded_transcript_replays_offline(stub_server, lexicon_path, abbrev_p
     assert [json.loads(line)["note_id"] for line in rejected] == [FAILED_NOTE]
     kept = [line for line in outputs[0].decode("utf-8").splitlines(keepends=True) if FAILED_NOTE not in line]
     assert replayed.read_text(encoding="utf-8") == "".join(kept)
+
+
+def test_answers_recorded_before_a_malformed_one_are_saved(stub_server, lexicon_path, abbrev_path, tmp_path):
+    # a live answer holding a lone surrogate rejects its note; the recorded
+    # transcript, written as UTF-8, keeps every other answer
+    stub_server.reply = reply
+    stub_server.fault = lambda prompt: "surrogate" if "{{penicillin}}" in prompt else None
+    transcript, rejections = tmp_path / "transcript.jsonl", tmp_path / "rejections.jsonl"
+    config = tmp_path / "llm.cfg"
+    config.write_text(f"base_url = {stub_server.base_url}\n", encoding="utf-8")
+    args = ["--config", str(config), "--backend", "llm", "--transcript", str(transcript),
+            "--rejections", str(rejections)]
+    assert structure(args, lexicon_path, abbrev_path, tmp_path / "out.jsonl") == 2
+    rejected = rejections.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["note_id"] for line in rejected] == [FAILED_NOTE]
+    saved = [json.loads(line)["prompt"] for line in transcript.read_text(encoding="utf-8").splitlines()]
+    failed = {prompt for prompt in stub_server.prompts if "{{penicillin}}" in prompt}
+    assert failed and sorted(saved) == sorted(set(stub_server.prompts) - failed)
 
 
 def test_transcript_directory_must_exist(tmp_path, lexicon_path, capsys):

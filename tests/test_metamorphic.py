@@ -1,0 +1,57 @@
+"""Metamorphic checks over the whole rule pipeline: an edit to a note whose
+effect on the entities is known in advance, run on notes whose entities no
+oracle gives in full.
+
+Relations checked:
+- a term-free paragraph put in front of a note shifts every span by the
+  paragraph's length and changes nothing else.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from ehrstruct import integrate, pipeline
+from ehrstruct.preprocess import RawNote
+from test_pipeline import planted_attribute_notes
+
+NOTES = Path(__file__).parent / "fixtures" / "sample_notes.jsonl"
+# no lexicon term, assertion cue, allergy word or section header
+TERM_FREE_PARAGRAPH = "The patient was seen in clinic today with her daughter.\n\n"
+
+
+@pytest.fixture(scope="module")
+def resources(lexicon_path, abbrev_path):
+    return pipeline.build_resources(pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path))
+
+
+@pytest.fixture(scope="module", params=["fixtures", "planted-1"])
+def notes(request, lexicon_path, abbrev_path):
+    if request.param == "fixtures":
+        return pipeline.read_notes(NOTES)
+    planted, _ = planted_attribute_notes(1, lexicon_path, abbrev_path)
+    return [RawNote(n["note_id"], n["text"]) for n in planted]
+
+
+def entities(note, res):
+    result = pipeline.structure_note(note, res)
+    assert not result.rejected
+    return [integrate.entity_to_dict(e) for e in result.entities]
+
+
+def test_the_paragraph_holds_no_term(resources):
+    assert entities(RawNote("p", TERM_FREE_PARAGRAPH), resources) == []
+
+
+def test_a_term_free_paragraph_in_front_shifts_every_span(resources, notes):
+    shift = len(TERM_FREE_PARAGRAPH)
+    checked = 0
+    for note in notes:
+        expected = entities(note, resources)
+        for entity in expected:
+            entity["span"] = {name: offset + shift for name, offset in entity["span"].items()}
+        prefixed = dataclasses.replace(note, text=TERM_FREE_PARAGRAPH + note.text)
+        assert entities(prefixed, resources) == expected, note.note_id
+        checked += len(expected)
+    assert checked >= 13

@@ -1,12 +1,7 @@
 import random
 
 from ehrstruct.preprocess import NormalizedNote
-from ehrstruct.recognition import (
-    Mention,
-    expand_abbreviation,
-    filter_reportable,
-    recognize,
-)
+from ehrstruct.recognition import recognize_note
 from ehrstruct.terminology import AbbreviationTable, Expansion, SemanticType, TermIndex
 from oracles import brute_force_recognize
 
@@ -17,6 +12,12 @@ def note_for(text):
 
 def index_of(*surfaces, sem=SemanticType.DISEASE):
     return TermIndex((s.lower(), f"C{i}", sem) for i, s in enumerate(surfaces))
+
+
+def recognize(note, index):
+    """recognize_note with no abbreviations: over an index of reportable
+    surfaces, every forward-maximum match is a mention."""
+    return recognize_note(note, index, AbbreviationTable())
 
 
 def random_lexicon_and_text(rng, max_entries=200, max_text=2000):
@@ -121,7 +122,7 @@ class TestRecognize:
             assert a.norm_end <= b.norm_start
 
     def test_one_index_call_per_note(self, sample_index):
-        # the index does the matching; recognize only builds mentions
+        # the index does the matching; recognize_note only filters and builds mentions
         calls = []
 
         class ScanOnly:
@@ -141,55 +142,68 @@ class TestRecognize:
 
 
 class TestFilterReportable:
-    def make(self, sem):
-        return Mention("n", 0, 1, 0, 1, "x", "x", sem)
+    def kept(self, types, abbreviations=AbbreviationTable()):
+        words = ["alpha", "beta", "gamma", "delta", "epsilon"][: len(types)]
+        index = TermIndex((w, f"C{i}", t) for i, (w, t) in enumerate(zip(words, types)))
+        note = note_for(" and ".join(words))
+        return [(m.surface, m.semantic_type) for m in recognize_note(note, index, abbreviations)]
 
     def test_other_removed(self):
-        assert filter_reportable([self.make(SemanticType.OTHER)]) == []
+        assert self.kept([SemanticType.OTHER]) == []
 
     def test_disease_kept(self):
-        kept = filter_reportable([self.make(SemanticType.DISEASE)])
-        assert len(kept) == 1
+        assert self.kept([SemanticType.DISEASE]) == [("alpha", SemanticType.DISEASE)]
 
     def test_order_preserved(self):
-        seq = [
-            self.make(SemanticType.DISEASE),
-            self.make(SemanticType.OTHER),
-            self.make(SemanticType.CHEMICAL_OR_DRUG),
-            self.make(SemanticType.OTHER),
-            self.make(SemanticType.PHYSIOLOGY),
+        types = [
+            SemanticType.DISEASE,
+            SemanticType.OTHER,
+            SemanticType.CHEMICAL_OR_DRUG,
+            SemanticType.OTHER,
+            SemanticType.PHYSIOLOGY,
         ]
-        kept = filter_reportable(seq)
-        assert kept == [seq[0], seq[2], seq[4]]
+        assert self.kept(types) == [
+            ("alpha", SemanticType.DISEASE),
+            ("gamma", SemanticType.CHEMICAL_OR_DRUG),
+            ("epsilon", SemanticType.PHYSIOLOGY),
+        ]
+
+    def test_type_hint_does_not_report_an_other_match(self):
+        # the lexicon type filters first; a hint only retypes a kept mention
+        table = AbbreviationTable({"alpha": [Expansion("alpha form", SemanticType.DISEASE)]})
+        assert self.kept([SemanticType.OTHER], table) == []
 
 
 class TestExpandAbbreviation:
-    def mention(self, surface):
-        return Mention("n", 0, len(surface), 0, len(surface), surface, surface,
-                       SemanticType.SIGN_SYMPTOM_OR_FINDING)
+    def mention(self, surface, table):
+        index = index_of(surface, sem=SemanticType.SIGN_SYMPTOM_OR_FINDING)
+        (m,) = recognize_note(note_for(f"Noted {surface} today."), index, table)
+        assert m.surface == surface
+        return m
 
     def test_hsm(self, abbrev_table):
-        m = expand_abbreviation(self.mention("HSM"), abbrev_table)
+        m = self.mention("HSM", abbrev_table)
         assert m.canonical_phrase == "hepatosplenomegaly"
         assert not m.ambiguous
 
     def test_nph(self, abbrev_table):
-        m = expand_abbreviation(self.mention("NPH"), abbrev_table)
+        m = self.mention("NPH", abbrev_table)
         assert m.canonical_phrase == "neutral protamine hagedorn"
         assert m.semantic_type is SemanticType.CHEMICAL_OR_DRUG
 
     def test_ambiguous_ra_flagged(self, abbrev_table):
-        m = expand_abbreviation(self.mention("RA"), abbrev_table)
+        m = self.mention("RA", abbrev_table)
         assert m.canonical_phrase == "RA"
+        assert m.semantic_type is SemanticType.SIGN_SYMPTOM_OR_FINDING
         assert m.ambiguous
 
     def test_case_sensitive(self):
         table = AbbreviationTable({"HSM": [Expansion("hepatosplenomegaly")]})
-        m = expand_abbreviation(self.mention("hsm"), table)
+        m = self.mention("hsm", table)
         assert m.canonical_phrase == "hsm"
 
     def test_unknown_unchanged(self, abbrev_table):
-        m = expand_abbreviation(self.mention("fever"), abbrev_table)
+        m = self.mention("fever", abbrev_table)
         assert m.canonical_phrase == "fever"
+        assert m.semantic_type is SemanticType.SIGN_SYMPTOM_OR_FINDING
         assert not m.ambiguous
-

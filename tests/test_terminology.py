@@ -1,3 +1,4 @@
+import codecs
 import gc
 import hashlib
 import os
@@ -735,6 +736,11 @@ _MALFORMED_LINE_2 = {
     "transcript": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": "x"}'),
     "transcript-list": (Transcript.load, '{"prompt": "p", "response": "r"}', '["a", "b"]'),
     "transcript-type": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": 1, "response": "r"}'),
+    # a lone surrogate escape decodes to a string no UTF-8 output can hold
+    "notes-note-id-surrogate": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "b\\ud800", "text": "y"}'),
+    "notes-text-surrogate": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "b", "text": "x\\udc80y"}'),
+    "transcript-prompt-surrogate": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": "\\ud800", "response": "r"}'),
+    "transcript-response-surrogate": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": "q", "response": "fever: x\\ud800y"}'),
 }
 
 
@@ -750,6 +756,31 @@ def test_malformed_line_2_names_file_and_line(tmp_path, case):
     assert exc.value.lineno == 2
     assert str(exc.value.path) == str(path)
     assert str(exc.value).startswith(f"{path}:2: ")
+
+
+@pytest.mark.parametrize(
+    "read, line",
+    [
+        (lambda path: answer(load_lexicon(path)[0], "heart failure"), "heart failure\tC1\tDisease, Syndrome or Pathologic Function"),
+        # the reader that copies the lexicon's bytes into a new sidecar
+        (lambda path: answer(terminology._parse(path, copy=len)[0], "heart failure"), "heart failure\tC1\tDisease, Syndrome or Pathologic Function"),
+        (lambda path: AbbreviationTable.load(path).expansions("HSM"), "HSM\thepatosplenomegaly"),
+        (load_rules, "denies\tforward\t8\tAbsent\t10"),
+        (ApplicabilityTable.load, "Eukaryote = modifier"),
+        (PipelineConfig.load, "workers = 2"),
+        (read_notes, '{"note_id": "a", "text": "x"}'),
+        (lambda path: Transcript.load(path).get("p"), '{"prompt": "p", "response": "r"}'),
+    ],
+    ids=["lexicon", "lexicon-copied", "abbreviations", "rules", "applicability", "config", "notes", "transcript"],
+)
+def test_a_utf8_byte_order_mark_is_not_part_of_the_first_line(tmp_path, read, line):
+    # spreadsheet exports ("CSV UTF-8") start the file with one
+    path = tmp_path / "input.txt"
+    path.write_text(f"{line}\n", encoding="utf-8")
+    expected = read(path)
+    assert expected not in (None, [], (None, None))
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert read(path) == expected
 
 
 def test_integer_note_ids_are_read_as_strings(tmp_path):
