@@ -83,18 +83,18 @@ def cmd_structure(args) -> int:
     except (OSError, ValueError) as exc:
         return _error(exc)
     results = run_structure(notes, res, workers=cfg.workers)
-    with _open_out(args.output) as out:
-        serialize(results, out, group_by_note=args.group_by_note)
-    if cfg.backend == "llm" and cfg.transcript:
-        try:
-            res.backend.client.transcript.save(cfg.transcript)
-        except OSError as exc:
-            return _error(exc)
     rejected = rejection_report(results)
-    if args.rejections:
-        with _open_out(args.rejections) as out:
-            for rec in rejected:
-                out.write(json.dumps(rec) + "\n")
+    try:
+        if cfg.backend == "llm" and cfg.transcript:  # first: an output that fails keeps the answers
+            res.backend.client.transcript.save(cfg.transcript)
+        with _open_out(args.output) as out:
+            serialize(results, out, group_by_note=args.group_by_note)
+        if args.rejections:
+            with _open_out(args.rejections) as out:
+                for rec in rejected:
+                    out.write(json.dumps(rec) + "\n")
+    except OSError as exc:
+        return _error(exc)
     if rejected:
         print(f"{len(rejected)} of {len(results)} notes rejected", file=sys.stderr)
         return 2
@@ -111,9 +111,12 @@ def cmd_evaluate(args) -> int:
         return _error(exc)
     print(render_table(report, name=args.name))
     if args.json:
-        with _open_out(args.json) as out:
-            json.dump(report.to_dict(), out, indent=2)
-            out.write("\n")
+        try:
+            with _open_out(args.json) as out:
+                json.dump(report.to_dict(), out, indent=2)
+                out.write("\n")
+        except OSError as exc:
+            return _error(exc)
     return 0
 
 
@@ -142,12 +145,15 @@ def cmd_recognize(args) -> int:
         notes = read_notes(_input(args.input))
     except (OSError, ValueError) as exc:
         return _error(exc)
-    with _open_out(args.output) as out:
-        for raw in notes:
-            for m in recognize_note(restore_linebreaks(raw), index, abbreviations):
-                rec = dataclasses.asdict(m)
-                rec["semantic_type"] = m.semantic_type.value
-                out.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    try:
+        with _open_out(args.output) as out:
+            for raw in notes:
+                for m in recognize_note(restore_linebreaks(raw), index, abbreviations):
+                    rec = dataclasses.asdict(m)
+                    rec["semantic_type"] = m.semantic_type.value
+                    out.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    except OSError as exc:
+        return _error(exc)
     return 0
 
 

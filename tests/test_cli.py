@@ -543,6 +543,49 @@ class TestHostileInputs:
         assert self.error_line(capsys) == f"error: {abbreviations}:1: unknown semantic type 'Bogus Type'"
 
 
+class TestUnopenableOutput:
+    """An output path that cannot be opened ends the run with exit 1 and one
+    error line naming it, once the run's work is done."""
+
+    @staticmethod
+    def error_line(capsys, path):
+        """The run's stdout, once its stderr is checked to be one error line
+        naming path."""
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0], err
+        return captured.out
+
+    @pytest.mark.parametrize("command", ["structure", "recognize"])
+    def test_output(self, tmp_path, lexicon_args, command, capsys):
+        out = tmp_path / "no-such-dir" / "out.jsonl"
+        assert main([command, *lexicon_args, NOTES, str(out)]) == 1
+        self.error_line(capsys, out)
+
+    def test_rejections(self, tmp_path, lexicon_args, capsys):
+        out, rejections = tmp_path / "out.jsonl", tmp_path / "no-such-dir" / "rejections.jsonl"
+        assert main(["structure", *lexicon_args, "--rejections", str(rejections), NOTES, str(out)]) == 1
+        self.error_line(capsys, rejections)
+        assert out.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
+
+    def test_evaluate_json(self, tmp_path, capsys):
+        gold, report = str(FIXTURES / "eval_gold.jsonl"), tmp_path / "no-such-dir" / "report.json"
+        assert main(["evaluate", gold, gold, "--json", str(report)]) == 1
+        table = self.error_line(capsys, report)
+        assert table.splitlines()[2].split()[0] == "pipeline"  # printed before the report is written
+
+    def test_recorded_answers_are_saved(self, tmp_path, lexicon_args, stub_server, monkeypatch, capsys):
+        monkeypatch.setenv("GENIE_API_KEY", "test-key")
+        config, transcript = tmp_path / "llm.cfg", tmp_path / "transcript.jsonl"
+        config.write_text(f"base_url = {stub_server.base_url}\n", encoding="utf-8")
+        out = tmp_path / "no-such-dir" / "out.jsonl"
+        args = ["--config", str(config), "--backend", "llm", "--transcript", str(transcript)]
+        assert main(["structure", *lexicon_args, *args, NOTES, str(out)]) == 1
+        self.error_line(capsys, out)
+        saved = [json.loads(line)["prompt"] for line in transcript.read_text(encoding="utf-8").splitlines()]
+        assert saved and sorted(saved) == sorted(set(stub_server.prompts))
+
+
 class TestStageCommands:
     def test_commands_offered(self, capsys):
         commands = ["structure", "evaluate", "validate-config", "recognize"]

@@ -4,7 +4,9 @@ oracle gives in full.
 
 Relations checked:
 - a term-free paragraph put in front of a note shifts every span by the
-  paragraph's length and changes nothing else.
+  paragraph's length and changes nothing else;
+- a note's first paragraph alone gives exactly the entities that the whole
+  note gives inside that paragraph.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from ehrstruct import integrate, pipeline
-from ehrstruct.preprocess import RawNote
+from ehrstruct.preprocess import RawNote, split_paragraphs
 from test_pipeline import planted_attribute_notes
 
 NOTES = Path(__file__).parent / "fixtures" / "sample_notes.jsonl"
@@ -55,3 +57,18 @@ def test_a_term_free_paragraph_in_front_shifts_every_span(resources, notes):
         assert entities(prefixed, resources) == expected, note.note_id
         checked += len(expected)
     assert checked >= 13
+
+
+def test_the_first_paragraph_alone_gives_its_own_entities(resources, notes):
+    # each note as it is, and followed by the next note as a paragraph of its
+    # own, so that a note of one paragraph has one to cut
+    joined = [dataclasses.replace(a, text=f"{a.text}\n\n{b.text}") for a, b in zip(notes, notes[1:] + notes[:1])]
+    checked = cut = 0
+    for note in notes + joined:
+        first = split_paragraphs(note.text)[0]
+        expected = [e for e in entities(note, resources) if e["span"]["end"] <= len(first)]
+        alone = dataclasses.replace(note, text=first)
+        assert entities(alone, resources) == expected, note.note_id
+        checked += len(expected)
+        cut += first != note.text
+    assert checked >= 13 and cut >= len(notes)

@@ -1,11 +1,14 @@
 import codecs
 import gc
 import hashlib
+import logging
 import os
 import re
 import sys
 import tempfile
 import threading
+import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -324,6 +327,79 @@ class TestLexiconSidecar:
         assert sidecar.read_bytes() != bad
         self.without_parsing(monkeypatch)
         assert tables(load_lexicon(lexicon)) == cold
+
+    @pytest.mark.parametrize(
+        "damage, warns",
+        [
+            # the tag and the copy match, the checksum fails
+            ("truncated", True), ("byte-in-a-blob", True), ("last-blob-cut", True),
+            # foreign or stale: another module or Python, or a copy unlike the lexicon
+            ("garbage", False), ("empty", False), ("other-python", False), ("byte-in-the-copy", False),
+            ("copyless-lexicon-hash", False), ("copyless-same-tag", False),
+        ],
+    )
+    def test_only_a_damaged_sidecar_warns(self, lexicon, monkeypatch, caplog, damage, warns):
+        self.test_bad_sidecar_is_rebuilt(lexicon, monkeypatch, damage)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        damaged = f"lexicon sidecar {self.sidecar(lexicon)} is damaged (its checksum or header fails); rebuilding it"
+        assert warnings == ([damaged] if warns else [])
+
+    @staticmethod
+    def started_threads(monkeypatch):
+        """A list of every thread started from now on."""
+        start, started = threading.Thread.start, []
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        return started
+
+    @pytest.mark.parametrize("load", ["hit", "stale-copy", "damaged-table", "comparison-fails"])
+    def test_no_thread_outlives_the_load(self, lexicon, monkeypatch, load):
+        cold = tables(load_lexicon(lexicon))
+        sidecar = self.sidecar(lexicon)
+        data = sidecar.read_bytes()
+        if load == "stale-copy":  # same size, so the copy is compared
+            lexicon.write_bytes(lexicon.read_bytes().replace(b"fever\tC2", b"fever\tC7"))
+        elif load == "damaged-table":
+            c2 = data.rindex(b"C2")
+            sidecar.write_bytes(data[:c2] + b"C7" + data[c2 + 2 :])
+        elif load == "comparison-fails":
+            def fail(*args):
+                raise OSError(5, "Input/output error")
+
+            monkeypatch.setattr(terminology, "_same_bytes", fail)
+        crc32 = zlib.crc32
+
+        def slow(*args):
+            time.sleep(0.1)  # outlasts the comparison: only a join waits for it
+            return crc32(*args)
+
+        monkeypatch.setattr(zlib, "crc32", slow)
+        parses, started = self.parses(monkeypatch), self.started_threads(monkeypatch)
+        loaded = tables(load_lexicon(lexicon))
+        assert len(started) == 1 and not started[0].is_alive()
+        assert parses == ([] if load == "hit" else [1])
+        assert loaded == (cold if load != "stale-copy" else self.parsed(lexicon))
+
+    def test_a_thread_that_cannot_start_checks_on_the_caller(self, lexicon, monkeypatch):
+        cold = tables(load_lexicon(lexicon))
+        sidecar = self.sidecar(lexicon)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with monkeypatch.context() as m:
+            self.without_parsing(m)
+            assert tables(load_lexicon(lexicon)) == cold
+        data = sidecar.read_bytes()
+        c2 = data.rindex(b"C2")
+        sidecar.write_bytes(data[:c2] + b"C7" + data[c2 + 2 :])
+        assert tables(load_lexicon(lexicon)) == cold
+        assert sidecar.read_bytes() == data
 
     @pytest.mark.parametrize("failing", ["mkstemp", "write", "fsync", "replace"])
     def test_unwritable_directory_skips_the_sidecar(self, lexicon, monkeypatch, failing):
