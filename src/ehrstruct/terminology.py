@@ -2,16 +2,16 @@
 
 The lexicon is a 3-column TSV (surface, concept_id, semantic_type).
 `load_lexicon` reads it in one pass straight into a `TermIndex`, one table
-of surfaces per head word, with no object per line, and keeps the finished
-tables of a large lexicon in a sidecar file beside it, with a copy of the
-bytes they were parsed from. The next load compares the lexicon with that
-copy, so it reads the tables back only for the same bytes, and decodes a
-head word's table only when a query first asks for it. Surfaces are
-lowercased at load, and the first concept_id and type given for a surface
-are the ones kept: alternate concept_ids are counted in the load report,
-not stored. Matching is case-insensitive with raw casing preserved
-downstream. The index answers one query, `scan`: forward maximum matching
-over a lowercased text.
+of surfaces per head word, with no object per line. A large lexicon is
+first copied into a sidecar file beside it and parsed from that copy, and
+the finished tables are stored after the copy. The next load compares the
+lexicon with the copy, so it reads the tables back only for the same
+bytes, and decodes a head word's table only when a query first asks for
+it. Surfaces are lowercased at load, and the first concept_id and type
+given for a surface are the ones kept: alternate concept_ids are counted in
+the load report, not stored. Matching is case-insensitive with raw casing
+preserved downstream. The index answers one query, `scan`: forward maximum
+matching over a lowercased text.
 """
 
 from __future__ import annotations
@@ -188,68 +188,38 @@ def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
 
     A regular file of at least _SIDECAR_MIN_BYTES is read from its sidecar
     when the sidecar's tag matches and its copy of the lexicon equals the
-    file byte for byte (`_read_sidecar`), and otherwise parsed while a new
-    sidecar is written (`_SidecarDraft`). A sidecar that cannot be read or
-    written is skipped.
+    file byte for byte (`_read_sidecar`), and otherwise copied into a new
+    sidecar and parsed from that copy (`_parse_into_sidecar`). A sidecar
+    that cannot be read or written is skipped.
     """
     path = Path(path)
     info = os.stat(path)
     # a file that is not regular, such as a pipe, may be read only once
     if not stat.S_ISREG(info.st_mode) or info.st_size < _SIDECAR_MIN_BYTES:
-        return _parse(path)
+        return _parse(path, path)
     cached = _read_sidecar(path, info.st_size)
     if cached is not None:
         return cached
-    try:
-        draft = _SidecarDraft(path)
-    except OSError:
-        return _parse(path)
-    try:
-        index, report = _parse(path, draft.write)
-        draft.finish(index, report)
-    finally:
-        draft.close()
-    return index, report
+    return _parse_into_sidecar(path)
 
 
-def _parse(path: Path, copy=None) -> tuple["TermIndex", LoadReport]:
-    """The index and report of the lexicon, parsed in one pass; copy, when
-    given, is called with each chunk of bytes read from the file, in order.
-    A leading UTF-8 byte-order mark is not part of the first surface."""
+def _parse(source, path: Path, offset: int = 0) -> tuple["TermIndex", LoadReport]:
+    """The index and report of the lexicon at path, parsed in one pass from
+    source, the lexicon or a file holding a copy of it from offset on. An
+    error names path. A leading UTF-8 byte-order mark is not part of the
+    first surface."""
     report = LoadReport()
     index = TermIndex()
-    if copy is None:  # the copying reader costs a small lexicon's parse about 7%
-        source = open(path, encoding="utf-8-sig")
-    else:
-        source = io.TextIOWrapper(io.BufferedReader(_Tee(path, copy)), encoding="utf-8-sig")
-    with source as fh:
-        try:
-            counts = index._insert(_read_rows(fh, path, report))
-            report.entries, report.duplicates, report.unmatchable = counts
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(path, None, f"not UTF-8 ({exc.reason})") from exc
+    with open(source, "rb") as raw:
+        if offset:  # a pipe cannot seek
+            raw.seek(offset)
+        with io.TextIOWrapper(raw, encoding="utf-8-sig") as fh:
+            try:
+                counts = index._insert(_read_rows(fh, path, report))
+                report.entries, report.duplicates, report.unmatchable = counts
+            except UnicodeDecodeError as exc:
+                raise InputFormatError(path, None, f"not UTF-8 ({exc.reason})") from exc
     return index, report
-
-
-class _Tee(io.RawIOBase):
-    """A file opened for raw binary reading that passes each chunk read from
-    it to copy."""
-
-    def __init__(self, path: Path, copy):
-        self.raw, self.copy = open(path, "rb", buffering=0), copy
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self.raw.readinto(buffer)
-        if n:
-            self.copy(buffer[:n])
-        return n
-
-    def close(self) -> None:
-        self.raw.close()
-        super().close()
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -275,10 +245,10 @@ def _sidecar_tag() -> bytes:
 _TAG_BYTES = 32
 _LENGTH_BYTES = 8
 _COPY_START = _TAG_BYTES + _LENGTH_BYTES
-# a warm load compares the lexicon with its copy, and a cold one buffers the
-# sidecar it writes, this many bytes at a time: on 2 vCPUs the two 256-KiB
-# buffers of a comparison stay in cache, and 13.9 MB compare in 2.1-2.5 ms
-# against 3.4-3.9 ms with 1-MiB buffers
+# a warm load compares the lexicon with its copy, and a cold one copies the
+# lexicon into its new sidecar, this many bytes at a time: on 2 vCPUs the two
+# 256-KiB buffers of a comparison stay in cache, and 13.9 MB compare in
+# 2.1-2.5 ms against 3.4-3.9 ms with 1-MiB buffers
 _CHUNK_BYTES = 1 << 18
 
 
@@ -358,34 +328,31 @@ def _same_bytes(lexicon, copy, size: int) -> bool:
     return not lexicon.read(1)
 
 
-class _SidecarDraft:
-    """A new sidecar, written under a unique name beside the lexicon and
-    renamed over the sidecar only once whole, so a reader never sees a
-    partial file. `write` takes the lexicon's bytes as the parse reads them;
-    a write that fails, as on a full disk, drops the draft but not the
-    parse."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        fd, self.temp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=_SIDECAR_SUFFIX, dir=path.parent)
-        self.fh = os.fdopen(fd, "wb", _CHUNK_BYTES)
-        self.whole = True
-        self.write(_sidecar_tag() + bytes(_LENGTH_BYTES))  # finish fills in the copy's length
-
-    def write(self, data) -> None:
-        if self.whole:
-            try:
-                self.fh.write(data)
-            except OSError:
-                self.whole = False
-
-    def finish(self, index: "TermIndex", report: LoadReport) -> None:
-        """Store the tables after the copy and rename the draft over the
-        sidecar, unless a write failed."""
-        if not self.whole:
-            return
-        with contextlib.suppress(OSError):  # a full disk, say: close drops the draft
-            copied = self.fh.tell() - _COPY_START
+def _parse_into_sidecar(path: Path) -> tuple["TermIndex", LoadReport]:
+    """The index and report of the lexicon, parsed from a copy of it written
+    into a new sidecar, so the sidecar's copy is exactly the bytes its
+    tables came from, even when the lexicon changes during the load. The
+    draft is written under a unique name beside the lexicon and renamed
+    over the sidecar only once whole, so a reader never sees a partial file.
+    A draft that cannot be made or written, as on a full disk, is dropped
+    and the lexicon itself parsed; one that cannot be stored once parsed is
+    dropped and the parse kept."""
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=_SIDECAR_SUFFIX, dir=path.parent)
+    except OSError:
+        return _parse(path, path)
+    draft = os.fdopen(fd, "wb", _CHUNK_BYTES)
+    try:
+        try:
+            with open(path, "rb") as lexicon:
+                draft.write(_sidecar_tag() + bytes(_LENGTH_BYTES))  # the copy's length is filled in last
+                shutil.copyfileobj(lexicon, draft, _CHUNK_BYTES)
+            draft.flush()
+        except OSError:
+            return _parse(path, path)
+        copied = draft.tell() - _COPY_START
+        index, report = _parse(temp, path, _COPY_START)
+        with contextlib.suppress(OSError):  # a full disk, say: the draft is dropped
             blobs = [marshal.dumps(index._tables[head]) for head in index._lengths]
             header = marshal.dumps(
                 (len(index), index._lengths, dataclasses.astuple(report), [len(b) for b in blobs])
@@ -393,22 +360,21 @@ class _SidecarDraft:
             crc = zlib.crc32(header)
             for blob in blobs:
                 crc = zlib.crc32(blob, crc)
-            self.fh.write(crc.to_bytes(4, "big") + header)
-            self.fh.writelines(blobs)
-            self.fh.seek(_TAG_BYTES)
-            self.fh.write(copied.to_bytes(_LENGTH_BYTES, "big"))
-            self.fh.flush()
-            os.fsync(self.fh.fileno())
-            self.fh.close()
-            shutil.copymode(self.path, self.temp)  # readable by whoever reads the lexicon
-            os.replace(self.temp, _sidecar_path(self.path))
-
-    def close(self) -> None:
-        """Drop the draft unless it was renamed over the sidecar."""
+            draft.write(crc.to_bytes(4, "big") + header)
+            draft.writelines(blobs)
+            draft.seek(_TAG_BYTES)
+            draft.write(copied.to_bytes(_LENGTH_BYTES, "big"))
+            draft.flush()
+            os.fsync(draft.fileno())
+            draft.close()
+            shutil.copymode(path, temp)  # readable by whoever reads the lexicon
+            os.replace(temp, _sidecar_path(path))
+        return index, report
+    finally:
+        with contextlib.suppress(OSError):  # closing flushes, which fails again on a full disk
+            draft.close()
         with contextlib.suppress(OSError):
-            self.fh.close()
-        with contextlib.suppress(OSError):
-            os.unlink(self.temp)  # gone once renamed
+            os.unlink(temp)  # gone once renamed
 
 
 def _read_rows(lines, path, report: LoadReport):

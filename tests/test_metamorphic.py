@@ -6,7 +6,10 @@ Relations checked:
 - a term-free paragraph put in front of a note shifts every span by the
   paragraph's length and changes nothing else;
 - a note's first paragraph alone gives exactly the entities that the whole
-  note gives inside that paragraph.
+  note gives inside that paragraph;
+- a note cut at the end of any sentence of its own segmentation (`segment`
+  over the spans of `recognize_note`) gives exactly the entities of the
+  whole note that end before the cut.
 """
 
 import dataclasses
@@ -15,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from ehrstruct import integrate, pipeline
-from ehrstruct.preprocess import RawNote, split_paragraphs
+from ehrstruct.preprocess import RawNote, restore_linebreaks, segment, split_paragraphs
+from ehrstruct.recognition import recognize_note
 from test_pipeline import planted_attribute_notes
 
 NOTES = Path(__file__).parent / "fixtures" / "sample_notes.jsonl"
@@ -72,3 +76,20 @@ def test_the_first_paragraph_alone_gives_its_own_entities(resources, notes):
         checked += len(expected)
         cut += first != note.text
     assert checked >= 13 and cut >= len(notes)
+
+
+def test_a_note_cut_after_a_sentence_keeps_the_entities_before_the_cut(resources, notes):
+    checked = cuts = 0
+    for note in notes:
+        whole = entities(note, resources)
+        normalized = restore_linebreaks(note)
+        mentions = recognize_note(normalized, resources.index, resources.abbreviations)
+        sentences = segment(normalized.text, [(m.norm_start, m.norm_end) for m in mentions])
+        for sentence in sentences[:-1]:
+            # the raw offset just after the sentence's last character
+            cut = normalized.offset_map[sentence.end - 1] + 1
+            expected = [e for e in whole if e["span"]["end"] <= cut]
+            assert entities(dataclasses.replace(note, text=note.text[:cut]), resources) == expected, (note.note_id, cut)
+            checked += len(expected)
+            cuts += 1
+    assert cuts >= 2 * len(notes) and checked >= 13

@@ -1,6 +1,8 @@
 import codecs
+import errno
 import gc
 import hashlib
+import io
 import logging
 import os
 import re
@@ -432,6 +434,30 @@ class TestLexiconSidecar:
         assert tables(load_lexicon(lexicon)) == cold
         assert [p.name for p in lexicon.parent.iterdir()] == [lexicon.name]
 
+    @pytest.mark.parametrize("room", [0, 40, 300_000, 1_000_000])
+    def test_disk_that_fills_during_the_copy(self, tmp_path, monkeypatch, room):
+        # the draft's file takes room bytes of a lexicon longer than any room,
+        # then every write fails, also the flush when the draft is closed
+        path = write_lexicon(tmp_path, [f"term{i}\tC{i}\tOther" for i in range(60_000)])
+        assert path.stat().st_size > max(1_000_000, terminology._SIDECAR_MIN_BYTES)
+        written = 0
+
+        class Filling(io.FileIO):
+            def write(self, data):
+                nonlocal written
+                n = min(len(data), room - written)
+                if n <= 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written += n
+                return super().write(memoryview(data)[:n])
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "fdopen", lambda fd, *args: io.BufferedWriter(Filling(fd, "w"), terminology._CHUNK_BYTES))
+            loaded = load_lexicon(path)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert len(loaded[0]) == 60_000 and answer(loaded[0], "term59999") == ("C59999", SemanticType.OTHER)
+        assert tables(loaded) == self.parsed(path)
+
     def test_malformed_lexicon_fails_every_time(self, lexicon):
         lexicon.write_text("\n".join(_SIDECAR_LINES) + "\nbad line\n", encoding="utf-8")
         for _ in range(2):
@@ -834,12 +860,26 @@ def test_malformed_line_2_names_file_and_line(tmp_path, case):
     assert str(exc.value).startswith(f"{path}:2: ")
 
 
+def _load_cold_then_warm(path, surface):
+    """answer(index, surface) of a lexicon loaded through a sidecar: a cold
+    load, which parses the copy of the lexicon it writes into the sidecar,
+    then a warm load, which reads the sidecar back and must agree."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(terminology, "_SIDECAR_MIN_BYTES", 1)
+        parses = TestLexiconSidecar.parses(m)
+        cold = load_lexicon(path)
+        warm = load_lexicon(path)
+    assert parses == [1] and TestLexiconSidecar.sidecar(path).exists()
+    assert tables(warm) == tables(cold)
+    return answer(warm[0], surface)
+
+
 @pytest.mark.parametrize(
     "read, line",
     [
         (lambda path: answer(load_lexicon(path)[0], "heart failure"), "heart failure\tC1\tDisease, Syndrome or Pathologic Function"),
-        # the reader that copies the lexicon's bytes into a new sidecar
-        (lambda path: answer(terminology._parse(path, copy=len)[0], "heart failure"), "heart failure\tC1\tDisease, Syndrome or Pathologic Function"),
+        # a cold load parses the copy of the lexicon its new sidecar keeps
+        (lambda path: _load_cold_then_warm(path, "heart failure"), "heart failure\tC1\tDisease, Syndrome or Pathologic Function"),
         (lambda path: AbbreviationTable.load(path).expansions("HSM"), "HSM\thepatosplenomegaly"),
         (load_rules, "denies\tforward\t8\tAbsent\t10"),
         (ApplicabilityTable.load, "Eukaryote = modifier"),
