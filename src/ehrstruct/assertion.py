@@ -21,9 +21,9 @@ from __future__ import annotations
 import enum
 import functools
 import re
-import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from .preprocess import SECTION_HEADER, TOKEN
 from .terminology import InputFormatError, LiteralIndex, fold_case, read_lines
@@ -241,9 +241,6 @@ class AllergyScopes:
         return AssertionStatus.CONDITIONAL
 
 
-_TOKEN_CHARS = frozenset(string.ascii_letters + string.digits)
-
-
 @functools.cache
 def _default_triggers() -> LiteralIndex:
     return LiteralIndex((rule.trigger, rule) for rule in default_rules())
@@ -265,9 +262,9 @@ class SentenceTriggers:
     and ends, ascending. A rule covers a mention when, in its scope, its
     nearest match before the mention (forward) or after it (backward) lies
     within the rule's window of tokens; a match inside the mention does not
-    count. A gap's token count (`preprocess.count_tokens` of the gap) comes
-    from the sentence's token starts, found once, and only when the gap is
-    longer than the window.
+    count. A gap is within the window when a search for tokens between its
+    ends (`preprocess.TOKEN`, as `count_tokens` counts them) finds no more
+    than window of them; it stops at the one past the window.
     """
 
     def __init__(self, sentence: str, triggers: LiteralIndex):
@@ -278,18 +275,10 @@ class SentenceTriggers:
             spans = [m.span() for m in pattern.finditer(lowered)]
             if spans:
                 self.matches.append((rule, [a for a, _ in spans], [b for _, b in spans]))
-        self._token_starts = None
 
-    def _tokens(self, a: int, b: int) -> int:
-        """count_tokens(sentence[a:b])"""
-        if a >= b:
-            return 0
-        if self._token_starts is None:
-            self._token_starts = [m.start() for m in TOKEN.finditer(self.sentence)]
-        sentence = self.sentence
-        count = bisect_left(self._token_starts, b) - bisect_left(self._token_starts, a)
-        # a word run that the cut at a splits starts a token there
-        return count + (a > 0 and sentence[a - 1] in _TOKEN_CHARS and sentence[a] in _TOKEN_CHARS)
+    def _within(self, a: int, b: int, window: int) -> bool:
+        """count_tokens(sentence[a:b]) <= window"""
+        return next(islice(TOKEN.finditer(self.sentence, a, b), window, None), None) is None
 
     def status(self, start: int, end: int) -> AssertionStatus | None:
         """The status of the first rule covering sentence[start:end], or None."""
@@ -298,16 +287,13 @@ class SentenceTriggers:
                 k = bisect_right(ends, start) - 1
                 if k >= 0 and starts[k] >= start and ends[k] <= end:
                     k -= 1  # an empty match at the mention start is inside it
-                # a gap of n characters holds at most n tokens
-                if k >= 0 and (start - ends[k] <= rule.window or self._tokens(ends[k], start) <= rule.window):
+                if k >= 0 and self._within(ends[k], start, rule.window):
                     return rule.status
             if rule.scope != FORWARD:
                 k = bisect_left(starts, end)
                 if k < len(starts) and starts[k] >= start and ends[k] <= end:
                     k += 1  # an empty match at the mention end is inside it
-                if k < len(starts) and (
-                    starts[k] - end <= rule.window or self._tokens(end, starts[k]) <= rule.window
-                ):
+                if k < len(starts) and self._within(end, starts[k], rule.window):
                     return rule.status
         return None
 

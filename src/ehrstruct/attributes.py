@@ -118,7 +118,7 @@ def _value_unit(sentence: str, value_starts: list[int], end: int, units) -> tupl
 
 
 _ASCII_LETTERS = frozenset(string.ascii_letters)
-_FIRST_WORD = re.compile(r"[A-Za-z]+")
+_WORD_AFTER = re.compile(r"\s{0,2}([A-Za-z]+)")
 
 
 def _word_before(sentence: str, pos: int) -> str | None:
@@ -138,13 +138,8 @@ def _word_before(sentence: str, pos: int) -> str | None:
 def _word_after(sentence: str, pos: int) -> str | None:
     """The ASCII-letter word that starts after pos, with at most two
     whitespace characters between; None when there is none."""
-    start = pos
-    while pos < len(sentence) and sentence[pos].isspace():
-        pos += 1
-        if pos - start > 2:
-            return None
-    m = _FIRST_WORD.match(sentence, pos)
-    return m.group() if m else None
+    m = _WORD_AFTER.match(sentence, pos)
+    return m.group(1) if m else None
 
 
 @functools.cache

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -91,14 +92,23 @@ class Transcript:
         return t
 
     def save(self, path) -> None:
+        """Write the transcript to a new file beside path, then rename it over
+        path, so a save that fails (a full disk, say) leaves path as it was."""
         with self._lock:
             records = sorted(self._responses.items())
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for prompt, response in records:
-                fh.write(
-                    json.dumps({"prompt": prompt, "response": response}, ensure_ascii=False)
-                    + "\n"
-                )
+        path = Path(path).resolve()  # a symbolic link keeps pointing at the file it names
+        draft = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        fh = open(draft, "x", encoding="utf-8")  # the mode open(path, "w") gives a new file
+        try:
+            with fh:
+                for prompt, response in records:
+                    fh.write(json.dumps({"prompt": prompt, "response": response}, ensure_ascii=False) + "\n")
+            if path.exists():
+                shutil.copymode(path, draft)  # as writing into the file kept its mode
+            os.replace(draft, path)
+        except BaseException:
+            draft.unlink(missing_ok=True)
+            raise
 
 
 def _exchange(record: dict) -> tuple[str, str]:

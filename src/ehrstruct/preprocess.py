@@ -3,7 +3,9 @@
 Clinical notes are full of hard-wrapped lines that break sentences. The
 normalizer keeps structural line breaks (paragraph ends, list items, section
 headers) and replaces the rest with spaces, while an offset map tracks every
-normalized position back to the raw text.
+normalized position back to the raw text. Segmentation searches the whole
+normalized text between a paragraph's two positions rather than a slice of
+it, and returns spans only.
 """
 
 from __future__ import annotations
@@ -107,42 +109,10 @@ def count_tokens(text: str) -> int:
 
 
 _SENT_SPLIT = re.compile(r"[.!?]['\")\]]*\s+(?=[A-Z0-9])")
-# A line up to and including its "\n", or a last line without one; unlike
-# str.splitlines, no other line-break character ends a line.
-_LINE = re.compile(r"[^\n]*\n|[^\n]+")
-
-
-def split_sentences(text: str) -> list[str]:
-    """Split into sentences, exactly covering the input.
-
-    Boundaries: terminal punctuation followed by whitespace and an uppercase
-    letter or digit, and kept line breaks.
-    """
-    pieces: list[str] = []
-    start = 0
-    for m in _SENT_SPLIT.finditer(text):
-        # kept newlines are hard boundaries too
-        pieces += _LINE.findall(text, start, m.end())
-        start = m.end()
-    pieces += _LINE.findall(text, start)
-    return pieces
-
-
+_NEWLINE = re.compile("\n")
 # A paragraph ends after a run of two or more newlines, or a newline that
 # ends the text.
 _PARAGRAPH_END = re.compile(r"\n(?:\n+|\Z)")
-
-
-def split_paragraphs(text: str) -> list[str]:
-    """Split at blank-line boundaries, exactly covering the input."""
-    paragraphs: list[str] = []
-    start = 0
-    for m in _PARAGRAPH_END.finditer(text):
-        paragraphs.append(text[start : m.end()])
-        start = m.end()
-    if start < len(text):
-        paragraphs.append(text[start:])
-    return paragraphs
 
 
 class Sentence(NamedTuple):  # a sentence span and the span of its paragraph
@@ -155,10 +125,14 @@ class Sentence(NamedTuple):  # a sentence span and the span of its paragraph
 def segment(text: str, spans=()) -> list[Sentence]:
     """Split the text into sentences within paragraphs, once per note.
 
-    The sentences cover the text exactly and are the pieces of
-    `split_sentences` within each piece of `split_paragraphs`, except that no
-    boundary falls strictly inside one of the given (start, end) spans: the
-    pieces on either side of such a cut stay one.
+    The sentences cover the text exactly. A paragraph ends after each match
+    of `_PARAGRAPH_END` and at the end of the text. Within a paragraph, a
+    sentence ends after terminal punctuation followed by whitespace and an
+    uppercase letter or digit (`_SENT_SPLIT`), after each kept line break and
+    at the paragraph's end; both are searched for between the paragraph's
+    positions in the whole text, which finds what a search of the paragraph
+    alone would. No boundary falls strictly inside one of the given
+    (start, end) spans: the pieces on either side of such a cut stay one.
     """
     blocked = bytearray(len(text) + 1)  # 1 where a boundary may not fall
     for start, end in spans:
@@ -166,14 +140,15 @@ def segment(text: str, spans=()) -> list[Sentence]:
         if start < end:
             blocked[start:end] = b"\x01" * (end - start)
     sentences: list[Sentence] = []
-    par_start = par_end = 0
-    for par in split_paragraphs(text):
-        par_end += len(par)
-        if blocked[par_end]:
-            continue  # the next paragraph joins this one
-        start = end = par_start
-        for sent in split_sentences(text[par_start:par_end]):
-            end += len(sent)
+    par_start = 0
+    for par_end in [*(m.end() for m in _PARAGRAPH_END.finditer(text)), len(text)]:
+        if par_end == par_start or blocked[par_end]:
+            continue  # no text follows the last paragraph, or the next one joins this one
+        ends = {m.end() for m in _SENT_SPLIT.finditer(text, par_start, par_end)}
+        ends.update(m.end() for m in _NEWLINE.finditer(text, par_start, par_end))
+        ends.add(par_end)
+        start = par_start
+        for end in sorted(ends):
             if not blocked[end]:
                 sentences.append(Sentence(start, end, par_start, par_end))
                 start = end

@@ -43,9 +43,35 @@ def brute_force_recognize(text: str, surfaces: list[str]) -> list[tuple[int, int
     return spans
 
 
+def reference_split_paragraphs(text: str) -> list[str]:
+    """The paragraphs of `preprocess.segment` as a loop over characters: cut
+    after a run of two or more newlines, or a newline that ends the text."""
+    if not text:
+        return []
+    paragraphs = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] == "\n":
+            j = i + 1
+            while j < n and text[j] == "\n":
+                j += 1
+            if j > i + 1 or j == n:
+                paragraphs.append(text[start:j])
+                start = j
+                i = j
+                continue
+        i += 1
+    if start < n:
+        paragraphs.append(text[start:])
+    return paragraphs
+
+
 def reference_split_sentences(text: str) -> list[str]:
-    """split_sentences as a character walk: cut after each terminal-punctuation
-    match, then after every '\\n' inside each piece."""
+    """The sentences of one paragraph of `preprocess.segment` as a character
+    walk: cut after each terminal-punctuation match, then after every '\\n'
+    inside each piece."""
     if not text:
         return []
     cuts = [0]

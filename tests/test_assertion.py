@@ -15,8 +15,9 @@ from ehrstruct.assertion import (
     load_triggers,
     mention_contexts,
 )
-from ehrstruct.preprocess import RawNote, restore_linebreaks, segment, split_paragraphs, split_sentences
+from ehrstruct.preprocess import RawNote, restore_linebreaks, segment
 from ehrstruct.terminology import InputFormatError
+from oracles import reference_split_paragraphs, reference_split_sentences
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +193,7 @@ def notes_with_spans(draw):
     text = restore_linebreaks(RawNote("n", raw)).text
     sentence_ends = []
     pos = 0
-    for sent in (s for par in split_paragraphs(text) for s in split_sentences(par)):
+    for sent in (s for par in reference_split_paragraphs(text) for s in reference_split_sentences(par)):
         pos += len(sent)
         sentence_ends += [pos] * len(sent)
     starts = draw(st.lists(st.integers(0, len(text) - 1), max_size=8))
@@ -206,9 +207,9 @@ def test_mention_contexts_agree_with_the_splitters(note):
     text, spans = note
     pieces = []  # (offset, sentence, paragraph offset, paragraph)
     pos = 0
-    for par in split_paragraphs(text):
+    for par in reference_split_paragraphs(text):
         par_start = pos
-        for sent in split_sentences(par):
+        for sent in reference_split_sentences(par):
             pieces.append((pos, sent, par_start, par))
             pos += len(sent)
     mentions = [SimpleNamespace(norm_start=s, norm_end=e) for s, e in spans]

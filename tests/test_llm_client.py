@@ -1,6 +1,9 @@
+import errno
+import io
 import json
 import logging
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -265,6 +268,61 @@ class TestTranscript:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         lines = [json.loads(line)["prompt"] for line in paths[0].read_text(encoding="utf-8").splitlines()]
         assert lines == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("cut", ["nothing", "a line end", "mid-line", "all but one byte"])
+    def test_disk_that_fills_during_a_save_keeps_the_old_transcript(self, tmp_path, monkeypatch, cut):
+        old, new = Transcript(), Transcript()
+        for i in range(40):
+            old.put(f"p{i}", f"old answer {i}")
+            new.put(f"p{i}", f"new answer {i}\nwith a second line")
+        path = tmp_path / "t.jsonl"
+        new.save(path)
+        whole = path.read_bytes()
+        old.save(path)
+        before = path.read_bytes()
+        room = {"nothing": 0, "a line end": whole.index(b"\n") + 1, "mid-line": len(whole) // 2,
+                "all but one byte": len(whole) - 1}[cut]
+        written = 0
+
+        class Filling(io.FileIO):  # takes room bytes, then fails every write
+            def write(self, data):
+                nonlocal written
+                n = min(len(data), room - written)
+                if n <= 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written += n
+                return super().write(memoryview(data)[:n])
+
+        def filling_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None):
+            # open for writing, with a raw file that fills
+            writer = io.BufferedWriter(Filling(file, mode.strip("bt")))
+            return io.TextIOWrapper(writer, encoding=encoding, errors=errors, newline=newline)
+
+        with monkeypatch.context() as m:
+            m.setattr("builtins.open", filling_open)
+            m.setattr(Path, "open", filling_open)
+            with pytest.raises(OSError, match="No space left"):
+                new.save(path)
+        assert written == room  # the save failed once the disk was full
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_a_saved_transcript_has_the_mode_of_a_written_file(self, tmp_path):
+        t = Transcript()
+        t.put("p1", "r1")
+        (tmp_path / "written").write_text("", encoding="utf-8")
+        t.save(tmp_path / "t.jsonl")
+        assert (tmp_path / "t.jsonl").stat().st_mode == (tmp_path / "written").stat().st_mode
+        # saving over a file keeps its mode, as writing into it did
+        (tmp_path / "t.jsonl").chmod(0o600)
+        t.save(tmp_path / "t.jsonl")
+        assert stat.S_IMODE((tmp_path / "t.jsonl").stat().st_mode) == 0o600
+        # and saving through a symbolic link writes the file it names
+        (tmp_path / "link.jsonl").symlink_to("t.jsonl")
+        t.put("p2", "r2")
+        t.save(tmp_path / "link.jsonl")
+        assert (tmp_path / "link.jsonl").is_symlink()
+        assert Transcript.load(tmp_path / "t.jsonl").get("p2") == "r2"
 
     def test_loads_lines_with_old_hash_field(self, tmp_path):
         path = tmp_path / "t.jsonl"

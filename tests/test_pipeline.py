@@ -413,16 +413,16 @@ def test_llm_path_recovers_planted_attributes(
 
 
 def test_paragraph_splits_per_note_do_not_depend_on_mentions(monkeypatch, lexicon_path, abbrev_path):
-    splits = []
+    segmentations = []
     chunkings = []
     mentions = []
-    original_split = preprocess.split_paragraphs
+    original_segment = preprocess.segment
     original_chunk = preprocess.chunk_note
     original_recognize = pipeline.recognize_note
 
-    def counting_split(*args):
-        splits.append(args)
-        return original_split(*args)
+    def counting_segment(*args):
+        segmentations.append(args)
+        return original_segment(*args)
 
     def counting_chunk(*args):
         chunkings.append(args)
@@ -433,14 +433,14 @@ def test_paragraph_splits_per_note_do_not_depend_on_mentions(monkeypatch, lexico
         mentions.extend(found)
         return found
 
-    # Replace every binding of split_paragraphs and chunk_note in the package,
+    # Replace every binding of segment and chunk_note in the package,
     # not only the preprocess module's, so a consumer that imported one by
     # name is counted.
     for name, module in list(sys.modules.items()):
         if not name.startswith("ehrstruct"):
             continue
-        if getattr(module, "split_paragraphs", None) is original_split:
-            monkeypatch.setattr(module, "split_paragraphs", counting_split)
+        if getattr(module, "segment", None) is original_segment:
+            monkeypatch.setattr(module, "segment", counting_segment)
         if getattr(module, "chunk_note", None) is original_chunk:
             monkeypatch.setattr(module, "chunk_note", counting_chunk)
     monkeypatch.setattr(pipeline, "recognize_note", counting_recognize)
@@ -453,11 +453,11 @@ def test_paragraph_splits_per_note_do_not_depend_on_mentions(monkeypatch, lexico
     for res in (rule, llm):
         per_note = []
         for note in notes:
-            splits.clear()
+            segmentations.clear()
             chunkings.clear()
             mentions.clear()
             assert not pipeline.structure_note(note, res).rejected
-            per_note.append((len(mentions), len(splits)))
+            per_note.append((len(mentions), len(segmentations)))
             # only the LLM backend cuts chunks, to size its prompts
             assert len(chunkings) == (res is llm)
         assert len({m for m, _ in per_note}) > 1, "fixture notes should differ in mention count"

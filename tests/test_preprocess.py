@@ -13,10 +13,8 @@ from ehrstruct.preprocess import (
     count_tokens,
     restore_linebreaks,
     segment,
-    split_paragraphs,
-    split_sentences,
 )
-from oracles import reference_split_sentences
+from oracles import reference_split_paragraphs, reference_split_sentences
 
 
 class TestRestoreLinebreaks:
@@ -91,18 +89,28 @@ class TestCountTokens:
         assert count_tokens("   \n\t ") == 0
 
 
+def sentences(text):
+    return [text[s.start : s.end] for s in segment(text)]
+
+
+def paragraphs(text):
+    return [text[a:b] for a, b in dict.fromkeys((s.par_start, s.par_end) for s in segment(text))]
+
+
 class TestSplitters:
+    """The sentences and paragraphs of `segment` with no mention spans."""
+
     def test_sentences_cover_text(self):
         text = "First sentence. Second here! Third? Yes.\nNew line part"
-        assert "".join(split_sentences(text)) == text
+        assert sentences(text) == ["First sentence. ", "Second here! ", "Third? ", "Yes.\n", "New line part"]
 
     def test_sentence_boundary_requires_capital_or_digit(self):
         text = "level was 3.5 mg and stable"
-        assert split_sentences(text) == [text]
+        assert sentences(text) == [text]
 
     def test_paragraphs_cover_text(self):
         text = "one\ntwo\n\nthree\n\n\nfour"
-        assert "".join(split_paragraphs(text)) == text
+        assert paragraphs(text) == ["one\ntwo\n\n", "three\n\n\n", "four"]
 
 
 def make_note(text):
@@ -180,40 +188,6 @@ def test_restore_idempotent_property(text):
     assert twice.text == once.text
 
 
-def reference_split_paragraphs(text):
-    """split_paragraphs as a loop over characters."""
-    if not text:
-        return []
-    paragraphs = []
-    start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] == "\n":
-            j = i + 1
-            while j < n and text[j] == "\n":
-                j += 1
-            if j > i + 1 or j == n:
-                paragraphs.append(text[start:j])
-                start = j
-                i = j
-                continue
-        i += 1
-    if start < n:
-        paragraphs.append(text[start:])
-    return paragraphs
-
-
-@given(st.text(alphabet="ab \n", max_size=200))
-@example("\n")
-@example("\n\n\n")
-@example("a\n")
-@example("a\nb\n\n\nc\n\n")
-@settings(max_examples=300, deadline=None)
-def test_split_paragraphs_matches_character_loop(text):
-    assert split_paragraphs(text) == reference_split_paragraphs(text)
-
-
 def reference_restore_linebreaks(text):
     """restore_linebreaks as a loop over characters: (text, offset_map)."""
     lines = text.split("\n")
@@ -271,18 +245,18 @@ def test_crlf_note_normalizes_to_its_lf_twin(text):
     assert [crlf[i] for i in crlf_note.offset_map] == [
         "\r" if text[i] == "\n" else text[i] for i in lf_note.offset_map
     ]
-    assert split_paragraphs(crlf_note.text) == split_paragraphs(lf_note.text)
+    assert segment(crlf_note.text) == segment(lf_note.text)
 
 
 def reference_chunk_note(note, max_tokens):
     """chunk_note as it was before the segmentation was shared: it splits the
-    note itself with split_paragraphs and split_sentences."""
+    note itself, here with the character-walk splitters."""
     units = []
-    for par in split_paragraphs(note.text):
+    for par in reference_split_paragraphs(note.text):
         if count_tokens(par) <= max_tokens:
             units.append(par)
         else:
-            units.extend(split_sentences(par))
+            units.extend(reference_split_sentences(par))
 
     chunks = []
     buf = []
@@ -328,18 +302,12 @@ note_texts = st.one_of(
 )
 
 
-# Line-break-like characters that str.splitlines would cut at but
-# split_sentences must not: only "\n" is a hard boundary.
+# Line-break-like characters that str.splitlines would cut at but segment
+# must not: only "\n" is a hard boundary.
 _SPLIT_PIECES = (
     "a", "Bc", "9", ".", "!", "?", "'", '")', " ", "  ", "\t", "\n", "\n\n",
     "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "Ends. ", "x? Y",
 )
-
-
-@given(st.lists(st.sampled_from(_SPLIT_PIECES), max_size=60).map("".join))
-@settings(max_examples=400, deadline=None)
-def test_split_sentences_matches_the_character_walk(text):
-    assert split_sentences(text) == reference_split_sentences(text)
 
 
 @pytest.mark.parametrize("max_tokens", [1, 10, 30, 800])
@@ -372,11 +340,30 @@ def test_segment_covers_the_text(note):
     assert "".join(text[s.start : s.end] for s in sentences) == text
 
 
+@given(st.text(alphabet="ab \n", max_size=200))
+@example("\n")
+@example("\n\n\n")
+@example("a\n")
+@example("a\nb\n\n\nc\n\n")
+@example("a\n\na\n\n")
+@settings(max_examples=300, deadline=None)
+def test_split_paragraphs_matches_character_loop(text):
+    assert paragraphs(text) == reference_split_paragraphs(text)
+
+
+@given(st.lists(st.sampled_from(_SPLIT_PIECES), max_size=60).map("".join))
+@example("!  \n\n\rEnds. 9a\u2028'")
+@settings(max_examples=400, deadline=None)
+def test_split_sentences_matches_the_character_walk(text):
+    assert sentences(text) == [sent for par in paragraphs(text) for sent in reference_split_sentences(par)]
+
+
 @given(note_texts)
 @settings(max_examples=300, deadline=None)
 def test_segment_without_spans_equals_the_splitters(text):
     got = [(text[s.start : s.end], text[s.par_start : s.par_end]) for s in segment(text)]
-    assert got == [(sent, par) for par in split_paragraphs(text) for sent in split_sentences(par)]
+    expected = [(sent, par) for par in reference_split_paragraphs(text) for sent in reference_split_sentences(par)]
+    assert got == expected
 
 
 @given(texts_with_spans())

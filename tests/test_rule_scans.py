@@ -326,7 +326,8 @@ def test_token_counts_from_token_starts_match_count_tokens(sentence):
     scan = SentenceTriggers(sentence, LiteralIndex([]))
     for a in range(len(sentence) + 1):
         for b in range(a, len(sentence) + 1):
-            assert scan._tokens(a, b) == count_tokens(sentence[a:b])
+            for window in range(4):
+                assert scan._within(a, b, window) == (count_tokens(sentence[a:b]) <= window)
 
 
 @pytest.mark.parametrize(
