@@ -14,6 +14,11 @@ bisection. The rules are keyed by the leading ASCII run of their trigger
 (`terminology.LiteralIndex`, built by `load_triggers`), so a sentence runs
 the patterns, compiled once per trigger, of only the rules its words can
 start.
+
+The trigger rules are read from a rules file (`load_rules`). The default
+set is the packaged `data/assertion_rules.tsv`, in the format a user's file
+takes, so the defaults and a user's rules go through one parser and one set
+of checks.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .preprocess import SECTION_HEADER, TOKEN
-from .terminology import InputFormatError, LiteralIndex, fold_case, read_lines
+from .terminology import InputFormatError, LiteralIndex, data_path, fold_case, read_lines
 
 
 class AssertionStatus(enum.Enum):
@@ -61,75 +66,12 @@ class TriggerRule:
     priority: int
 
     def __post_init__(self):
+        if not self.trigger.strip():
+            raise ValueError("empty trigger")
         if self.scope not in _SCOPES:
             raise ValueError(f"bad scope {self.scope!r}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
-
-
-_DEFAULT_RULE_SPECS = [
-    # negation
-    ("no evidence of", FORWARD, 8, AssertionStatus.ABSENT),
-    ("no signs of", FORWARD, 8, AssertionStatus.ABSENT),
-    ("no sign of", FORWARD, 8, AssertionStatus.ABSENT),
-    ("negative for", FORWARD, 8, AssertionStatus.ABSENT),
-    ("free of", FORWARD, 6, AssertionStatus.ABSENT),
-    ("absence of", FORWARD, 6, AssertionStatus.ABSENT),
-    ("denies", FORWARD, 8, AssertionStatus.ABSENT),
-    ("denied", FORWARD, 8, AssertionStatus.ABSENT),
-    ("without", FORWARD, 6, AssertionStatus.ABSENT),
-    ("ruled out", BACKWARD, 6, AssertionStatus.ABSENT),
-    ("resolved", BACKWARD, 4, AssertionStatus.ABSENT),
-    ("no", FORWARD, 4, AssertionStatus.ABSENT),
-    ("not", FORWARD, 4, AssertionStatus.ABSENT),
-    ("never had", FORWARD, 6, AssertionStatus.ABSENT),
-    ("unremarkable for", FORWARD, 6, AssertionStatus.ABSENT),
-    # possibility
-    ("concerning for", FORWARD, 8, AssertionStatus.POSSIBLE),
-    ("suspicious for", FORWARD, 8, AssertionStatus.POSSIBLE),
-    ("suggestive of", FORWARD, 8, AssertionStatus.POSSIBLE),
-    ("consistent with", FORWARD, 8, AssertionStatus.POSSIBLE),
-    ("question of", FORWARD, 6, AssertionStatus.POSSIBLE),
-    ("questionable", FORWARD, 4, AssertionStatus.POSSIBLE),
-    ("possible", FORWARD, 6, AssertionStatus.POSSIBLE),
-    ("probable", FORWARD, 6, AssertionStatus.POSSIBLE),
-    ("likely", FORWARD, 6, AssertionStatus.POSSIBLE),
-    ("may have", FORWARD, 6, AssertionStatus.POSSIBLE),
-    ("rule out", FORWARD, 6, AssertionStatus.POSSIBLE),
-    ("r/o", FORWARD, 6, AssertionStatus.POSSIBLE),
-    ("vs", BIDIRECTIONAL, 3, AssertionStatus.POSSIBLE),
-    ("versus", BIDIRECTIONAL, 3, AssertionStatus.POSSIBLE),
-    ("cannot exclude", FORWARD, 6, AssertionStatus.POSSIBLE),
-    ("differential includes", FORWARD, 10, AssertionStatus.POSSIBLE),
-    # hypothetical
-    ("if you experience", FORWARD, 10, AssertionStatus.HYPOTHETICAL),
-    ("if you develop", FORWARD, 10, AssertionStatus.HYPOTHETICAL),
-    ("return if", FORWARD, 10, AssertionStatus.HYPOTHETICAL),
-    ("should you develop", FORWARD, 10, AssertionStatus.HYPOTHETICAL),
-    ("watch for", FORWARD, 8, AssertionStatus.HYPOTHETICAL),
-    ("risk of", FORWARD, 6, AssertionStatus.HYPOTHETICAL),
-    ("risk for", FORWARD, 6, AssertionStatus.HYPOTHETICAL),
-    # conditional
-    ("as needed for", FORWARD, 6, AssertionStatus.CONDITIONAL),
-    ("prn for", FORWARD, 6, AssertionStatus.CONDITIONAL),
-    ("with exertion", BACKWARD, 6, AssertionStatus.CONDITIONAL),
-    # experiencer
-    ("family history of", FORWARD, 8, AssertionStatus.NOT_PATIENT),
-    ("family history", BIDIRECTIONAL, 8, AssertionStatus.NOT_PATIENT),
-    ("mother has", FORWARD, 8, AssertionStatus.NOT_PATIENT),
-    ("father has", FORWARD, 8, AssertionStatus.NOT_PATIENT),
-    ("mother died of", FORWARD, 8, AssertionStatus.NOT_PATIENT),
-    ("father died of", FORWARD, 8, AssertionStatus.NOT_PATIENT),
-    ("brother", BIDIRECTIONAL, 6, AssertionStatus.NOT_PATIENT),
-    ("sister", BIDIRECTIONAL, 6, AssertionStatus.NOT_PATIENT),
-]
-
-
-def default_rules() -> list[TriggerRule]:
-    return [
-        TriggerRule(trigger, scope, window, status, priority=(i + 1) * 10)
-        for i, (trigger, scope, window, status) in enumerate(_DEFAULT_RULE_SPECS)
-    ]
 
 
 def load_rules(path) -> list[TriggerRule]:
@@ -243,13 +185,13 @@ class AllergyScopes:
 
 @functools.cache
 def _default_triggers() -> LiteralIndex:
-    return LiteralIndex((rule.trigger, rule) for rule in default_rules())
+    return load_triggers(data_path("assertion_rules.tsv"))
 
 
 def load_triggers(path=None) -> LiteralIndex:
     """The rules of load_rules(path), in priority order, indexed by trigger;
-    None selects the built-in default set, which is indexed once per process
-    and shared: an index is never changed."""
+    None selects the packaged rules file, which is parsed and indexed once
+    per process and shared: an index is never changed."""
     if path is None:
         return _default_triggers()
     return LiteralIndex((rule.trigger, rule) for rule in load_rules(path))
@@ -285,14 +227,10 @@ class SentenceTriggers:
         for rule, starts, ends in self.matches:
             if rule.scope != BACKWARD:
                 k = bisect_right(ends, start) - 1
-                if k >= 0 and starts[k] >= start and ends[k] <= end:
-                    k -= 1  # an empty match at the mention start is inside it
                 if k >= 0 and self._within(ends[k], start, rule.window):
                     return rule.status
             if rule.scope != FORWARD:
                 k = bisect_left(starts, end)
-                if k < len(starts) and starts[k] >= start and ends[k] <= end:
-                    k += 1  # an empty match at the mention end is inside it
                 if k < len(starts) and self._within(end, starts[k], rule.window):
                     return rule.status
         return None

@@ -31,7 +31,6 @@ import logging
 import re
 import string
 from bisect import bisect_left, bisect_right
-from importlib import resources
 from itertools import groupby
 
 from .integrate import align
@@ -48,6 +47,7 @@ from .terminology import (
     VALUE,
     ApplicabilityTable,
     LiteralIndex,
+    data_path,
     fold_case,
     read_lines,
 )
@@ -63,7 +63,7 @@ _LIST_KINDS = {LOCATION, MODIFIER}
 
 
 def _data_text(name: str) -> str:
-    return resources.files("ehrstruct.data").joinpath(name).read_text(encoding="utf-8")
+    return data_path(name).read_text(encoding="utf-8")
 
 
 @functools.cache

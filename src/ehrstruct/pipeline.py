@@ -87,6 +87,8 @@ class PipelineConfig:
         problems = []
         if self.backend not in ("rule", "llm", "replay"):
             problems.append(f"backend: unknown backend {self.backend!r}")
+        if not self.lexicon:
+            problems.append("lexicon: config must name a lexicon file")
         for name in ("lexicon", "abbreviations", "assertion_rules", "applicability"):
             value = getattr(self, name)
             if value and not Path(value).exists():

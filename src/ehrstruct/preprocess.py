@@ -11,8 +11,9 @@ it, and returns spans only.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 
@@ -134,22 +135,26 @@ def segment(text: str, spans=()) -> list[Sentence]:
     alone would. No boundary falls strictly inside one of the given
     (start, end) spans: the pieces on either side of such a cut stay one.
     """
-    blocked = bytearray(len(text) + 1)  # 1 where a boundary may not fall
-    for start, end in spans:
-        start, end = max(start + 1, 0), min(end, len(blocked))
-        if start < end:
-            blocked[start:end] = b"\x01" * (end - start)
+    spans = sorted(spans)
+    span_starts = [start for start, _ in spans]
+    reach = list(accumulate((end for _, end in spans), max))  # reach[i]: the largest end of spans[:i + 1]
+
+    def blocked(pos: int) -> bool:
+        """pos lies strictly inside a span"""
+        i = bisect_left(span_starts, pos)  # spans[:i] start before pos
+        return i > 0 and reach[i - 1] > pos
+
     sentences: list[Sentence] = []
     par_start = 0
     for par_end in [*(m.end() for m in _PARAGRAPH_END.finditer(text)), len(text)]:
-        if par_end == par_start or blocked[par_end]:
+        if par_end == par_start or blocked(par_end):
             continue  # no text follows the last paragraph, or the next one joins this one
         ends = {m.end() for m in _SENT_SPLIT.finditer(text, par_start, par_end)}
         ends.update(m.end() for m in _NEWLINE.finditer(text, par_start, par_end))
         ends.add(par_end)
         start = par_start
         for end in sorted(ends):
-            if not blocked[end]:
+            if not blocked(end):
                 sentences.append(Sentence(start, end, par_start, par_end))
                 start = end
         par_start = par_end

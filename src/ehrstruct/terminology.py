@@ -52,6 +52,12 @@ class InputFormatError(ValueError):
         self.lineno = lineno
 
 
+def data_path(name: str) -> Path:
+    """A file of the package's data directory, such as the default trigger
+    rules."""
+    return Path(__file__).with_name("data") / name
+
+
 def read_lines(source, comments: bool = True):
     """Yield (lineno, line), line less its line break, for each line of
     source (a file path, read as UTF-8 less a leading byte-order mark, or an
@@ -614,8 +620,10 @@ class AbbreviationTable:
     def load(cls, path) -> "AbbreviationTable":
         """Parse a TSV of abbrev, expansion, optional semantic type name,
         which must name a reportable type (`read_lines`: blank and '#' lines
-        are skipped)."""
+        are skipped). A line that repeats an earlier line's abbrev, expansion
+        and type is skipped; one that gives them another type fails."""
         table = cls()
+        first_lines: dict[tuple[str, str], tuple[int, SemanticType | None]] = {}
         for lineno, line in read_lines(path):
             fields = line.split("\t")
             if len(fields) not in (2, 3):
@@ -629,7 +637,13 @@ class AbbreviationTable:
                 hint = _NAME_TO_TYPE.get(name)
                 if hint is None:
                     raise InputFormatError(path, lineno, f"unknown semantic type {name!r}")
-            table.add(abbrev, Expansion(full, hint))
+            first, first_hint = first_lines.setdefault((abbrev, full), (lineno, hint))
+            if first == lineno:
+                table.add(abbrev, Expansion(full, hint))
+            elif first_hint != hint:
+                raise InputFormatError(
+                    path, lineno, f"{abbrev!r} expands to {full!r} with another type than on line {first}"
+                )
         return table
 
 
@@ -660,36 +674,36 @@ class _NotApplicable:
 NOT_APPLICABLE = _NotApplicable()
 
 
-def _default_applicability() -> dict[SemanticType, frozenset[str]]:
-    lmvu = frozenset({LOCATION, MODIFIER, VALUE, UNIT})
-    full = frozenset(ATTRIBUTE_KINDS)
-    table = {
-        SemanticType.DISEASE: lmvu,
-        SemanticType.SIGN_SYMPTOM_OR_FINDING: lmvu,
-        SemanticType.NEOPLASTIC_PROCESS: lmvu,
-        SemanticType.ANATOMICAL_ABNORMALITY: lmvu,
-        SemanticType.INJURY_OR_POISONING: lmvu,
-        SemanticType.MENTAL_OR_BEHAVIORAL_DYSFUNCTION: lmvu,
-        SemanticType.CELL_OR_MOLECULAR_DYSFUNCTION: lmvu,
-        SemanticType.CHEMICAL_OR_DRUG: frozenset({MODIFIER, VALUE, UNIT, PURPOSE}),
-        SemanticType.DIAGNOSTIC_PROCEDURE: full,
-        SemanticType.THERAPEUTIC_OR_PREVENTIVE_PROCEDURE: full,
-        SemanticType.LABORATORY_PROCEDURE: full,
-        SemanticType.CLINICAL_ATTRIBUTE: lmvu,
-        SemanticType.PHYSIOLOGY: lmvu,
-        SemanticType.MICROORGANISM: frozenset({MODIFIER, LOCATION}),
-        SemanticType.EUKARYOTE: frozenset({MODIFIER, LOCATION}),
-        SemanticType.INDIVIDUAL_BEHAVIOR: frozenset({MODIFIER, VALUE, UNIT}),
-    }
-    assert set(table) == set(REPORTABLE_TYPES)
+def _read_applicability(path, table: dict) -> dict:
+    """table with the rows of a key-value config (`read_lines`): a semantic
+    type name, '=', then comma-separated attribute kinds."""
+    for lineno, line in read_lines(path):
+        if "=" not in line:
+            raise InputFormatError(path, lineno, "expected 'type name = kinds'")
+        name, _, kinds_text = line.partition("=")
+        sem_type = SemanticType.from_name(name)
+        if sem_type is SemanticType.OTHER:
+            raise InputFormatError(path, lineno, f"unknown semantic type {name.strip()!r}")
+        kinds = frozenset(k.strip() for k in kinds_text.split(",") if k.strip())
+        bad = kinds - set(ATTRIBUTE_KINDS)
+        if bad:
+            raise InputFormatError(path, lineno, f"unknown attribute kinds: {sorted(bad)}")
+        table[sem_type] = kinds
     return table
+
+
+@functools.cache
+def _packaged_applicability() -> types.MappingProxyType:
+    """The packaged table, data/applicability.txt, parsed once per process."""
+    return types.MappingProxyType(_read_applicability(data_path("applicability.txt"), {}))
 
 
 @dataclass
 class ApplicabilityTable:
-    """Which attribute kinds each reportable semantic type may carry."""
+    """Which attribute kinds each reportable semantic type may carry; a new
+    table starts from a copy of the packaged one."""
 
-    table: dict[SemanticType, frozenset[str]] = field(default_factory=_default_applicability)
+    table: dict[SemanticType, frozenset[str]] = field(default_factory=lambda: dict(_packaged_applicability()))
 
     def applicable_attributes(self, t: SemanticType) -> frozenset[str]:
         if not t.reportable:
@@ -698,20 +712,7 @@ class ApplicabilityTable:
 
     @classmethod
     def load(cls, path) -> "ApplicabilityTable":
-        """Load overrides from a key-value config (`read_lines`): type name ->
-        comma-separated attribute kinds. Types not mentioned keep their
-        defaults."""
-        table = _default_applicability()
-        for lineno, line in read_lines(path):
-            if "=" not in line:
-                raise InputFormatError(path, lineno, "expected 'type name = kinds'")
-            name, _, kinds_text = line.partition("=")
-            sem_type = SemanticType.from_name(name)
-            if sem_type is SemanticType.OTHER:
-                raise InputFormatError(path, lineno, f"unknown semantic type {name.strip()!r}")
-            kinds = frozenset(k.strip() for k in kinds_text.split(",") if k.strip())
-            bad = kinds - set(ATTRIBUTE_KINDS)
-            if bad:
-                raise InputFormatError(path, lineno, f"unknown attribute kinds: {sorted(bad)}")
-            table[sem_type] = kinds
-        return cls(table)
+        """The packaged table with the rows of the file at path, in the
+        packaged file's format. Types the file does not name keep their
+        packaged rows."""
+        return cls(_read_applicability(path, dict(_packaged_applicability())))

@@ -10,13 +10,12 @@ from ehrstruct.assertion import (
     AssertionStatus,
     TriggerRule,
     classify_mentions,
-    default_rules,
     load_rules,
     load_triggers,
     mention_contexts,
 )
 from ehrstruct.preprocess import RawNote, restore_linebreaks, segment
-from ehrstruct.terminology import InputFormatError
+from ehrstruct.terminology import InputFormatError, data_path
 from oracles import reference_split_paragraphs, reference_split_sentences
 
 
@@ -170,7 +169,7 @@ class TestLoadRules:
             load_rules(path)
 
     def test_default_set_size_and_priorities(self):
-        rules = default_rules()
+        rules = load_rules(data_path("assertion_rules.tsv"))
         assert len(rules) >= 40
         priorities = [r.priority for r in rules]
         assert len(priorities) == len(set(priorities))

@@ -61,6 +61,28 @@ class TestStructure:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_the_packaged_rules_and_applicability_are_the_defaults(self, tmp_path, lexicon_args):
+        # the files a user copies to start their own give the bytes of a run without them
+        data_path = terminology.data_path
+        out = tmp_path / "out.jsonl"
+        args = ["--assertion-rules", str(data_path("assertion_rules.tsv")), "--applicability", str(data_path("applicability.txt"))]
+        assert main(["structure", *lexicon_args, *args, NOTES, str(out)]) == 0
+        assert out.read_bytes() == GOLDEN.read_bytes()
+
+    def test_a_repeated_abbreviation_line_keeps_its_expansion(self, tmp_path, lexicon_path, abbrev_path):
+        # a second copy of a line made its short form look ambiguous, so HSM went unexpanded
+        table = tmp_path / "abbreviations.tsv"
+        table.write_text(
+            Path(abbrev_path).read_text(encoding="utf-8") + "HSM\thepatosplenomegaly\tSign, Symptom, or Finding\n",
+            encoding="utf-8",
+        )
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text('{"note_id": "a", "text": "History of HSM noted."}\n', encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["structure", "--lexicon", lexicon_path, "--abbreviations", str(table), str(notes), str(out)]) == 0
+        (entity,) = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert (entity["surface"], entity["phrase"]) == ("HSM", "hepatosplenomegaly")
+
     def test_workers_agree_on_a_lexicon_read_from_its_sidecar(
         self, tmp_path, lexicon_path, abbrev_path, monkeypatch
     ):
@@ -258,6 +280,15 @@ class TestValidateConfig:
         code = main(["validate-config", "--lexicon", str(tmp_path / "nope.tsv")])
         assert code == 1
         assert "lexicon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate-config", "structure", "recognize"])
+    def test_no_lexicon_is_one_config_error(self, tmp_path, command, capsys):
+        # validate-config said "config OK" where structure then failed
+        args = [] if command == "validate-config" else [NOTES, str(tmp_path / "out.jsonl")]
+        assert main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["config error: lexicon: config must name a lexicon file"]
+        assert "config OK" not in captured.out
 
     def test_valid_config_prints_settings(self, lexicon_path, capsys):
         assert main(["validate-config", "--lexicon", lexicon_path]) == 0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ehrstruct import integrate, pipeline, preprocess, terminology
+from ehrstruct import assertion, integrate, pipeline, preprocess, terminology
 from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
 from ehrstruct.terminology import ATTRIBUTE_KINDS, PURPOSE, ApplicabilityTable, SemanticType
@@ -102,6 +102,23 @@ def test_shipped_lexicon_logs_nothing(lexicon_path, abbrev_path, caplog):
     with caplog.at_level(logging.WARNING):
         pipeline.load_terms(pipeline.PipelineConfig(lexicon=lexicon_path, abbreviations=abbrev_path))
     assert caplog.records == []
+
+
+def test_set_up_parses_each_packaged_table_once_per_process(monkeypatch, lexicon_path):
+    # parsing both files on every call would cost several times a whole
+    # set-up on the sample lexicon
+    parsed = []
+    for module, name in ((assertion, "load_rules"), (terminology, "_read_applicability")):
+        parse = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda path, *rest, parse=parse: parsed.append(path) or parse(path, *rest))
+    assertion._default_triggers.cache_clear()
+    terminology._packaged_applicability.cache_clear()
+    cfg = pipeline.PipelineConfig(lexicon=lexicon_path)
+    first = pipeline.build_resources(cfg)
+    for _ in range(3):
+        res = pipeline.build_resources(cfg)
+        assert res.rules is first.rules and res.applicability == first.applicability
+    assert sorted(parsed) == sorted(terminology.data_path(name) for name in ("applicability.txt", "assertion_rules.tsv"))
 
 
 @pytest.mark.parametrize("max_tokens", [800, 50, 1])

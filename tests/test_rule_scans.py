@@ -17,7 +17,6 @@ from ehrstruct.assertion import (
     SentenceTriggers,
     TriggerRule,
     classify_mentions,
-    default_rules,
     load_rules,
     load_triggers,
 )
@@ -37,8 +36,10 @@ from ehrstruct.terminology import (
     MODIFIER,
     UNIT,
     VALUE,
+    InputFormatError,
     LiteralIndex,
     ascii_runs,
+    data_path,
     fold_case,
 )
 from oracles import (
@@ -52,7 +53,7 @@ from oracles import (
     reference_word_before,
 )
 
-RULES = default_rules()
+RULES = load_rules(data_path("assertion_rules.tsv"))
 # The shipped lexicon plus a surface that nests another one ("chest").
 ANATOMY = {**dict(_anatomy_rows()), "chest wall": "chest wall"}
 
@@ -330,14 +331,17 @@ def test_token_counts_from_token_starts_match_count_tokens(sentence):
                 assert scan._within(a, b, window) == (count_tokens(sentence[a:b]) <= window)
 
 
-@pytest.mark.parametrize(
-    "scope, sentence, start, end",
-    [("forward", "ab -x", 3, 5), ("backward", "x- ab", 0, 2), ("bidirectional", "(-) y", 0, 3)],
-)
-def test_an_empty_trigger_at_the_mention_edge_is_inside_it(scope, sentence, start, end):
-    rules = [TriggerRule("", scope, 1, AssertionStatus.ABSENT, 10)]
-    expected = reference_classify(sentence, start, end, rules)
-    assert classify(sentence, start, end, triggers(rules)) == expected == AssertionStatus.PRESENT
+@pytest.mark.parametrize("trigger", ["", "  "])
+def test_an_empty_trigger_fails_at_its_line(tmp_path, trigger):
+    # An empty trigger matches at every position between two characters that
+    # are not letters or digits: alone in a rules file, it made "Vitals: -
+    # fever today." give fever Absent.
+    with pytest.raises(ValueError, match="empty trigger"):
+        TriggerRule(trigger, "forward", 4, AssertionStatus.ABSENT, 10)
+    path = tmp_path / "rules.tsv"
+    path.write_text(f"denies\tforward\t8\tAbsent\t10\n{trigger}\tforward\t4\tAbsent\t20\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:2: empty trigger$"):
+        load_rules(path)
 
 
 @given(st.text(st.sampled_from("az09AZ _-éİ\u212a\u00a0\U0001d7ce\udc80")))

@@ -28,6 +28,7 @@ from ehrstruct.terminology import (
     REPORTABLE_TYPES,
     AbbreviationTable,
     ApplicabilityTable,
+    Expansion,
     InputFormatError,
     LoadReport,
     SemanticType,
@@ -788,6 +789,38 @@ class TestApplicability:
         path.write_text("Chemical or Drug = flavor\n", encoding="utf-8")
         with pytest.raises(InputFormatError):
             ApplicabilityTable.load(path)
+
+    def test_each_table_starts_from_its_own_copy_of_the_defaults(self):
+        table = ApplicabilityTable()
+        table.table[SemanticType.DISEASE] = frozenset()
+        assert ApplicabilityTable().applicable_attributes(SemanticType.DISEASE) == {
+            "location", "modifier", "value", "unit",
+        }
+
+
+def test_every_data_file_ships_with_the_package():
+    # setuptools installs only the data files that a package-data glob
+    # names, and set-up reads the default trigger rules and applicability
+    # from two of them: an installed package without them fails at set-up
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["ehrstruct.data"]
+    files = list((root / "src" / "ehrstruct" / "data").iterdir())
+    assert {"assertion_rules.tsv", "applicability.txt"} <= {path.name for path in files}
+    assert [path.name for path in files if not (path.is_file() and any(path.match(g) for g in globs))] == []
+
+
+def test_a_repeated_abbreviation_line_is_skipped_and_another_type_names_the_first(tmp_path):
+    path = tmp_path / "abbreviations.tsv"
+    line = "HSM\thepatosplenomegaly\tSign, Symptom, or Finding"
+    path.write_text(f"{line}\nRA\tRoom Air\n{line}\n", encoding="utf-8")
+    assert AbbreviationTable.load(path).expansions("HSM") == [
+        Expansion("hepatosplenomegaly", SemanticType.SIGN_SYMPTOM_OR_FINDING)
+    ]
+    path.write_text(f"{line}\nRA\tRoom Air\nHSM\thepatosplenomegaly\tDisease, Syndrome or Pathologic Function\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:3: .* another type than on line 1$"):
+        AbbreviationTable.load(path)
 
 
 def test_semantic_type_names_serialize_with_commas():
