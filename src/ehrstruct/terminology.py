@@ -4,14 +4,14 @@ The lexicon is a 3-column TSV (surface, concept_id, semantic_type).
 `load_lexicon` reads it in one pass straight into a `TermIndex`, one table
 of surfaces per head word, with no object per line. A large lexicon is
 first copied into a sidecar file beside it and parsed from that copy, and
-the finished tables are stored after the copy. The next load compares the
-lexicon with the copy, so it reads the tables back only for the same
-bytes, and decodes a head word's table only when a query first asks for
-it. Surfaces are lowercased at load, and the first concept_id and type
-given for a surface are the ones kept: alternate concept_ids are counted in
-the load report, not stored. Matching is case-insensitive with raw casing
-preserved downstream. The index answers one query, `scan`: forward maximum
-matching over a lowercased text.
+the finished tables are stored after the copy, each with its CRC-32. The
+next load compares the lexicon with the copy, maps the tables only for the
+same bytes, and checks and decodes a head word's table only when a query
+first asks for it. Surfaces are lowercased at load, and the first
+concept_id and type given for a surface are the ones kept: alternate
+concept_ids are counted in the load report, not stored. Matching is
+case-insensitive with raw casing preserved downstream. The index answers
+one query, `scan`: forward maximum matching over a lowercased text.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import itertools
 import json
 import logging
 import marshal
+import mmap
 import os
 import re
 import shutil
@@ -176,9 +177,8 @@ _NO_SURFACES = types.MappingProxyType({})
 # A regular file of at least this many bytes keeps its built tables in a
 # sidecar, <lexicon>.ehrstruct-index: on 2 vCPUs a 300k-line, 13.9 MB lexicon
 # parses in about 0.7 s, and its 21.9 MB sidecar (the tables and a copy of the
-# lexicon) is compared, checksummed on a second thread and read back in about
-# 0.005 s, while a small lexicon parses in milliseconds and needs no second
-# file beside it.
+# lexicon) is compared and mapped in about 0.003 s, while a small lexicon
+# parses in milliseconds and needs no second file beside it.
 _SIDECAR_MIN_BYTES = 1 << 20
 _SIDECAR_SUFFIX = ".ehrstruct-index"
 
@@ -203,10 +203,7 @@ def load_lexicon(path) -> tuple["TermIndex", LoadReport]:
     # a file that is not regular, such as a pipe, may be read only once
     if not stat.S_ISREG(info.st_mode) or info.st_size < _SIDECAR_MIN_BYTES:
         return _parse(path, path)
-    cached = _read_sidecar(path, info.st_size)
-    if cached is not None:
-        return cached
-    return _parse_into_sidecar(path)
+    return _read_sidecar(path, info.st_size) or _parse_into_sidecar(path)
 
 
 def _parse(source, path: Path, offset: int = 0) -> tuple["TermIndex", LoadReport]:
@@ -242,82 +239,73 @@ def _sidecar_tag() -> bytes:
 
 
 # The sidecar: the 32-byte tag; the length of the lexicon's copy (8 bytes,
-# big-endian); the copy, the exact bytes the tables were parsed from; a
-# CRC-32 (4 bytes, big-endian) of all that follows; the header,
-# marshal((surface count, head word -> length bits, load report counts,
-# encoded table sizes)); then each head word's table, marshal({surface:
-# answer}), in the header's head word order. The tag covers this module's
-# source, so a change to this layout is a miss, not a misread.
+# big-endian); the copy, the exact bytes the tables were parsed from; then
+# frames of data, each its CRC-32 and length (4 bytes each, big-endian) then
+# the data: the header, marshal((surface count, head word -> length bits, load
+# report counts, the tables' frame sizes)), then each head word's table,
+# marshal({surface: answer}), in the header's head word order. The tag covers
+# this module's source, so a change to this layout is a miss, not a misread.
 _TAG_BYTES = 32
 _LENGTH_BYTES = 8
 _COPY_START = _TAG_BYTES + _LENGTH_BYTES
+_FRAME_BYTES = 8
 # a warm load compares the lexicon with its copy, and a cold one copies the
 # lexicon into its new sidecar, this many bytes at a time: on 2 vCPUs the two
 # 256-KiB buffers of a comparison stay in cache, and 13.9 MB compare in
 # 2.1-2.5 ms against 3.4-3.9 ms with 1-MiB buffers
 _CHUNK_BYTES = 1 << 18
+_DAMAGED = "lexicon sidecar %s is damaged (its checksum or header fails); rebuilding it"
 
 
 def _read_sidecar(path: Path, size: int) -> tuple["TermIndex", LoadReport] | None:
     """The index and report stored beside the lexicon, its head words'
-    tables left encoded, or None when the sidecar is missing, unreadable,
-    foreign or stale, or damaged.
+    tables left in a read-only map of the sidecar, or None when the sidecar
+    is missing, unreadable, foreign or stale, or damaged.
 
     The sidecar serves a lexicon of size bytes only when its tag is this
     module's and Python's and its copy is exactly the lexicon's bytes, so
     any changed, added or missing byte is a miss. The copy is compared in
     chunks, as bytearrays, whose == is one memcmp (a memoryview's compares
-    item by item). The checksum finds damage anywhere in the header and
-    tables, such as a cut-off or changed table, here and not at a scan; it
-    runs on a second thread while this one compares the copy (on 2 vCPUs,
-    3.3-3.8 ms for the 8.0 MB of header and tables of a 13.9 MB lexicon,
-    beside 2.6 ms to compare its copy). A sidecar whose tag and copy match
-    but whose checksum or header fails is damaged, and is logged as a
-    warning. marshal is not safe against crafted data: the sidecar is
-    trusted as the lexicon beside it is."""
-    sidecar = _sidecar_path(path)
+    item by item). The rest is mapped, not read: set-up checks the header's
+    CRC-32 and that the file ends where its table sizes say (a sidecar that
+    fails is damaged, and logged as a warning), and a scan checks a table's
+    CRC-32 when it first decodes it (`TermIndex._table`). A sidecar is only
+    ever replaced by rename, so no file is cut under a map. marshal is not
+    safe against crafted data: the sidecar is trusted as the lexicon is."""
+    start = _COPY_START + size  # the header's frame
+    base = start - start % mmap.ALLOCATIONGRANULARITY  # a map's offset is a multiple of it
+    view = memoryview(b"")  # a sidecar cut off before its header
     try:
-        with open(sidecar, "rb", buffering=0) as fh, open(path, "rb", buffering=0) as lexicon:
-            if fh.read(_COPY_START) != _sidecar_tag() + size.to_bytes(_LENGTH_BYTES, "big"):
+        with open(_sidecar_path(path), "rb", buffering=0) as fh, open(path, "rb", buffering=0) as lexicon:
+            tag = _sidecar_tag() + size.to_bytes(_LENGTH_BYTES, "big")
+            if fh.read(_COPY_START) != tag or not _same_bytes(lexicon, fh, size):
                 return None
-            fh.seek(_COPY_START + size)
-            data = fh.read()  # the CRC, header and tables; empty when the file is cut off before them
-            fh.seek(_COPY_START)
-            view = memoryview(data)
-            crc, same = _crc32_while(view[4:], lambda: _same_bytes(lexicon, fh, size))
+            if os.fstat(fh.fileno()).st_size > start:
+                view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ, offset=base))
     except OSError:
         return None
-    if not same:
-        return None
-    if data[:4] == crc.to_bytes(4, "big"):
+    if (header := _unframe(view, start - base)) is not None:
         with contextlib.suppress(EOFError, ValueError, TypeError):
-            surfaces, lengths, counts, sizes = marshal.loads(view[4:])  # ignores the tables after it
-            index = TermIndex()
-            index._size, index._lengths, index._encoded = surfaces, lengths, view
-            # each head's table stays in data, found by its offset: marshal.loads
-            # reads one table from there and ignores the bytes after it
-            index._tables = dict(zip(lengths, itertools.accumulate(sizes, initial=len(data) - sum(sizes))))
-            return index, LoadReport(*counts)
-    log.warning("lexicon sidecar %s is damaged (its checksum or header fails); rebuilding it", sidecar)
+            surfaces, lengths, counts, sizes = marshal.loads(header)
+            first = start - base + _FRAME_BYTES + len(header)  # the first table's frame
+            if first + sum(sizes) == len(view):  # else cut off or grown
+                index = TermIndex()
+                index._size, index._lengths, index._encoded, index._lexicon = surfaces, lengths, view, path
+                # each head's table stays in the map, found by its frame's offset
+                index._tables = dict(zip(lengths, itertools.accumulate(sizes, initial=first)))
+                return index, LoadReport(*counts)
+    log.warning(_DAMAGED, _sidecar_path(path))
     return None
 
 
-def _crc32_while(data, work):
-    """zlib.crc32(data) and work(), the checksum taken on a second thread
-    while work runs on this one: zlib releases the interpreter lock over a
-    large buffer. The thread is joined before this returns or raises. Where
-    no thread can start, the checksum is taken here, before work."""
-    crc = []
-    thread = threading.Thread(target=lambda: crc.append(zlib.crc32(data)), name="ehrstruct-sidecar-crc")
-    try:
-        thread.start()
-    except RuntimeError:  # no thread can be started
-        return zlib.crc32(data), work()
-    try:
-        done = work()
-    finally:
-        thread.join()
-    return crc[0], done
+def _frame(data: bytes) -> bytes:
+    return zlib.crc32(data).to_bytes(4, "big") + len(data).to_bytes(4, "big") + data
+
+
+def _unframe(view, at: int):
+    """The data of the frame at view[at:], or None when its CRC-32 fails."""
+    data = view[at + _FRAME_BYTES : at + _FRAME_BYTES + int.from_bytes(view[at + 4 : at + 8], "big")]
+    return data if zlib.crc32(data) == int.from_bytes(view[at : at + 4], "big") else None
 
 
 def _same_bytes(lexicon, copy, size: int) -> bool:
@@ -358,16 +346,12 @@ def _parse_into_sidecar(path: Path) -> tuple["TermIndex", LoadReport]:
             return _parse(path, path)
         copied = draft.tell() - _COPY_START
         index, report = _parse(temp, path, _COPY_START)
-        with contextlib.suppress(OSError):  # a full disk, say: the draft is dropped
-            blobs = [marshal.dumps(index._tables[head]) for head in index._lengths]
-            header = marshal.dumps(
-                (len(index), index._lengths, dataclasses.astuple(report), [len(b) for b in blobs])
-            )
-            crc = zlib.crc32(header)
-            for blob in blobs:
-                crc = zlib.crc32(blob, crc)
-            draft.write(crc.to_bytes(4, "big") + header)
-            draft.writelines(blobs)
+        # a full disk, or a frame of 4 GiB or more: the draft is dropped
+        with contextlib.suppress(OSError, OverflowError):
+            frames = [_frame(marshal.dumps(index._tables[head])) for head in index._lengths]
+            sizes = [len(frame) for frame in frames]
+            draft.write(_frame(marshal.dumps((len(index), index._lengths, dataclasses.astuple(report), sizes))))
+            draft.writelines(frames)
             draft.seek(_TAG_BYTES)
             draft.write(copied.to_bytes(_LENGTH_BYTES, "big"))
             draft.flush()
@@ -493,7 +477,8 @@ class TermIndex:
     from a sidecar holds each head's table encoded until a query first asks
     for it; otherwise the index does not change once built. It is safe to
     share across threads: threads that race to decode one head each decode
-    it whole and store equal tables. A scan expects already-lowercased text.
+    it whole and store equal tables; those that find one damaged wait on one
+    lock. A scan expects already-lowercased text.
     """
 
     def __init__(self, entries=()):
@@ -504,10 +489,11 @@ class TermIndex:
         # head word -> bit n set when a surface of length n starts with it
         self._lengths: dict[str, int] = {}
         # head word -> {surface: type tag + concept_id}, or the offset of that
-        # table marshalled in _encoded, as a sidecar load leaves it until
-        # first use
+        # table's frame in _encoded, as a sidecar load leaves it until first use
         self._tables: dict[str, dict[str, str] | int] = {}
-        self._encoded = memoryview(b"")  # the tables a sidecar load read, in one buffer
+        self._encoded = memoryview(b"")  # a sidecar load's map of the sidecar
+        self._lexicon: Path | None = None  # the lexicon of _encoded, until damage found there is mended
+        self._lock = threading.Lock()
         self._insert((s, c, _TYPE_TAG[t]) for s, c, t in entries)
 
     def _insert(self, rows) -> tuple[int, int, int]:
@@ -545,12 +531,22 @@ class TermIndex:
         return self._size
 
     def _table(self, head: str):
-        """The {surface: answer} table of head, decoded on first use."""
+        """The {surface: answer} table of head, decoded on first use once its
+        CRC-32 holds. Under the lock, the first thread to find a table damaged
+        logs it, parses the lexicon into a new sidecar and adopts its tables."""
         table = self._tables.get(head, _NO_SURFACES)
-        if type(table) is int:
+        if type(table) is int and (data := _unframe(self._encoded, table)) is not None:
             # a thread racing this one decodes its own whole copy; each
             # store replaces a table with an equal one
-            table = self._tables[head] = marshal.loads(self._encoded[table:])
+            table = self._tables[head] = marshal.loads(data)
+        elif type(table) is int:
+            with self._lock:
+                if self._lexicon is not None:
+                    log.warning(_DAMAGED, _sidecar_path(self._lexicon))
+                    index, _ = _parse_into_sidecar(self._lexicon)
+                    self._tables, self._lengths, self._size = index._tables, index._lengths, len(index)
+                    self._lexicon = None
+            table = self._tables.get(head, _NO_SURFACES)
         return table
 
     def scan(self, text: str) -> list[tuple[int, int, str, SemanticType]]:
@@ -621,7 +617,8 @@ class AbbreviationTable:
         """Parse a TSV of abbrev, expansion, optional semantic type name,
         which must name a reportable type (`read_lines`: blank and '#' lines
         are skipped). A line that repeats an earlier line's abbrev, expansion
-        and type is skipped; one that gives them another type fails."""
+        (in any case, as `equivalent`) and type is skipped; one that gives
+        them another type fails."""
         table = cls()
         first_lines: dict[tuple[str, str], tuple[int, SemanticType | None]] = {}
         for lineno, line in read_lines(path):
@@ -637,7 +634,7 @@ class AbbreviationTable:
                 hint = _NAME_TO_TYPE.get(name)
                 if hint is None:
                     raise InputFormatError(path, lineno, f"unknown semantic type {name!r}")
-            first, first_hint = first_lines.setdefault((abbrev, full), (lineno, hint))
+            first, first_hint = first_lines.setdefault((abbrev, full.lower()), (lineno, hint))
             if first == lineno:
                 table.add(abbrev, Expansion(full, hint))
             elif first_hint != hint:
@@ -675,8 +672,9 @@ NOT_APPLICABLE = _NotApplicable()
 
 
 def _read_applicability(path, table: dict) -> dict:
-    """table with the rows of a key-value config (`read_lines`): a semantic
-    type name, '=', then comma-separated attribute kinds."""
+    """table with the rows of a key-value config (`read_lines`), one a type:
+    a semantic type name, '=', then comma-separated attribute kinds."""
+    first_lines: dict[SemanticType, int] = {}
     for lineno, line in read_lines(path):
         if "=" not in line:
             raise InputFormatError(path, lineno, "expected 'type name = kinds'")
@@ -684,6 +682,8 @@ def _read_applicability(path, table: dict) -> dict:
         sem_type = SemanticType.from_name(name)
         if sem_type is SemanticType.OTHER:
             raise InputFormatError(path, lineno, f"unknown semantic type {name.strip()!r}")
+        if (first := first_lines.setdefault(sem_type, lineno)) != lineno:
+            raise InputFormatError(path, lineno, f"duplicate type {sem_type.value!r}, first on line {first}")
         kinds = frozenset(k.strip() for k in kinds_text.split(",") if k.strip())
         bad = kinds - set(ATTRIBUTE_KINDS)
         if bad:

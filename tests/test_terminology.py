@@ -4,12 +4,13 @@ import gc
 import hashlib
 import io
 import logging
+import marshal
+import mmap
 import os
 import re
 import sys
 import tempfile
 import threading
-import time
 import zlib
 from pathlib import Path
 
@@ -290,7 +291,7 @@ class TestLexiconSidecar:
     @pytest.mark.parametrize(
         "damage",
         [
-            "garbage", "empty", "truncated", "other-python", "byte-in-a-blob", "last-blob-cut",
+            "garbage", "empty", "truncated", "grown", "other-python", "byte-in-a-blob", "last-blob-cut",
             "byte-in-the-copy", "copyless-lexicon-hash", "copyless-same-tag",
         ],
     )
@@ -310,7 +311,7 @@ class TestLexiconSidecar:
             # the tables, and they hold no "\tC".
             c2 = data.rindex(b"C2")
             # the layout before the copy was kept: a 32-byte key, which hashed
-            # the lexicon's bytes too, then the CRC, header and tables
+            # the lexicon's bytes too, then the header and tables
             tables_part = data[terminology._COPY_START + lexicon.stat().st_size :]
             source = Path(terminology.__file__).read_bytes()
             lexicon_hash = hashlib.sha256(source + sys.version.encode() + lexicon.read_bytes()).digest()
@@ -318,6 +319,7 @@ class TestLexiconSidecar:
                 "garbage": b"\x00not marshal",
                 "empty": b"",
                 "truncated": data[:-7],
+                "grown": data + b"\0",
                 "byte-in-a-blob": data[:c2] + b"C7" + data[c2 + 2 :],
                 "last-blob-cut": data[: data.rindex(b"st. john's wort")],
                 "byte-in-the-copy": data.replace(b"fever\tC2", b"fever\tC7", 1),
@@ -325,8 +327,11 @@ class TestLexiconSidecar:
                 "copyless-same-tag": data[:32] + tables_part,
             }[damage])
         bad = sidecar.read_bytes()
-        # a damaged sidecar is rewritten, so the load found the damage at set-up
-        assert tables(load_lexicon(lexicon)) == cold
+        loaded = load_lexicon(lexicon)
+        # a damaged sidecar is rewritten: damage inside a table when a scan
+        # first decodes that table, any other at set-up
+        assert (sidecar.read_bytes() == bad) is (damage == "byte-in-a-blob")
+        assert tables(loaded) == cold
         assert sidecar.read_bytes() != bad
         self.without_parsing(monkeypatch)
         assert tables(load_lexicon(lexicon)) == cold
@@ -334,8 +339,8 @@ class TestLexiconSidecar:
     @pytest.mark.parametrize(
         "damage, warns",
         [
-            # the tag and the copy match, the checksum fails
-            ("truncated", True), ("byte-in-a-blob", True), ("last-blob-cut", True),
+            # the tag and the copy match; a checksum fails, or the size the header gives
+            ("truncated", True), ("grown", True), ("byte-in-a-blob", True), ("last-blob-cut", True),
             # foreign or stale: another module or Python, or a copy unlike the lexicon
             ("garbage", False), ("empty", False), ("other-python", False), ("byte-in-the-copy", False),
             ("copyless-lexicon-hash", False), ("copyless-same-tag", False),
@@ -348,61 +353,88 @@ class TestLexiconSidecar:
         assert warnings == ([damaged] if warns else [])
 
     @staticmethod
-    def started_threads(monkeypatch):
-        """A list of every thread started from now on."""
-        start, started = threading.Thread.start, []
-
-        def recording(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", recording)
-        return started
-
-    @pytest.mark.parametrize("load", ["hit", "stale-copy", "damaged-table", "comparison-fails"])
-    def test_no_thread_outlives_the_load(self, lexicon, monkeypatch, load):
-        cold = tables(load_lexicon(lexicon))
-        sidecar = self.sidecar(lexicon)
+    def damage_table(sidecar, concept_id):
+        """Change concept_id's last occurrence in the sidecar, inside the
+        table of its surface's head word: the copy of the lexicon comes
+        before the tables."""
         data = sidecar.read_bytes()
-        if load == "stale-copy":  # same size, so the copy is compared
-            lexicon.write_bytes(lexicon.read_bytes().replace(b"fever\tC2", b"fever\tC7"))
-        elif load == "damaged-table":
-            c2 = data.rindex(b"C2")
-            sidecar.write_bytes(data[:c2] + b"C7" + data[c2 + 2 :])
-        elif load == "comparison-fails":
-            def fail(*args):
-                raise OSError(5, "Input/output error")
+        at = data.rindex(concept_id)
+        sidecar.write_bytes(data[:at] + b"C7" + data[at + 2 :])
+        return sidecar.read_bytes()
 
-            monkeypatch.setattr(terminology, "_same_bytes", fail)
-        crc32 = zlib.crc32
+    def test_warm_load_checks_the_header_and_each_table_it_decodes(self, lexicon, monkeypatch):
+        load_lexicon(lexicon)
+        crc32, checked = zlib.crc32, []
 
-        def slow(*args):
-            time.sleep(0.1)  # outlasts the comparison: only a join waits for it
-            return crc32(*args)
+        def counting(data, *args):
+            checked.append(bytes(data))
+            return crc32(data, *args)
 
-        monkeypatch.setattr(zlib, "crc32", slow)
-        parses, started = self.parses(monkeypatch), self.started_threads(monkeypatch)
-        loaded = tables(load_lexicon(lexicon))
-        assert len(started) == 1 and not started[0].is_alive()
-        assert parses == ([] if load == "hit" else [1])
-        assert loaded == (cold if load != "stale-copy" else self.parsed(lexicon))
+        monkeypatch.setattr(zlib, "crc32", counting)
+        index, _ = load_lexicon(lexicon)
+        assert len(checked) == 1  # the header
+        for text, checks in [("fever now", 2), ("fever", 2), ("heart failure", 3), ("cough", 3), ("rash", 4)]:
+            index.scan(text)
+            assert len(checked) == checks
+        # each check covers the bytes that are then decoded, and only those
+        assert marshal.loads(checked[0])[:2] == (4, index._lengths)
+        assert [marshal.loads(data) for data in checked[1:]] == [index._tables[h] for h in ("fever", "heart", "rash")]
 
-    def test_a_thread_that_cannot_start_checks_on_the_caller(self, lexicon, monkeypatch):
-        cold = tables(load_lexicon(lexicon))
-        sidecar = self.sidecar(lexicon)
-
-        def refuse(thread):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
+    def test_damage_no_scan_reaches_never_surfaces(self, lexicon, monkeypatch, caplog):
+        cold = load_lexicon(lexicon)[0]
+        bad = self.damage_table(self.sidecar(lexicon), b"C3")  # rash's table
         with monkeypatch.context() as m:
             self.without_parsing(m)
-            assert tables(load_lexicon(lexicon)) == cold
-        data = sidecar.read_bytes()
-        c2 = data.rindex(b"C2")
-        sidecar.write_bytes(data[:c2] + b"C7" + data[c2 + 2 :])
+            index, _ = load_lexicon(lexicon)
+            for probe in ["heart failure", "fever now", "st. john's wort", "cough"]:
+                assert index.scan(probe) == cold.scan(probe)
+        assert self.sidecar(lexicon).read_bytes() == bad
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        # the damage is there, for a scan that reaches it
+        assert index.scan("rash") == cold.scan("rash")
+        assert self.sidecar(lexicon).read_bytes() != bad
+        assert len([r for r in caplog.records if r.levelno >= logging.WARNING]) == 1
+
+    @pytest.mark.parametrize("failing", ["compare", "map"])
+    def test_a_sidecar_that_cannot_be_read_is_passed_by(self, lexicon, monkeypatch, failing):
+        cold = tables(load_lexicon(lexicon))
+
+        def fail(*args, **kwargs):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(*((terminology, "_same_bytes") if failing == "compare" else (mmap, "mmap")), fail)
+        parses = self.parses(monkeypatch)
         assert tables(load_lexicon(lexicon)) == cold
-        assert sidecar.read_bytes() == data
+        assert parses == [1]
+
+    def test_threads_meeting_a_damaged_table_mend_it_once(self, lexicon, monkeypatch, caplog):
+        cold = tables(load_lexicon(lexicon))
+        parses = self.parses(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rounds in range(1, 6):
+                bad = self.damage_table(self.sidecar(lexicon), b"C2")  # fever's table
+                loaded = load_lexicon(lexicon)
+                barrier = threading.Barrier(8)
+                results = []
+
+                def look():
+                    barrier.wait(timeout=10)
+                    results.append((loaded[0].scan("fever now"), tables(loaded)))
+
+                threads = [threading.Thread(target=look) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [([(0, 5, "C2", SemanticType.SIGN_SYMPTOM_OR_FINDING)], cold)] * 8
+                assert parses == [1] * rounds and self.sidecar(lexicon).read_bytes() != bad
+        finally:
+            sys.setswitchinterval(interval)
+        damaged = f"lexicon sidecar {self.sidecar(lexicon)} is damaged (its checksum or header fails); rebuilding it"
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [damaged] * 5
 
     @pytest.mark.parametrize("failing", ["mkstemp", "write", "fsync", "replace"])
     def test_unwritable_directory_skips_the_sidecar(self, lexicon, monkeypatch, failing):
@@ -784,6 +816,13 @@ class TestApplicability:
             "location", "modifier", "value", "unit",
         }
 
+    def test_a_repeated_type_fails_at_its_line(self, tmp_path):
+        # a user's row overrides the packaged one; a second row of its own does not
+        path = tmp_path / "applic.cfg"
+        path.write_text("Eukaryote = modifier\n# a comment\nEukaryote = location, value\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:3: duplicate type 'Eukaryote', first on line 1$"):
+            ApplicabilityTable.load(path)
+
     def test_override_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "applic.cfg"
         path.write_text("Chemical or Drug = flavor\n", encoding="utf-8")
@@ -820,6 +859,19 @@ def test_a_repeated_abbreviation_line_is_skipped_and_another_type_names_the_firs
     ]
     path.write_text(f"{line}\nRA\tRoom Air\nHSM\thepatosplenomegaly\tDisease, Syndrome or Pathologic Function\n", encoding="utf-8")
     with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:3: .* another type than on line 1$"):
+        AbbreviationTable.load(path)
+
+
+def test_an_expansion_repeated_in_another_case_is_the_same_expansion(tmp_path):
+    # as AbbreviationTable.equivalent compares them: the first line's form wins
+    path = tmp_path / "abbreviations.tsv"
+    line = "HSM\thepatosplenomegaly\tSign, Symptom, or Finding"
+    path.write_text(f"{line}\nHSM\tHepatosplenomegaly\tSign, Symptom, or Finding\n", encoding="utf-8")
+    assert AbbreviationTable.load(path).expansions("HSM") == [
+        Expansion("hepatosplenomegaly", SemanticType.SIGN_SYMPTOM_OR_FINDING)
+    ]
+    path.write_text(f"{line}\nHSM\tHEPATOSPLENOMEGALY\tDisease, Syndrome or Pathologic Function\n", encoding="utf-8")
+    with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:2: .* another type than on line 1$"):
         AbbreviationTable.load(path)
 
 
