@@ -1,11 +1,11 @@
 """Per-mention attribute extraction through pluggable annotator backends.
 
 `annotate_note` calls a backend once per note with the note's segmentation,
-each mention's sentence and the attribute kinds its semantic type allows.
+each mention's sentence and the kinds its type allows (`load_applicability`).
 A backend answers one record per mention, a dict from each of those kinds to
-a value or None. `annotate_note` then sets every other kind to "not
-applicable": applicability is decided there, once, and an answer for a kind
-that does not apply is discarded. The rule backend (regex values/units,
+a value or None. `annotate_note` then sets every other kind to
+`NOT_APPLICABLE`: applicability is decided there, once, and an answer for a
+kind that does not apply is discarded. The rule backend (regex values/units,
 anatomy lexicon locations, adjacency modifiers, no purposes) fills every
 applicable kind from the mention's sentence, with tables read from the
 package data once per process. It scans each sentence once, on first use,
@@ -16,9 +16,9 @@ start. Each mention then bisects those tables, and its modifiers are the
 words next to it, at most two whitespace characters away. The anatomy
 surfaces, like the assertion triggers, are keyed by their leading ASCII run
 (`terminology.LiteralIndex`). The LLM backend packs the segmentation into
-chunks under its token budget, marks each chunk's mentions with double curly
-braces and renders one prompt per attribute kind over the mentions that kind
-applies to. It sends all of a note's prompts at once
+(start, end) chunks under its token budget, marks each chunk's mentions with
+double curly braces and renders one prompt per attribute kind over the
+mentions that kind applies to. It sends all of a note's prompts at once
 (`ChatClient.complete_all`), then parses the answers and aligns the echoed
 entity lines back to mention order on the calling thread, in prompt order, so
 output and warnings do not depend on the order answers arrive in.
@@ -31,11 +31,12 @@ import logging
 import re
 import string
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from itertools import groupby
 
 from .integrate import align
 from .llm_client import ChatClient
-from .preprocess import Chunk, NormalizedNote, Sentence, chunk_note
+from .preprocess import NormalizedNote, Sentence, chunk_note
 from .recognition import Mention
 from .terminology import (
     ATTRIBUTE_KINDS,
@@ -45,8 +46,8 @@ from .terminology import (
     PURPOSE,
     UNIT,
     VALUE,
-    ApplicabilityTable,
     LiteralIndex,
+    SemanticType,
     data_path,
     fold_case,
     read_lines,
@@ -276,14 +277,14 @@ class RuleBackend:
         return records, 0, sum(len(k) for k in kinds)
 
 
-def mark_mentions(chunk: Chunk, mentions: list[Mention]) -> str:
-    """Wrap each mention span in the chunk text with double curly braces."""
-    text = chunk.text
-    for m in sorted(mentions, key=lambda m: m.norm_start, reverse=True):
-        s = m.norm_start - chunk.norm_start
-        e = m.norm_end - chunk.norm_start
-        text = text[:s] + "{{" + text[s:e] + "}}" + text[e:]
-    return text
+def mark_mentions(text: str, span: tuple[int, int], mentions: list[Mention]) -> str:
+    """text[start:end] with each mention in it (none overlap) wrapped in double curly braces."""
+    pos, end = span
+    pieces = []
+    for m in sorted(mentions, key=lambda m: m.norm_start):
+        pieces += (text[pos : m.norm_start], "{{", text[m.norm_start : m.norm_end], "}}")
+        pos = m.norm_end
+    return "".join(pieces) + text[pos:end]
 
 
 def default_prompt_template(kind: str) -> str:
@@ -324,10 +325,10 @@ def parse_response_lines(response: str) -> tuple[list[tuple[str, object]], int]:
     return lines, unparsable
 
 
-def llm_prompt(chunk: Chunk, mentions: list[Mention], kind: str) -> str:
-    """The (chunk, kind) prompt: the chunk with its mentions marked, then
-    the mention surfaces one per line."""
-    marked = mark_mentions(chunk, mentions)
+def llm_prompt(text: str, span: tuple[int, int], mentions: list[Mention], kind: str) -> str:
+    """The (chunk, kind) prompt: the chunk text[start:end] with its mentions
+    marked, then the mention surfaces one per line."""
+    marked = mark_mentions(text, span, mentions)
     return render_prompt(default_prompt_template(kind), marked, kind, [m.surface for m in mentions])
 
 
@@ -362,8 +363,8 @@ class LlmBackend:
         for each chunk with mentions, one prompt per attribute kind listing
         only the chunk's mentions that kind applies to; send them all at
         once, and read the answers back in chunk order, then kind order."""
-        chunks = chunk_note(note, segmentation, self.max_tokens)
-        starts = [chunk.norm_start for chunk in chunks]
+        chunks = chunk_note(note.text, segmentation, self.max_tokens)
+        starts = [start for start, _ in chunks]
         # mentions are in document order, so each chunk's mentions are adjacent
         chunk_of = [bisect_right(starts, m.norm_start) - 1 for m in mentions]
         batch = []  # (kind, mention indices, prompt)
@@ -372,7 +373,7 @@ class LlmBackend:
             for kind in ATTRIBUTE_KINDS:
                 indices = [i for i in in_chunk if kind in kinds[i]]
                 if indices:
-                    prompt = llm_prompt(chunks[chunk_idx], [mentions[i] for i in indices], kind)
+                    prompt = llm_prompt(note.text, chunks[chunk_idx], [mentions[i] for i in indices], kind)
                     batch.append((kind, indices, prompt))
         responses = self.client.complete_all([prompt for _, _, prompt in batch])
         records = [{kind: None for kind in ATTRIBUTE_KINDS if kind in applicable} for applicable in kinds]
@@ -394,7 +395,7 @@ def annotate_note(
     mentions: list[Mention],
     sentences: list[tuple[str, int, int]],
     backend,
-    table: ApplicabilityTable,
+    table: Mapping[SemanticType, frozenset[str]],
 ):
     """Call the backend once for the note, passing its segmentation, each
     mention's (sentence, start, end) and applicable kinds, and complete each
@@ -403,7 +404,7 @@ def annotate_note(
 
     Returns (records parallel to mentions, dropped_lines, total_lines).
     """
-    kinds = [table.applicable_attributes(m.semantic_type) for m in mentions]
+    kinds = [table[m.semantic_type] for m in mentions]
     answers, dropped, total = backend.annotate(note, segmentation, mentions, sentences, kinds)
     records = [
         {kind: answer.get(kind) if kind in applicable else NOT_APPLICABLE for kind in ATTRIBUTE_KINDS}

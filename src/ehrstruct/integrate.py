@@ -138,7 +138,7 @@ def assemble(
 
 def _encode_field(value):
     if value is NOT_APPLICABLE:
-        return "not applicable"
+        return NOT_APPLICABLE.value
     if isinstance(value, list):
         return list(value)
     return value
@@ -155,9 +155,9 @@ def _typed(value, name: str, expected: type):
 
 
 def _decode_field(value, name: str):
-    """An attribute value read back: null, a string ("not applicable" for
-    NOT_APPLICABLE) or a list of strings."""
-    if value == "not applicable":
+    """An attribute value read back: null, a string (NOT_APPLICABLE when it
+    is that member's value) or a list of strings."""
+    if value == NOT_APPLICABLE.value:
         return NOT_APPLICABLE
     if value is None or type(value) is str:
         return value
@@ -167,7 +167,7 @@ def _decode_field(value, name: str):
 
 
 def entity_to_dict(e: StructuredEntity) -> dict:
-    """Fixed field order; NotApplicable encodes as "not applicable"."""
+    """Fixed field order; NOT_APPLICABLE encodes as its value."""
     sem = e.semantic_type.value if isinstance(e.semantic_type, SemanticType) else str(e.semantic_type)
     return {
         "note_id": e.note_id,

@@ -19,9 +19,11 @@ failure in prompt order is raised. Replay answers a batch serially.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
+import reprlib
 import shutil
 import threading
 import time
@@ -85,9 +87,9 @@ class Transcript:
 
     @classmethod
     def load(cls, path) -> "Transcript":
-        """Read a saved transcript (`read_jsonl`) of string prompts and responses."""
+        """Read a saved transcript (`read_jsonl`) of string prompts and responses, each prompt once."""
         t = cls()
-        for prompt, response in read_jsonl(path, _exchange):
+        for prompt, response in read_jsonl(path, _exchange, key=_prompt_name):
             t.put(prompt, response)
         return t
 
@@ -109,6 +111,13 @@ class Transcript:
         except BaseException:
             draft.unlink(missing_ok=True)
             raise
+
+
+def _prompt_name(exchange: tuple[str, str]) -> str:
+    """A prompt, which may be a page long, named by its ends and its SHA-1."""
+    prompt = exchange[0]
+    digest = hashlib.sha1(prompt.encode("utf-8")).hexdigest()
+    return f"prompt {reprlib.repr(prompt)} (SHA-1 {digest})"
 
 
 def _exchange(record: dict) -> tuple[str, str]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import os
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -32,8 +33,8 @@ from .integrate import DEFAULT_MISMATCH_THRESHOLD, NoteResult, assemble
 from .llm_client import ChatClient, ConfigurationError, Transcript, TransportError, endpoint_problems
 from .preprocess import RawNote, restore_linebreaks, segment
 from .recognition import recognize_note
-from .terminology import AbbreviationTable, ApplicabilityTable, LiteralIndex, TermIndex, load_lexicon
-from .terminology import InputFormatError, read_jsonl, read_lines
+from .terminology import AbbreviationTable, LiteralIndex, SemanticType, TermIndex, load_lexicon
+from .terminology import InputFormatError, load_applicability, read_jsonl, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -60,10 +61,12 @@ class PipelineConfig:
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         """Plain-text key = value config (`read_lines`); '#' also starts a
-        comment after a setting. Values take their field's type."""
+        comment after a setting. Values take their field's type. A setting
+        given twice ('max-tokens' is 'max_tokens') fails at its second line."""
         types = {"int": int, "float": float}  # field annotations are strings
         casters = {f.name: types.get(f.type, str) for f in fields(cls)}
         cfg = cls()
+        first_lines: dict[str, int] = {}
         for lineno, line in read_lines(path):
             line = line.split("#", 1)[0].strip()
             if "=" not in line:
@@ -73,6 +76,8 @@ class PipelineConfig:
             value = value.strip()
             if key not in casters:
                 raise InputFormatError(path, lineno, f"unknown setting {key!r}")
+            if (first := first_lines.setdefault(key, lineno)) != lineno:
+                raise InputFormatError(path, lineno, f"duplicate setting {key!r}, first on line {first}")
             caster = casters[key]
             try:
                 setattr(cfg, key, caster(value))
@@ -124,7 +129,7 @@ class PipelineResources:
     index: object
     abbreviations: AbbreviationTable
     rules: LiteralIndex
-    applicability: ApplicabilityTable
+    applicability: Mapping[SemanticType, frozenset[str]]
     backend: object
     mismatch_threshold: float = DEFAULT_MISMATCH_THRESHOLD
 
@@ -152,10 +157,8 @@ def load_terms(cfg: PipelineConfig) -> tuple[TermIndex, AbbreviationTable]:
 
 def build_resources(cfg: PipelineConfig) -> PipelineResources:
     index, abbreviations = load_terms(cfg)
-    rules = assertion_mod.load_triggers(cfg.assertion_rules)
-    applicability = (
-        ApplicabilityTable.load(cfg.applicability) if cfg.applicability else ApplicabilityTable()
-    )
+    rules = assertion_mod.load_triggers(cfg.assertion_rules or None)  # an empty setting names no file
+    applicability = load_applicability(cfg.applicability or None)
     if cfg.backend == "rule":
         backend = RuleBackend()
     else:

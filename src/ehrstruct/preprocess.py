@@ -5,7 +5,7 @@ normalizer keeps structural line breaks (paragraph ends, list items, section
 headers) and replaces the rest with spaces, while an offset map tracks every
 normalized position back to the raw text. Segmentation searches the whole
 normalized text between a paragraph's two positions rather than a slice of
-it, and returns spans only.
+it, and returns spans only, as chunking does.
 """
 
 from __future__ import annotations
@@ -35,17 +35,6 @@ class NormalizedNote:
         if norm_start >= norm_end:
             raise ValueError("empty span")
         return self.offset_map[norm_start], self.offset_map[norm_end - 1] + 1
-
-
-@dataclass
-class Chunk:
-    note_id: str
-    chunk_index: int
-    norm_start: int
-    norm_end: int
-    text: str
-    token_count: int
-    oversize: bool = False
 
 
 _LIST_MARKER = re.compile(r"^\s*(?:[-*•·●]|\d{1,3}[.)])\s")
@@ -161,17 +150,16 @@ def segment(text: str, spans=()) -> list[Sentence]:
     return sentences
 
 
-def chunk_note(note: NormalizedNote, segmentation, max_tokens: int = 800) -> list[Chunk]:
-    """Greedy-pack whole paragraphs of the note's segmentation under the
-    token budget.
+def chunk_note(text: str, segmentation, max_tokens: int = 800) -> list[tuple[int, int]]:
+    """Greedy-pack whole paragraphs of the text's segmentation under the
+    token budget, as (start, end) spans.
 
     Over-budget paragraphs split at their sentences; a single over-budget
-    sentence becomes its own chunk flagged oversize. Chunks are contiguous and
-    cover the text exactly.
+    sentence becomes a chunk of its own. Chunks are contiguous and cover the
+    text exactly.
     """
     if max_tokens <= 0:
         raise ValueError("max_tokens must be positive")
-    text = note.text
     units: list[tuple[int, int]] = []  # (end, tokens) of contiguous pieces
     for (par_start, par_end), group in groupby(segmentation, key=lambda s: (s.par_start, s.par_end)):
         tokens = count_tokens(text[par_start:par_end])
@@ -180,21 +168,17 @@ def chunk_note(note: NormalizedNote, segmentation, max_tokens: int = 800) -> lis
         else:
             units.extend((s.end, count_tokens(text[s.start : s.end])) for s in group)
 
-    chunks: list[Chunk] = []
-
-    def add(start: int, end: int, tokens: int, oversize: bool = False) -> None:
-        chunks.append(Chunk(note.note_id, len(chunks), start, end, text[start:end], tokens, oversize))
-
+    chunks: list[tuple[int, int]] = []
     start = end = tokens = 0  # the open chunk is text[start:end]
     for unit_end, unit_tokens in units:
         if end > start and tokens + unit_tokens > max_tokens:
-            add(start, end, tokens)
+            chunks.append((start, end))
             start, tokens = end, 0
         end = unit_end
         tokens += unit_tokens
-        if unit_tokens > max_tokens:
-            add(start, end, tokens, oversize=True)
+        if unit_tokens > max_tokens:  # one sentence, alone in its chunk
+            chunks.append((start, end))
             start, tokens = end, 0
     if end > start:
-        add(start, end, tokens)
+        chunks.append((start, end))
     return chunks

@@ -36,7 +36,7 @@ import tempfile
 import threading
 import types
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -644,31 +644,14 @@ class AbbreviationTable:
         return table
 
 
-class _NotApplicable:
-    """Sentinel for attributes a semantic type cannot carry.
+class NotApplicable(enum.Enum):
+    """Sentinel for attributes a semantic type cannot carry; None means the
+    note lacks the information. Its value is its serialized form."""
 
-    Distinct from None, which means the note genuinely lacks the information.
-    Serializes as the string "not applicable".
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotApplicable"
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
+    NOT_APPLICABLE = "not applicable"
 
 
-NOT_APPLICABLE = _NotApplicable()
+NOT_APPLICABLE = NotApplicable.NOT_APPLICABLE
 
 
 def _read_applicability(path, table: dict) -> dict:
@@ -698,21 +681,11 @@ def _packaged_applicability() -> types.MappingProxyType:
     return types.MappingProxyType(_read_applicability(data_path("applicability.txt"), {}))
 
 
-@dataclass
-class ApplicabilityTable:
-    """Which attribute kinds each reportable semantic type may carry; a new
-    table starts from a copy of the packaged one."""
-
-    table: dict[SemanticType, frozenset[str]] = field(default_factory=lambda: dict(_packaged_applicability()))
-
-    def applicable_attributes(self, t: SemanticType) -> frozenset[str]:
-        if not t.reportable:
-            raise ValueError(f"non-reportable type: {t.value}")
-        return self.table[t]
-
-    @classmethod
-    def load(cls, path) -> "ApplicabilityTable":
-        """The packaged table with the rows of the file at path, in the
-        packaged file's format. Types the file does not name keep their
-        packaged rows."""
-        return cls(_read_applicability(path, dict(_packaged_applicability())))
+def load_applicability(path=None) -> types.MappingProxyType:
+    """Which attribute kinds each reportable semantic type may carry, as a
+    read-only mapping. None selects the packaged table, parsed once per
+    process and shared; a path gives the packaged rows with the rows of the
+    file at path, in the packaged file's format, over them."""
+    if path is None:
+        return _packaged_applicability()
+    return types.MappingProxyType(_read_applicability(path, dict(_packaged_applicability())))

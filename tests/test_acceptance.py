@@ -27,6 +27,7 @@ from ehrstruct.preprocess import (
     NormalizedNote,
     RawNote,
     chunk_note,
+    count_tokens,
     restore_linebreaks,
     segment,
 )
@@ -34,9 +35,9 @@ from ehrstruct.recognition import recognize_note
 from ehrstruct.terminology import (
     NOT_APPLICABLE,
     AbbreviationTable,
-    ApplicabilityTable,
     SemanticType,
     TermIndex,
+    load_applicability,
 )
 from oracles import brute_force_recognize
 
@@ -116,7 +117,7 @@ def _case_resources(transcript):
         index=TermIndex(entries),
         abbreviations=AbbreviationTable(),
         rules=load_triggers(),
-        applicability=ApplicabilityTable(),
+        applicability=load_applicability(),
         backend=LlmBackend(client, max_tokens=800),
     )
 
@@ -256,13 +257,17 @@ def test_criterion_6_chunker_properties():
             " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 30)))
             for _ in range(rng.randint(0, 12))
         )
-        note = restore_linebreaks(RawNote("n", raw_text))
-        chunks = chunk_note(note, segment(note.text), rng.choice([15, 50, 800]))
-        ok &= "".join(c.text for c in chunks) == note.text
-        for c in chunks:
-            ok &= c.token_count <= 800 or c.oversize
-            ok &= note.text[c.norm_start : c.norm_end] == c.text
-    report(6, "chunker coverage, budget/oversize flags, concatenation identity on 1000 notes", ok)
+        text = restore_linebreaks(RawNote("n", raw_text)).text
+        segmentation = segment(text)
+        max_tokens = rng.choice([15, 50, 800])
+        chunks = chunk_note(text, segmentation, max_tokens)
+        ends = [0, *(end for _, end in chunks)]
+        ok &= [start for start, _ in chunks] == ends[:-1] and ends[-1] == len(text)
+        ok &= "".join(text[start:end] for start, end in chunks) == text
+        sentences = {(s.start, s.end) for s in segmentation}
+        for start, end in chunks:
+            ok &= count_tokens(text[start:end]) <= max_tokens or (start, end) in sentences
+    report(6, "chunker coverage, budget or one sentence, concatenation identity on 1000 notes", ok)
 
 
 def test_criterion_7_serialization_round_trip():

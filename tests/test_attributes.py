@@ -18,7 +18,7 @@ from ehrstruct.attributes import (
 )
 from ehrstruct.llm_client import ChatClient, Transcript
 from ehrstruct.pipeline import PipelineConfig
-from ehrstruct.preprocess import Chunk, NormalizedNote, count_tokens, segment
+from ehrstruct.preprocess import NormalizedNote, segment
 from ehrstruct.recognition import Mention
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
@@ -29,8 +29,8 @@ from ehrstruct.terminology import (
     REPORTABLE_TYPES,
     UNIT,
     VALUE,
-    ApplicabilityTable,
     SemanticType,
+    load_applicability,
 )
 
 
@@ -43,10 +43,6 @@ def mention(phrase, text, sem=SemanticType.SIGN_SYMPTOM_OR_FINDING, note_id="n")
 def sentence(m, text):
     """The whole text as the mention's sentence."""
     return text, m.norm_start, m.norm_end
-
-
-def chunk_for(text, note_id="n"):
-    return Chunk(note_id, 0, 0, len(text), text, count_tokens(text))
 
 
 def note_for(text, note_id="n"):
@@ -203,7 +199,7 @@ def one_of_each_type():
 def annotate(text, mentions, backend, table=None):
     records, _, _ = annotate_note(
         note_for(text), segment(text), mentions, [sentence(m, text) for m in mentions],
-        backend, table or ApplicabilityTable(),
+        backend, load_applicability() if table is None else table,
     )
     return records
 
@@ -223,11 +219,11 @@ class TestAnnotateNote:
         assert record[PURPOSE] == "purpose of levothyroxine"
 
     def test_exhaustive_over_types_and_kinds(self):
-        table = ApplicabilityTable()
+        table = load_applicability()
         text, mentions = one_of_each_type()
         for answered in (ATTRIBUTE_KINDS, ()):
             for m, record in zip(mentions, annotate(text, mentions, Answering(answered), table)):
-                applicable = table.applicable_attributes(m.semantic_type)
+                applicable = table[m.semantic_type]
                 assert list(record) == list(ATTRIBUTE_KINDS)
                 for kind in ATTRIBUTE_KINDS:
                     if kind not in applicable:
@@ -238,23 +234,26 @@ class TestAnnotateNote:
                         assert record[kind] is None
 
     def test_looked_up_once_per_mention(self):
-        table = ApplicabilityTable()
         calls = []
-        lookup = table.applicable_attributes
-        table.applicable_attributes = lambda t: calls.append(t) or lookup(t)
+
+        class Counting(dict):
+            def __getitem__(self, t):
+                calls.append(t)
+                return super().__getitem__(t)
+
         backend = Answering()
         text, mentions = one_of_each_type()
-        annotate(text, mentions, backend, table)
+        annotate(text, mentions, backend, Counting(load_applicability()))
         assert calls == [m.semantic_type for m in mentions]
-        assert backend.kinds == [lookup(m.semantic_type) for m in mentions]
+        assert backend.kinds == [load_applicability()[m.semantic_type] for m in mentions]
 
     @pytest.mark.parametrize(
         "backend", [RuleBackend, lambda: LlmBackend(StubClient("x: null"))], ids=["rule", "llm"]
     )
     def test_backends_answer_exactly_the_kinds_given(self, backend):
-        table = ApplicabilityTable()
+        table = load_applicability()
         text, mentions = one_of_each_type()
-        kinds = [table.applicable_attributes(m.semantic_type) for m in mentions]
+        kinds = [table[m.semantic_type] for m in mentions]
         answers, _, _ = backend().annotate(
             note_for(text), segment(text), mentions, [sentence(m, text) for m in mentions], kinds
         )
@@ -281,7 +280,7 @@ class TestAnnotateNote:
             [drug, disease],
             [sentence(drug, text), sentence(disease, text)],
             LlmBackend(Recorder()),
-            ApplicabilityTable(),
+            load_applicability(),
         )
         assert len(prompts) == len(ATTRIBUTE_KINDS)  # one call per kind, in kind order
         prompts = dict(zip(ATTRIBUTE_KINDS, prompts))
@@ -321,7 +320,7 @@ class StubClient:
 class TestLlmExtract:
     def setup_method(self):
         self.text = "aspirated to the LLL with resultant high fever (105) and hypoxemia"
-        self.chunk = chunk_for(self.text)
+        self.chunk = (0, len(self.text))
         self.mentions = [mention("fever", self.text), mention("hypoxemia", self.text)]
 
     def test_parses_and_aligns(self):
@@ -343,7 +342,7 @@ class TestLlmExtract:
             llm_extract("\n\n", self.mentions, "location")
 
     def test_prompt_marks_mentions_with_braces(self):
-        prompt = llm_prompt(self.chunk, self.mentions, "location")
+        prompt = llm_prompt(self.text, self.chunk, self.mentions, "location")
         assert "{{fever}}" in prompt
         assert "{{hypoxemia}}" in prompt
         assert "double curly braces" in prompt
@@ -361,8 +360,14 @@ class TestLlmExtract:
 class TestMarkMentions:
     def test_wraps_spans(self):
         text = "fever and chills"
-        marked = mark_mentions(chunk_for(text), [mention("fever", text)])
+        marked = mark_mentions(text, (0, len(text)), [mention("fever", text)])
         assert marked == "{{fever}} and chills"
+
+    def test_marks_a_chunk_in_note_offsets(self):
+        text = "Fever noted. Chest pain and chills today."
+        mentions = [mention("chills", text), mention("Chest pain", text)]
+        marked = mark_mentions(text, (text.index("Chest"), len(text)), mentions)
+        assert marked == "{{Chest pain}} and {{chills}} today."
 
 
 class TestParseResponseLines:
@@ -409,7 +414,7 @@ def test_prompt_templates_read_once(monkeypatch):
         kind: render_prompt(
             data.joinpath("prompt_location.txt" if kind == "location" else "prompt_generic.txt")
             .read_text(encoding="utf-8"),
-            mark_mentions(chunk_for(text), mentions),
+            mark_mentions(text, (0, len(text)), mentions),
             kind,
             ["Fever", "Chest pain"],
         )
@@ -421,7 +426,7 @@ def test_prompt_templates_read_once(monkeypatch):
     attributes._prompt_template.cache_clear()
     for _ in range(3):
         for kind in ATTRIBUTE_KINDS:
-            assert llm_prompt(chunk_for(text), mentions, kind) == expected[kind]
+            assert llm_prompt(text, (0, len(text)), mentions, kind) == expected[kind]
     assert sorted(reads) == ["prompt_generic.txt", "prompt_location.txt"]
 
 

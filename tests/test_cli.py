@@ -1,6 +1,8 @@
 import argparse
 import json
+import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,6 +20,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 NOTES = str(FIXTURES / "sample_notes.jsonl")
 GOLDEN = FIXTURES / "sample_entities.golden.jsonl"
 MENTIONS_GOLDEN = FIXTURES / "sample_mentions.golden.jsonl"
+REPLAY_TRANSCRIPT = FIXTURES / "sample_transcript.jsonl"
+REPLAY_GOLDEN = FIXTURES / "sample_entities.replay.golden.jsonl"
 
 
 @pytest.fixture
@@ -34,6 +38,22 @@ class TestStructure:
         for line in out.read_text(encoding="utf-8").splitlines():
             record = json.loads(line)
             assert set(record) >= {"note_id", "phrase", "span", "assertion_status"}
+
+    def test_replay_golden_fixture(self, tmp_path, lexicon_args, caplog):
+        """The LLM path's golden: the fixture notes replayed at --max-tokens 20
+        from a transcript recorded against a stub whose answers depend on a
+        hash of the whole prompt. At that budget note-001 splits into two
+        chunks, the first a single over-budget sentence. A change to any
+        prompt byte misses the transcript and rejects its note. A change that
+        alters prompts on purpose (one prompt per chunk, say) re-records
+        sample_transcript.jsonl and this golden with it."""
+        out, rejections = tmp_path / "out.jsonl", tmp_path / "rejections.jsonl"
+        code = main(["structure", *lexicon_args, "--backend", "replay", "--transcript", str(REPLAY_TRANSCRIPT),
+                     "--max-tokens", "20", "--rejections", str(rejections), NOTES, str(out)])
+        assert code == 0
+        assert rejections.read_bytes() == b""
+        assert out.read_bytes() == REPLAY_GOLDEN.read_bytes()
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_empty_input(self, tmp_path, lexicon_args):
         src = tmp_path / "empty.jsonl"
@@ -67,6 +87,16 @@ class TestStructure:
         out = tmp_path / "out.jsonl"
         args = ["--assertion-rules", str(data_path("assertion_rules.tsv")), "--applicability", str(data_path("applicability.txt"))]
         assert main(["structure", *lexicon_args, *args, NOTES, str(out)]) == 0
+        assert out.read_bytes() == GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("key", ["assertion_rules", "applicability"])
+    def test_an_empty_file_setting_names_no_file(self, tmp_path, lexicon_args, key):
+        # 'assertion_rules =' passed validate-config, then structure failed
+        # opening the file '', where 'applicability =' gave the defaults
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(f"{key} =\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["structure", "--config", str(config), *lexicon_args, NOTES, str(out)]) == 0
         assert out.read_bytes() == GOLDEN.read_bytes()
 
     def test_a_repeated_abbreviation_line_keeps_its_expansion(self, tmp_path, lexicon_path, abbrev_path):
@@ -380,6 +410,20 @@ class TestConfigErrors:
         cfg_file = self.write_config(tmp_path, lexicon_path, "workers = four")
         with pytest.raises(ValueError, match=r"pipeline\.cfg:2: workers: expected int, got 'four'"):
             PipelineConfig.load(cfg_file)
+
+    @pytest.mark.parametrize("second", ["max_tokens = 200", "max-tokens = 200"])
+    def test_a_repeated_setting_fails_at_its_line(self, tmp_path, lexicon_path, second, capsys):
+        # the last value was kept without a word, and validate-config said
+        # "config OK"; max-tokens and max_tokens are one setting
+        cfg_file = tmp_path / "pipeline.cfg"
+        cfg_file.write_text(f"max_tokens = 100\n{second}\nlexicon = {lexicon_path}\n", encoding="utf-8")
+        message = f"{cfg_file}:2: duplicate setting 'max_tokens', first on line 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PipelineConfig.load(cfg_file)
+        assert main(["validate-config", "--config", str(cfg_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert "config OK" not in captured.out
 
     def test_removed_hard_note_limit_is_unknown(self, tmp_path, lexicon_path):
         cfg_file = self.write_config(tmp_path, lexicon_path, "hard_note_limit = 8000")

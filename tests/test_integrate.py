@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -164,6 +166,18 @@ class TestSerialization:
         back = entity_from_dict(d)
         assert back.purpose is NOT_APPLICABLE
         assert back.value is None
+
+    def test_not_applicable_is_one_object_copied_or_pickled(self):
+        e = make_entity(purpose=NOT_APPLICABLE)
+        for back in (
+            copy.copy(NOT_APPLICABLE),
+            copy.deepcopy(NOT_APPLICABLE),
+            copy.deepcopy(e).purpose,
+            pickle.loads(pickle.dumps(e)).purpose,
+        ):
+            assert back is NOT_APPLICABLE
+        # no string equals it: only the decoder reads "not applicable" back as it
+        assert NOT_APPLICABLE != "not applicable"
 
     def test_field_order_fixed(self):
         d = entity_to_dict(make_entity())

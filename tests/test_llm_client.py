@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from ehrstruct.llm_client import (
     TransportError,
 )
 from ehrstruct.pipeline import PipelineConfig
+from ehrstruct.terminology import InputFormatError
 
 
 @pytest.fixture(autouse=True)
@@ -234,6 +236,25 @@ class TestRecordMode:
 
 
 class TestTranscript:
+    def test_a_repeated_prompt_fails_at_its_line(self, tmp_path):
+        # a second answer to one prompt was kept without a word; a saved
+        # transcript never repeats a prompt
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"prompt": "p", "response": "a"}\n{"prompt": "p", "response": "b"}\n', encoding="utf-8")
+        with pytest.raises(InputFormatError, match=rf"^{re.escape(str(path))}:2: duplicate prompt 'p' \(SHA-1 [0-9a-f]{{40}}\), first on line 1$"):
+            Transcript.load(path)
+
+    def test_a_repeated_long_prompt_is_named_briefly(self, tmp_path):
+        prompt = "Here is one part of a medical note:\n\n" + "fever " * 1000 + "\nHere are the terms:fever"
+        same_ends = prompt.replace("fever fever", "fever chills", 1)  # differs in the middle only
+        path = tmp_path / "t.jsonl"
+        lines = [json.dumps({"prompt": p, "response": "fever: null"}) for p in (prompt, same_ends, prompt)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match=", first on line 1$") as exc:
+            Transcript.load(path)
+        assert exc.value.lineno == 3
+        assert len(str(exc.value)) < len(str(path)) + 150
+
     def test_save_load_byte_identical_responses(self, tmp_path):
         t = Transcript()
         t.put("p1", "line one\nline two")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ehrstruct import assertion, integrate, pipeline, preprocess, terminology
 from ehrstruct.attributes import LlmBackend
 from ehrstruct.cli import main
-from ehrstruct.terminology import ATTRIBUTE_KINDS, PURPOSE, ApplicabilityTable, SemanticType
+from ehrstruct.terminology import ATTRIBUTE_KINDS, PURPOSE, SemanticType, load_applicability
 from oracles import brute_force_recognize
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -117,7 +117,7 @@ def test_set_up_parses_each_packaged_table_once_per_process(monkeypatch, lexicon
     first = pipeline.build_resources(cfg)
     for _ in range(3):
         res = pipeline.build_resources(cfg)
-        assert res.rules is first.rules and res.applicability == first.applicability
+        assert res.rules is first.rules and res.applicability is first.applicability
     assert sorted(parsed) == sorted(terminology.data_path(name) for name in ("applicability.txt", "assertion_rules.tsv"))
 
 
@@ -263,7 +263,7 @@ def planted_attribute_notes(seed, lexicon_path, abbrev_path, notes=30, per_note=
     an anatomy surface other than the planted one lies outside the term."""
     rng = random.Random(seed)
     data_dir = Path(lexicon_path).parent
-    table = ApplicabilityTable()
+    table = load_applicability()
     lexicon = _data_rows(Path(lexicon_path))
     abbreviations = {row[0].lower() for row in _data_rows(Path(abbrev_path))}
     surfaces = [row[0] for row in lexicon]
@@ -291,7 +291,7 @@ def planted_attribute_notes(seed, lexicon_path, abbrev_path, notes=30, per_note=
                 "loc": f"{direction} {surface}" if direction else surface,
             }
             sentence = rng.choice(_TEMPLATES).format(**parts)
-            applicable = table.applicable_attributes(sem_type)
+            applicable = table[sem_type]
             purpose = rng.choice(_PURPOSES) if PURPOSE in applicable else None
             if purpose:
                 sentence = f"{sentence[:-1]} for {purpose}."

@@ -5,8 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehrstruct.preprocess import (
-    Chunk,
-    NormalizedNote,
     RawNote,
     _keep_break,
     chunk_note,
@@ -113,13 +111,24 @@ class TestSplitters:
         assert paragraphs(text) == ["one\ntwo\n\n", "three\n\n\n", "four"]
 
 
-def make_note(text):
-    return NormalizedNote("n", text, list(range(len(text))))
-
-
 def chunk_text(text, max_tokens):
-    """Chunks of a note holding text, segmented with no mention spans."""
-    return chunk_note(make_note(text), segment(text), max_tokens)
+    """The (start, end) chunks of text, segmented with no mention spans."""
+    return chunk_note(text, segment(text), max_tokens)
+
+
+def chunk_texts(text, max_tokens):
+    return [text[start:end] for start, end in chunk_text(text, max_tokens)]
+
+
+def assert_chunks_cover(text, max_tokens):
+    """The chunks run end to end over the text, and each is within the budget
+    or exactly one sentence of the segmentation."""
+    chunks = chunk_text(text, max_tokens)
+    ends = [0, *(end for _, end in chunks)]
+    assert [start for start, _ in chunks] == ends[:-1] and ends[-1] == len(text)
+    sentences = {(s.start, s.end) for s in segment(text)}
+    for start, end in chunks:
+        assert count_tokens(text[start:end]) <= max_tokens or (start, end) in sentences
 
 
 class TestChunkNote:
@@ -135,25 +144,26 @@ class TestChunkNote:
         para = " ".join(f"w{i}" for i in range(300))
         text = para + "\n\n" + para + "\n\n" + para
         assert count_tokens(para) == 300
-        chunks = chunk_text(text, 800)
+        chunks = chunk_texts(text, 800)
         # greedy simulation: P1+P2 fit (just over 600 with the breaks), P3 alone
         assert len(chunks) == 2
-        assert chunks[0].text.endswith(para + "\n\n")
-        assert chunks[1].text == para
+        assert chunks[0].endswith(para + "\n\n")
+        assert chunks[1] == para
 
     def test_oversize_paragraph_splits_at_sentences(self):
         sentence = "Word " * 99 + "end. "
         para = ("".join(sentence for _ in range(9))).strip() + "."
-        chunks = chunk_text(para, 800)
+        chunks = chunk_texts(para, 800)
         assert len(chunks) == 2
-        assert not any(c.oversize for c in chunks)
-        assert "".join(c.text for c in chunks) == para
+        assert all(count_tokens(c) <= 800 for c in chunks)
+        assert "".join(chunks) == para
 
-    def test_single_oversize_sentence_flagged(self):
-        text = "word " * 900
-        chunks = chunk_text(text.strip(), 800)
-        assert len(chunks) == 1
-        assert chunks[0].oversize
+    def test_single_oversize_sentence_is_its_own_chunk(self):
+        text = ("word " * 900).strip()
+        assert chunk_text(text, 800) == [(0, len(text))]
+        # the sentences on either side of it are chunks of their own
+        text = "Short one. " + "Word " * 900 + "end. Short two."
+        assert chunk_texts(text, 800) == ["Short one. ", "Word " * 900 + "end. ", "Short two."]
 
     def test_coverage_and_budget_random_notes(self):
         rng = random.Random(7)
@@ -164,20 +174,13 @@ class TestChunkNote:
                 for _ in range(rng.randint(0, 10))
             )
             max_tokens = rng.choice([10, 30, 800])
-            chunks = chunk_text(text, max_tokens)
-            assert "".join(c.text for c in chunks) == text
-            for c in chunks:
-                assert c.token_count <= max_tokens or c.oversize
-                assert text[c.norm_start : c.norm_end] == c.text
+            assert_chunks_cover(text, max_tokens)
 
 
 @given(st.text(alphabet=st.characters(blacklist_categories=["Cs"]), max_size=400))
 @settings(max_examples=100, deadline=None)
 def test_chunk_coverage_property(text):
-    chunks = chunk_text(text, 20)
-    assert "".join(c.text for c in chunks) == text
-    for c in chunks:
-        assert c.token_count <= 20 or c.oversize
+    assert_chunks_cover(text, 20)
 
 
 @given(st.text(alphabet="ab .\n-ABC:", max_size=300))
@@ -248,11 +251,11 @@ def test_crlf_note_normalizes_to_its_lf_twin(text):
     assert segment(crlf_note.text) == segment(lf_note.text)
 
 
-def reference_chunk_note(note, max_tokens):
+def reference_chunk_note(text, max_tokens):
     """chunk_note as it was before the segmentation was shared: it splits the
-    note itself, here with the character-walk splitters."""
+    text itself, here with the character-walk splitters."""
     units = []
-    for par in reference_split_paragraphs(note.text):
+    for par in reference_split_paragraphs(text):
         if count_tokens(par) <= max_tokens:
             units.append(par)
         else:
@@ -263,30 +266,28 @@ def reference_chunk_note(note, max_tokens):
     buf_tokens = 0
     buf_start = 0
 
-    def flush(oversize=False):
+    def flush():
         nonlocal buf, buf_tokens, buf_start
         if buf:
-            text = "".join(buf)
-            chunks.append(
-                Chunk(note.note_id, len(chunks), buf_start, buf_start + len(text), text, buf_tokens, oversize)
-            )
-            buf_start += len(text)
+            length = len("".join(buf))
+            chunks.append((buf_start, buf_start + length))
+            buf_start += length
             buf = []
             buf_tokens = 0
 
-    for text in units:
-        tokens = count_tokens(text)
+    for unit in units:
+        tokens = count_tokens(unit)
         if tokens > max_tokens:
             flush()
-            buf = [text]
+            buf = [unit]
             buf_tokens = tokens
-            flush(oversize=True)
+            flush()
         elif buf and buf_tokens + tokens > max_tokens:
             flush()
-            buf = [text]
+            buf = [unit]
             buf_tokens = tokens
         else:
-            buf.append(text)
+            buf.append(unit)
             buf_tokens += tokens
     flush()
     return chunks
@@ -314,7 +315,7 @@ _SPLIT_PIECES = (
 @given(note_texts)
 @settings(max_examples=150, deadline=None)
 def test_chunk_note_matches_the_splitter_packing(max_tokens, text):
-    assert chunk_text(text, max_tokens) == reference_chunk_note(make_note(text), max_tokens)
+    assert chunk_text(text, max_tokens) == reference_chunk_note(text, max_tokens)
 
 
 @st.composite

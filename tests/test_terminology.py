@@ -28,12 +28,12 @@ from ehrstruct.terminology import (
     PURPOSE,
     REPORTABLE_TYPES,
     AbbreviationTable,
-    ApplicabilityTable,
     Expansion,
     InputFormatError,
     LoadReport,
     SemanticType,
     TermIndex,
+    load_applicability,
     load_lexicon,
 )
 
@@ -777,28 +777,30 @@ def test_longest_match_agrees_with_brute_force(surfaces, text):
 
 class TestApplicability:
     def test_disease_has_no_purpose(self):
-        kinds = ApplicabilityTable().applicable_attributes(SemanticType.DISEASE)
+        kinds = load_applicability()[SemanticType.DISEASE]
         assert kinds == {"location", "modifier", "value", "unit"}
         assert PURPOSE not in kinds
 
     def test_drug_has_purpose_but_no_location(self):
-        kinds = ApplicabilityTable().applicable_attributes(SemanticType.CHEMICAL_OR_DRUG)
+        kinds = load_applicability()[SemanticType.CHEMICAL_OR_DRUG]
         assert kinds == {"modifier", "value", "unit", "purpose"}
 
     def test_other_raises(self):
-        with pytest.raises(ValueError, match="non-reportable"):
-            ApplicabilityTable().applicable_attributes(SemanticType.OTHER)
+        # recognition reports no mention of type Other, so none is looked up
+        with pytest.raises(KeyError):
+            load_applicability()[SemanticType.OTHER]
 
     def test_totality(self):
-        table = ApplicabilityTable()
+        table = load_applicability()
+        assert set(table) == set(REPORTABLE_TYPES)
         for t in REPORTABLE_TYPES:
-            kinds = table.applicable_attributes(t)
+            kinds = table[t]
             assert kinds <= set(ATTRIBUTE_KINDS)
             assert kinds
 
     def test_purpose_excluded_exactly_for_configured_types(self):
-        table = ApplicabilityTable()
-        with_purpose = {t for t in REPORTABLE_TYPES if PURPOSE in table.applicable_attributes(t)}
+        table = load_applicability()
+        with_purpose = {t for t in REPORTABLE_TYPES if PURPOSE in table[t]}
         assert with_purpose == {
             SemanticType.CHEMICAL_OR_DRUG,
             SemanticType.DIAGNOSTIC_PROCEDURE,
@@ -809,10 +811,10 @@ class TestApplicability:
     def test_override_file(self, tmp_path):
         path = tmp_path / "applic.cfg"
         path.write_text("Chemical or Drug = value, unit\n", encoding="utf-8")
-        table = ApplicabilityTable.load(path)
-        assert table.applicable_attributes(SemanticType.CHEMICAL_OR_DRUG) == {"value", "unit"}
+        table = load_applicability(path)
+        assert table[SemanticType.CHEMICAL_OR_DRUG] == {"value", "unit"}
         # unmentioned types keep defaults
-        assert table.applicable_attributes(SemanticType.DISEASE) == {
+        assert table[SemanticType.DISEASE] == {
             "location", "modifier", "value", "unit",
         }
 
@@ -821,18 +823,23 @@ class TestApplicability:
         path = tmp_path / "applic.cfg"
         path.write_text("Eukaryote = modifier\n# a comment\nEukaryote = location, value\n", encoding="utf-8")
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}:3: duplicate type 'Eukaryote', first on line 1$"):
-            ApplicabilityTable.load(path)
+            load_applicability(path)
 
     def test_override_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "applic.cfg"
         path.write_text("Chemical or Drug = flavor\n", encoding="utf-8")
         with pytest.raises(InputFormatError):
-            ApplicabilityTable.load(path)
+            load_applicability(path)
 
-    def test_each_table_starts_from_its_own_copy_of_the_defaults(self):
-        table = ApplicabilityTable()
-        table.table[SemanticType.DISEASE] = frozenset()
-        assert ApplicabilityTable().applicable_attributes(SemanticType.DISEASE) == {
+    def test_no_table_can_change_the_defaults(self, tmp_path):
+        # the packaged table is parsed once and shared
+        assert load_applicability() is load_applicability()
+        path = tmp_path / "applic.cfg"
+        path.write_text("Disease, Syndrome or Pathologic Function = purpose\n", encoding="utf-8")
+        for table in (load_applicability(), load_applicability(path)):
+            with pytest.raises(TypeError):
+                table[SemanticType.DISEASE] = frozenset()
+        assert load_applicability()[SemanticType.DISEASE] == {
             "location", "modifier", "value", "unit",
         }
 
@@ -896,10 +903,11 @@ _MALFORMED_LINE_2 = {
     "rules-window": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tforward\tfour\tAbsent\t20"),
     "rules-scope": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tsideways\t4\tAbsent\t20"),
     "rules-priority": (load_rules, "denies\tforward\t6\tAbsent\t10", "no\tforward\t4\tAbsent\t10"),
-    "applicability": (ApplicabilityTable.load, "Eukaryote = modifier", "Eukaryote = flavor"),
-    "applicability-type": (ApplicabilityTable.load, "Eukaryote = modifier", "Fungus = modifier"),
+    "applicability": (load_applicability, "Eukaryote = modifier", "Eukaryote = flavor"),
+    "applicability-type": (load_applicability, "Eukaryote = modifier", "Fungus = modifier"),
     "config": (PipelineConfig.load, "workers = 2", "workers = four"),
     "config-key": (PipelineConfig.load, "workers = 2", "validate = yes"),
+    "config-repeated": (PipelineConfig.load, "workers = 2", "workers = 3"),
     "notes": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "b"}'),
     "notes-text": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "b", "text": 5}'),
     "notes-json": (read_notes, '{"note_id": "a", "text": "x"}', "not json"),
@@ -923,6 +931,7 @@ _MALFORMED_LINE_2 = {
     "transcript": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": "x"}'),
     "transcript-list": (Transcript.load, '{"prompt": "p", "response": "r"}', '["a", "b"]'),
     "transcript-type": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": 1, "response": "r"}'),
+    "transcript-repeated-prompt": (Transcript.load, '{"prompt": "p", "response": "r"}', '{"prompt": "p", "response": "s"}'),
     # a lone surrogate escape decodes to a string no UTF-8 output can hold
     "notes-note-id-surrogate": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "b\\ud800", "text": "y"}'),
     "notes-text-surrogate": (read_notes, '{"note_id": "a", "text": "x"}', '{"note_id": "b", "text": "x\\udc80y"}'),
@@ -967,7 +976,7 @@ def _load_cold_then_warm(path, surface):
         (lambda path: _load_cold_then_warm(path, "heart failure"), "heart failure\tC1\tDisease, Syndrome or Pathologic Function"),
         (lambda path: AbbreviationTable.load(path).expansions("HSM"), "HSM\thepatosplenomegaly"),
         (load_rules, "denies\tforward\t8\tAbsent\t10"),
-        (ApplicabilityTable.load, "Eukaryote = modifier"),
+        (load_applicability, "Eukaryote = modifier"),
         (PipelineConfig.load, "workers = 2"),
         (read_notes, '{"note_id": "a", "text": "x"}'),
         (lambda path: Transcript.load(path).get("p"), '{"prompt": "p", "response": "r"}'),
@@ -995,7 +1004,7 @@ def test_integer_note_ids_are_read_as_strings(tmp_path):
     [
         (lambda path: AbbreviationTable.load(path).expansions("CHF"), "CHF\tcongestive heart failure"),
         (load_rules, "denies\tforward\t6\tAbsent\t10"),
-        (ApplicabilityTable.load, "Eukaryote = modifier"),
+        (load_applicability, "Eukaryote = modifier"),
         (PipelineConfig.load, "workers = 2"),
     ],
     ids=["abbreviations", "rules", "applicability", "config"],
