@@ -6,14 +6,14 @@ mention immediately followed by ':') and allergy-list scope (terms after an
 'allergy'/'allergies' token become Conditional unless a no-known-allergies
 pattern negates the whole block).
 
-`classify_mentions` classifies the mentions of a note from their contexts
-(`mention_contexts`). It scans each sentence once for its trigger matches
-(`SentenceTriggers`) and each paragraph once for its allergy scopes
-(`AllergyScopes`), and each mention looks its status up in those tables by
-bisection. The rules are keyed by the leading ASCII run of their trigger
-(`terminology.LiteralIndex`, built by `load_triggers`), so a sentence runs
-the patterns, compiled once per trigger, of only the rules its words can
-start.
+`classify_mentions` classifies each mention in its sentence, a span of the
+note (`mention_sentences`). It scans each sentence once, in place in the
+note's one case fold, for its trigger matches (`SentenceTriggers`) and each
+paragraph once for its allergy scopes (`AllergyScopes`); each mention looks
+its status up in those tables by bisection. The rules are keyed by the leading
+ASCII run of their trigger (`terminology.LiteralIndex`, built by
+`load_triggers`), so a sentence runs the patterns, compiled once per trigger,
+of only the rules its words can start.
 
 The trigger rules are read from a rules file (`load_rules`). The default
 set is the packaged `data/assertion_rules.tsv`, in the format a user's file
@@ -30,8 +30,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
-from .preprocess import SECTION_HEADER, TOKEN
-from .terminology import InputFormatError, LiteralIndex, data_path, fold_case, read_lines
+from .preprocess import SECTION_HEADER, TOKEN, NormalizedNote, Sentence
+from .terminology import InputFormatError, LiteralIndex, data_path, read_lines
 
 
 class AssertionStatus(enum.Enum):
@@ -201,29 +201,32 @@ class SentenceTriggers:
     """The trigger matches of one sentence, found once for all its mentions.
 
     For each rule with a match, in priority order, it keeps the match starts
-    and ends, ascending. A rule covers a mention when, in its scope, its
-    nearest match before the mention (forward) or after it (backward) lies
-    within the rule's window of tokens; a match inside the mention does not
-    count. A gap is within the window when a search for tokens between its
-    ends (`preprocess.TOKEN`, as `count_tokens` counts them) finds no more
-    than window of them; it stops at the one past the window.
+    and ends in the note, ascending. A rule covers a mention when, in its
+    scope, its nearest match before the mention (forward) or after it
+    (backward) lies within the rule's window of tokens; a match inside the
+    mention does not count. A gap is within the window when a search for
+    tokens between its ends (`preprocess.TOKEN`, as `count_tokens` counts
+    them) finds no more than window of them; it stops at the one past the
+    window. A sentence starts at the note's start or right after whitespace,
+    so a pattern's lookbehind, searching the note's fold from there, sees what
+    it would at the start of the sentence alone.
     """
 
-    def __init__(self, sentence: str, triggers: LiteralIndex):
-        self.sentence = sentence
-        lowered = fold_case(sentence)
+    def __init__(self, note: NormalizedNote, sentence: Sentence, triggers: LiteralIndex):
+        self.text = note.text
+        folded, start, end = note.folded, sentence.start, sentence.end
         self.matches = []  # (rule, starts, ends)
-        for pattern, rule in triggers.candidates(lowered):
-            spans = [m.span() for m in pattern.finditer(lowered)]
+        for pattern, rule in triggers.candidates(folded[start:end]):
+            spans = [m.span() for m in pattern.finditer(folded, start, end)]
             if spans:
                 self.matches.append((rule, [a for a, _ in spans], [b for _, b in spans]))
 
     def _within(self, a: int, b: int, window: int) -> bool:
-        """count_tokens(sentence[a:b]) <= window"""
-        return next(islice(TOKEN.finditer(self.sentence, a, b), window, None), None) is None
+        """count_tokens(text[a:b]) <= window"""
+        return next(islice(TOKEN.finditer(self.text, a, b), window, None), None) is None
 
     def status(self, start: int, end: int) -> AssertionStatus | None:
-        """The status of the first rule covering sentence[start:end], or None."""
+        """The status of the first rule covering the mention text[start:end], or None."""
         for rule, starts, ends in self.matches:
             if rule.scope != BACKWARD:
                 k = bisect_right(ends, start) - 1
@@ -239,55 +242,39 @@ class SentenceTriggers:
 _COLON_AFTER = re.compile(" *:")
 
 
-def classify_mentions(contexts, triggers: LiteralIndex) -> list[AssertionStatus]:
-    """Classify each mention of (sentence, start, end, paragraph,
-    paragraph_start) contexts, as `mention_contexts` returns them.
+def classify_mentions(note, mentions, sentences, triggers: LiteralIndex) -> list[AssertionStatus]:
+    """Classify each mention of the normalized note in its sentence, as
+    `mention_sentences` finds them.
 
     Order: Title rule, allergy rule, first matching trigger, default Present.
     triggers holds the rules in the order they are tried, as `load_triggers`
     indexes them. Consecutive mentions of one sentence share its trigger
     matches, and of one paragraph its allergy scopes.
     """
+    text = note.text
     statuses = []
-    sentence = paragraph = sentence_triggers = scopes = None
-    for sent, start, end, par, par_start in contexts:
-        if not (0 <= start < end <= len(sent)):
+    sentence = paragraph_start = sentence_triggers = scopes = None
+    for m, sent in zip(mentions, sentences):
+        start, end = m.norm_start, m.norm_end
+        if not (sent.start <= start < end <= sent.end):
             raise ValueError("mention span not inside sentence")
         # Title: capitalized mention immediately followed by ':' (ignoring spaces)
-        if _COLON_AFTER.match(sent, end) and any(ch.isupper() for ch in sent[start:end]):
+        if _COLON_AFTER.match(text, end, sent.end) and any(ch.isupper() for ch in text[start:end]):
             statuses.append(AssertionStatus.TITLE)
             continue
-        if par is not paragraph:
-            paragraph, scopes = par, AllergyScopes(par)
-        status = scopes.status(par_start)
+        if sent.par_start != paragraph_start:
+            paragraph_start, scopes = sent.par_start, AllergyScopes(text[sent.par_start : sent.par_end])
+        status = scopes.status(start - paragraph_start)
         if status is None:
-            if sent is not sentence:
-                sentence, sentence_triggers = sent, SentenceTriggers(sent, triggers)
+            if sent != sentence:
+                sentence, sentence_triggers = sent, SentenceTriggers(note, sent, triggers)
             status = sentence_triggers.status(start, end) or AssertionStatus.PRESENT
         statuses.append(status)
     return statuses
 
 
-def mention_contexts(note_text: str, segmentation, mentions) -> list[tuple[str, int, int, str, int]]:
-    """Sentence and paragraph context of each mention, from the note's
-    segmentation (`preprocess.segment`, which keeps every mention inside one
-    sentence).
-
-    Returns one (sentence, start, end, paragraph, paragraph_start) per
-    mention: the sentence holding it, its span within that sentence, the
-    paragraph holding the sentence and the mention's offset within it.
-    """
+def mention_sentences(segmentation: list[Sentence], mentions) -> list[Sentence]:
+    """The sentence of each mention, by bisection of the note's segmentation
+    (`preprocess.segment`, which keeps every mention inside one sentence)."""
     starts = [sent.start for sent in segmentation]
-    contexts = []
-    # one slice per sentence and per paragraph, shared by their consecutive
-    # mentions
-    sent = sentence = paragraph = None
-    for m in mentions:
-        if sent is None or not sent.start <= m.norm_start < sent.end:
-            sent = segmentation[bisect_right(starts, m.norm_start) - 1]
-            if paragraph is None or paragraph_start != sent.par_start:
-                paragraph_start, paragraph = sent.par_start, note_text[sent.par_start : sent.par_end]
-            sentence = note_text[sent.start : sent.end]
-        s, e, p = m.norm_start - sent.start, m.norm_end - sent.start, m.norm_start - sent.par_start
-        contexts.append((sentence, s, e, paragraph, p))
-    return contexts
+    return [segmentation[bisect_right(starts, m.norm_start) - 1] for m in mentions]

@@ -2,18 +2,18 @@
 
 `annotate_note` calls a backend once per note with the note's segmentation,
 each mention's sentence and the kinds its type allows (`load_applicability`).
-A backend answers one record per mention, a dict from each of those kinds to
-a value or None. `annotate_note` then sets every other kind to
-`NOT_APPLICABLE`: applicability is decided there, once, and an answer for a
-kind that does not apply is discarded. The rule backend (regex values/units,
-anatomy lexicon locations, adjacency modifiers, no purposes) fills every
-applicable kind from the mention's sentence, with tables read from the
-package data once per process. It scans each sentence once, on first use,
-for all the mentions in it: the anatomy matches with their direction-word
-display (`SentenceLocations`, which runs the patterns of only the surfaces
-whose leading run the sentence holds) and the positions where a value can
-start. Each mention then bisects those tables, and its modifiers are the
-words next to it, at most two whitespace characters away. The anatomy
+A backend answers one record per mention, a dict from each of those kinds to a
+value or None. `annotate_note` then sets every other kind to `NOT_APPLICABLE`:
+applicability is decided there, once, and an answer for a kind that does not
+apply is discarded. The rule backend (regex values/units, anatomy lexicon
+locations, adjacency modifiers, no purposes) fills every applicable kind from
+the mention's sentence, read in place in the note and its one case fold, with
+tables read from the package data once per process. It scans each sentence
+once, on first use, for all the mentions in it: the anatomy matches with their
+direction-word display (`SentenceLocations`, which runs the patterns of only
+the surfaces whose leading run the sentence holds) and the positions where a
+value can start. Each mention then bisects those tables, and its modifiers are
+the words next to it, at most two whitespace characters away. The anatomy
 surfaces, like the assertion triggers, are keyed by their leading ASCII run
 (`terminology.LiteralIndex`). The LLM backend packs the segmentation into
 (start, end) chunks under its token budget, marks each chunk's mentions with
@@ -49,7 +49,6 @@ from .terminology import (
     LiteralIndex,
     SemanticType,
     data_path,
-    fold_case,
     read_lines,
 )
 
@@ -95,24 +94,24 @@ _VALUE_START = re.compile(r"(?=(?:<=|>=|[<>≤≥])\s*\d|\d)")  # where _VALUE_P
 _DIGIT = re.compile(r"\d")
 
 
-def _value_starts(sentence: str) -> list[int]:
+def _value_starts(text: str, sentence: Sentence) -> list[int]:
     """Every position of the sentence where a value can start, ascending.
     Every value holds a digit."""
-    if _DIGIT.search(sentence) is None:
+    if _DIGIT.search(text, sentence.start, sentence.end) is None:
         return []
-    return [m.start() for m in _VALUE_START.finditer(sentence)]
+    return [m.start() for m in _VALUE_START.finditer(text, sentence.start, sentence.end)]
 
 
-def _value_unit(sentence: str, value_starts: list[int], end: int, units) -> tuple:
+def _value_unit(text: str, value_starts: list[int], end: int, endpos: int, units) -> tuple:
     """The first value starting at or after end, as `_VALUE_PATTERN.search(
-    sentence, end)` finds it, with its unit."""
+    text, end, endpos)` finds it, with its unit."""
     i = bisect_left(value_starts, end)
     if i == len(value_starts):
         return None, None
-    m = _VALUE_PATTERN.match(sentence, value_starts[i])
+    m = _VALUE_PATTERN.match(text, value_starts[i], endpos)
     value = (m.group(1) or "") + m.group(2)
     unit = None
-    um = _UNIT_TOKEN.match(sentence, m.end())
+    um = _UNIT_TOKEN.match(text, m.end(), endpos)
     if um and um.group(1).lower() in units:
         unit = um.group(1)
     return value, unit
@@ -122,24 +121,24 @@ _ASCII_LETTERS = frozenset(string.ascii_letters)
 _WORD_AFTER = re.compile(r"\s{0,2}([A-Za-z]+)")
 
 
-def _word_before(sentence: str, pos: int) -> str | None:
-    """The ASCII-letter word that ends before pos, with at most two
-    whitespace characters between; None when there is none."""
-    pos = end = min(pos, len(sentence))
-    while end and sentence[end - 1].isspace():
+def _word_before(text: str, lo: int, pos: int) -> str | None:
+    """The ASCII-letter word of text[lo:pos] that ends before pos, with at
+    most two whitespace characters between; None when there is none."""
+    end = pos
+    while end > lo and text[end - 1].isspace():
         end -= 1
         if pos - end > 2:
             return None  # not adjacent
     start = end
-    while start and sentence[start - 1] in _ASCII_LETTERS:
+    while start > lo and text[start - 1] in _ASCII_LETTERS:
         start -= 1
-    return sentence[start:end] if start < end else None
+    return text[start:end] if start < end else None
 
 
-def _word_after(sentence: str, pos: int) -> str | None:
-    """The ASCII-letter word that starts after pos, with at most two
-    whitespace characters between; None when there is none."""
-    m = _WORD_AFTER.match(sentence, pos)
+def _word_after(text: str, pos: int, endpos: int) -> str | None:
+    """The ASCII-letter word of text[:endpos] that starts after pos, with at
+    most two whitespace characters between; None when there is none."""
+    m = _WORD_AFTER.match(text, pos, endpos)
     return m.group(1) if m else None
 
 
@@ -174,13 +173,13 @@ class SentenceLocations:
     without walking over repeats of the first.
     """
 
-    def __init__(self, sentence: str, anatomy: LiteralIndex):
-        lowered = fold_case(sentence)
+    def __init__(self, note: NormalizedNote, sentence: Sentence, anatomy: LiteralIndex):
+        text, folded, lo, hi = note.text, note.folded, sentence.start, sentence.end
         found = []  # (start, end, scan order, render)
-        for pattern, display in anatomy.candidates(lowered):
-            for m in pattern.finditer(lowered):
+        for pattern, display in anatomy.candidates(folded[lo:hi]):
+            for m in pattern.finditer(folded, lo, hi):
                 start = m.start()
-                direction = _word_before(sentence, start)
+                direction = _word_before(text, lo, start)
                 if direction and (direction := direction.lower()) in DIRECTION_WORDS:
                     found.append((start, m.end(), len(found), f"{direction} {display}"))
                 else:
@@ -223,16 +222,14 @@ class SentenceLocations:
             skip = row[3]
 
 
-def rule_extract_modifiers(
-    sentence: str, start: int, end: int, words: set[str] | None = None
-) -> list[str]:
-    """Modifier-list words immediately adjacent to the mention."""
-    words = words if words is not None else _word_list("modifiers.txt")
+def rule_extract_modifiers(text: str, sentence: Sentence, start: int, end: int, words) -> list[str]:
+    """Modifier-list words of the sentence immediately adjacent to the
+    mention text[start:end]."""
     out: list[str] = []
-    before = _word_before(sentence, start)
+    before = _word_before(text, sentence.start, start)
     if before and before.lower() in words:
         out.append(before)
-    after = _word_after(sentence, end)
+    after = _word_after(text, end, sentence.end)
     if after and after.lower() in words:
         out.append(after)
     return out
@@ -250,22 +247,24 @@ class RuleBackend:
         """Fill every applicable kind of each mention from its sentence. The
         mentions of one sentence share its anatomy matches and value starts,
         each made on first use."""
+        text = note.text
         records = []
         sentence = locations = value_starts = None
-        for (sent, s, e), applicable in zip(sentences, kinds):
-            if sent is not sentence:
+        for m, sent, applicable in zip(mentions, sentences, kinds):
+            if sent != sentence:
                 sentence, locations, value_starts = sent, None, None
+            s, e = m.norm_start, m.norm_end
             record = {}
             if LOCATION in applicable:
                 if locations is None:
-                    locations = SentenceLocations(sent, self.anatomy)
+                    locations = SentenceLocations(note, sent, self.anatomy)
                 record[LOCATION] = locations.nearest(s, e) or None
             if MODIFIER in applicable:
-                record[MODIFIER] = rule_extract_modifiers(sent, s, e, self.modifier_words) or None
+                record[MODIFIER] = rule_extract_modifiers(text, sent, s, e, self.modifier_words) or None
             if VALUE in applicable or UNIT in applicable:
                 if value_starts is None:
-                    value_starts = _value_starts(sent)
-                value, unit = _value_unit(sent, value_starts, e, self.units)
+                    value_starts = _value_starts(text, sent)
+                value, unit = _value_unit(text, value_starts, e, sent.end, self.units)
                 if VALUE in applicable:
                     record[VALUE] = value
                 if UNIT in applicable:
@@ -393,14 +392,14 @@ def annotate_note(
     note: NormalizedNote,
     segmentation: list[Sentence],
     mentions: list[Mention],
-    sentences: list[tuple[str, int, int]],
+    sentences: list[Sentence],
     backend,
     table: Mapping[SemanticType, frozenset[str]],
 ):
     """Call the backend once for the note, passing its segmentation, each
-    mention's (sentence, start, end) and applicable kinds, and complete each
-    answer into a record of every attribute kind: a kind that does not apply
-    is "not applicable", an applicable one the backend left out is None.
+    mention's `Sentence` and applicable kinds, and complete each answer into a
+    record of every attribute kind: a kind that does not apply is "not
+    applicable", an applicable one the backend left out is None.
 
     Returns (records parallel to mentions, dropped_lines, total_lines).
     """

@@ -1,9 +1,9 @@
 """End-to-end orchestration: notes JSONL in, structured entities out.
 
-Each note is normalized and recognized as a whole, then segmented once into
-sentences and paragraphs with no boundary inside a mention. Assertion and the
-attribute backend read that segmentation; only the LLM backend packs it into
-chunks, to size its prompts.
+Each note is normalized, case-folded and recognized as a whole, then segmented
+once into sentences and paragraphs with no boundary inside a mention.
+Assertion and the rule backend search each mention's sentence where it stands
+in the note; only the LLM backend packs the segmentation into chunks.
 
 Per-note processing is independent and runs on a thread pool; output order is
 by note_id then span start regardless of worker count, so runs are
@@ -183,11 +183,11 @@ def structure_note(raw: RawNote, res: PipelineResources) -> NoteResult:
     note = restore_linebreaks(raw)
     mentions = recognize_note(note, res.index, res.abbreviations)
     segmentation = segment(note.text, [(m.norm_start, m.norm_end) for m in mentions])
-    contexts = assertion_mod.mention_contexts(note.text, segmentation, mentions)
-    statuses = assertion_mod.classify_mentions(contexts, res.rules)
+    sentences = assertion_mod.mention_sentences(segmentation, mentions)
+    statuses = assertion_mod.classify_mentions(note, mentions, sentences, res.rules)
     try:
         records, dropped, total = annotate_note(
-            note, segmentation, mentions, [c[:3] for c in contexts], res.backend, res.applicability
+            note, segmentation, mentions, sentences, res.backend, res.applicability
         )
     except (BackendError, TransportError, ConfigurationError) as exc:
         log.error("note %s: backend failure: %s", raw.note_id, exc)

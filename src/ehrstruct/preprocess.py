@@ -10,11 +10,14 @@ it, and returns spans only, as chunking does.
 
 from __future__ import annotations
 
+import functools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from typing import NamedTuple
+
+from .terminology import fold_case
 
 
 @dataclass(frozen=True)
@@ -29,6 +32,11 @@ class NormalizedNote:
     text: str
     # offset_map[i] = raw offset of normalized character i; strictly increasing.
     offset_map: list[int]
+
+    @functools.cached_property
+    def folded(self) -> str:
+        """fold_case(text), made once per note; its offsets index the text."""
+        return fold_case(self.text)
 
     def raw_span(self, norm_start: int, norm_end: int) -> tuple[int, int]:
         """Map a half-open normalized span to raw offsets."""

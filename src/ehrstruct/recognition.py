@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .preprocess import NormalizedNote
-from .terminology import AbbreviationTable, SemanticType, TermIndex, fold_case
+from .terminology import AbbreviationTable, SemanticType, TermIndex
 
 
 @dataclass
@@ -39,8 +39,7 @@ def recognize_note(
     only change a mention that was kept."""
     text = note.text
     mentions: list[Mention] = []
-    # fold_case keeps every character's length, so its spans index text
-    for start, end, concept_id, semantic_type in index.scan(fold_case(text)):
+    for start, end, concept_id, semantic_type in index.scan(note.folded):
         if not semantic_type.reportable:
             continue
         surface = canonical_phrase = text[start:end]

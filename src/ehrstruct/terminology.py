@@ -398,12 +398,10 @@ def _read_rows(lines, path, report: LoadReport):
 
 def fold_case(text: str) -> str:
     """Lowercase text without changing its length, so offsets into the result
-    index the original. A character whose lowercase is longer (such as 'İ')
-    is kept as it is."""
-    lowered = text.lower()
-    if len(lowered) == len(text):
-        return lowered
-    return "".join(low if len(low := ch.lower()) == 1 else ch for ch in text)
+    index the original. 'İ', the one character whose lowercase is longer, is
+    kept as it is, and the stretches around it are lowered by str.lower, so a
+    final 'Σ' folds to 'ς' whether or not the text holds an 'İ'."""
+    return "İ".join(part.lower() for part in text.split("İ"))
 
 
 @functools.cache

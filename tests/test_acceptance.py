@@ -7,6 +7,7 @@ import random
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from ehrstruct.assertion import AssertionStatus, classify_mentions, load_triggers
 from ehrstruct.attributes import LlmBackend
@@ -26,6 +27,7 @@ from ehrstruct.pipeline import PipelineConfig, PipelineResources, structure_note
 from ehrstruct.preprocess import (
     NormalizedNote,
     RawNote,
+    Sentence,
     chunk_note,
     count_tokens,
     restore_linebreaks,
@@ -79,8 +81,10 @@ def test_criterion_1_fmm_oracle_equivalence():
 
 
 def classify(sentence, start, end, rules):
-    """classify_mentions of the one mention sentence[start:end], the sentence its own paragraph."""
-    return classify_mentions([(sentence, start, end, sentence, start)], rules)[0]
+    """classify_mentions of the one mention sentence[start:end], in a note of that one sentence."""
+    note = NormalizedNote("n", sentence, list(range(len(sentence))))
+    mention = SimpleNamespace(norm_start=start, norm_end=end)
+    return classify_mentions(note, [mention], [Sentence(0, len(sentence), 0, len(sentence))], rules)[0]
 
 
 def test_criterion_2_assertion_case_fixtures():

@@ -12,9 +12,9 @@ from ehrstruct.assertion import (
     classify_mentions,
     load_rules,
     load_triggers,
-    mention_contexts,
+    mention_sentences,
 )
-from ehrstruct.preprocess import RawNote, restore_linebreaks, segment
+from ehrstruct.preprocess import NormalizedNote, RawNote, Sentence, restore_linebreaks, segment
 from ehrstruct.terminology import InputFormatError, data_path
 from oracles import reference_split_paragraphs, reference_split_sentences
 
@@ -25,10 +25,17 @@ def rules():
 
 
 def classify(sentence, start, end, rules, paragraph=None, paragraph_start=None):
-    """classify_mentions of the one mention sentence[start:end]; its paragraph is the sentence unless given."""
+    """classify_mentions of the one mention sentence[start:end], in a note of
+    one paragraph: the sentence unless given, with the mention at
+    paragraph_start in it."""
     if paragraph is None:
         paragraph, paragraph_start = sentence, start
-    return classify_mentions([(sentence, start, end, paragraph, paragraph_start)], rules)[0]
+    offset = paragraph_start - start  # the sentence's start in the paragraph
+    assert paragraph[offset : offset + len(sentence)] == sentence
+    note = NormalizedNote("n", paragraph, list(range(len(paragraph))))
+    mention = SimpleNamespace(norm_start=paragraph_start, norm_end=offset + end)
+    sent = Sentence(offset, offset + len(sentence), 0, len(paragraph))
+    return classify_mentions(note, [mention], [sent], rules)[0]
 
 
 def classify_in(text, phrase, rules, paragraph=None):
@@ -179,9 +186,8 @@ class TestLoadRules:
         path = tmp_path / "rules.tsv"
         path.write_text("zork\tforward\t2\tAbsent\t10\n", encoding="utf-8")
         assert load_triggers(path) is not load_triggers(path)
-        context = ("zork fever", 5, 10, "zork fever", 5)
-        assert classify_mentions([context], load_triggers(path)) == [AssertionStatus.ABSENT]
-        assert classify_mentions([context], load_triggers()) == [AssertionStatus.PRESENT]
+        assert classify("zork fever", 5, 10, load_triggers(path)) is AssertionStatus.ABSENT
+        assert classify("zork fever", 5, 10, load_triggers()) is AssertionStatus.PRESENT
 
 
 @st.composite
@@ -202,7 +208,7 @@ def notes_with_spans(draw):
 
 @given(notes_with_spans())
 @settings(max_examples=300, deadline=None)
-def test_mention_contexts_agree_with_the_splitters(note):
+def test_mention_sentences_agree_with_the_splitters(note):
     text, spans = note
     pieces = []  # (offset, sentence, paragraph offset, paragraph)
     pos = 0
@@ -212,16 +218,15 @@ def test_mention_contexts_agree_with_the_splitters(note):
             pieces.append((pos, sent, par_start, par))
             pos += len(sent)
     mentions = [SimpleNamespace(norm_start=s, norm_end=e) for s, e in spans]
-    contexts = mention_contexts(text, segment(text, spans), mentions)
-    assert len(contexts) == len(spans)
-    for (start, end), (sentence, s, e, paragraph, p) in zip(spans, contexts):
+    sentences = mention_sentences(segment(text, spans), mentions)
+    assert len(sentences) == len(spans)
+    for (start, end), sent in zip(spans, sentences):
         offset, expected, par_start, expected_par = next(
             piece for piece in pieces if piece[0] <= start < piece[0] + len(piece[1])
         )
-        assert (sentence, s) == (expected, start - offset)
-        assert (paragraph, p) == (expected_par, start - par_start)
-        assert sentence[s:e] == text[start : min(end, offset + len(sentence))]
-        assert paragraph[p : p + e - s] == sentence[s:e]
+        assert (sent.start, text[sent.start : sent.end]) == (offset, expected)
+        assert (sent.par_start, text[sent.par_start : sent.par_end]) == (par_start, expected_par)
+        assert sent.start <= start < end <= sent.end
 
 
 def test_only_ascii_cases_match_an_allergy_letter():

@@ -18,7 +18,7 @@ from ehrstruct.attributes import (
 )
 from ehrstruct.llm_client import ChatClient, Transcript
 from ehrstruct.pipeline import PipelineConfig
-from ehrstruct.preprocess import NormalizedNote, segment
+from ehrstruct.preprocess import NormalizedNote, Sentence, segment
 from ehrstruct.recognition import Mention
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
@@ -41,17 +41,25 @@ def mention(phrase, text, sem=SemanticType.SIGN_SYMPTOM_OR_FINDING, note_id="n")
 
 
 def sentence(m, text):
-    """The whole text as the mention's sentence."""
-    return text, m.norm_start, m.norm_end
+    """The whole text as the mention's sentence, and its paragraph."""
+    return Sentence(0, len(text), 0, len(text))
 
 
 def note_for(text, note_id="n"):
     return NormalizedNote(note_id, text, list(range(len(text))))
 
 
+def span_mention(text, start, end):
+    """The mention text[start:end]."""
+    surface = text[start:end]
+    return Mention("n", start, end, start, end, surface, surface, SemanticType.SIGN_SYMPTOM_OR_FINDING)
+
+
 def rule_record(text, start, end):
-    """RuleBackend's record, every kind asked, for the mention text[start:end]."""
-    records, _, _ = RuleBackend().annotate(None, None, None, [(text, start, end)], [ATTRIBUTE_KINDS])
+    """RuleBackend's record, every kind asked, for the mention text[start:end]
+    of a note of the one sentence text."""
+    m = span_mention(text, start, end)
+    records, _, _ = RuleBackend().annotate(note_for(text), None, [m], [sentence(m, text)], [ATTRIBUTE_KINDS])
     return records[0]
 
 
@@ -61,7 +69,14 @@ def value_unit(text, start, end):
 
 
 def locations(text, start, end):
-    return SentenceLocations(text, RuleBackend().anatomy).nearest(start, end)
+    """The locations of the mention text[start:end] in a note of the one sentence text."""
+    whole = sentence(None, text)
+    return SentenceLocations(note_for(text), whole, RuleBackend().anatomy).nearest(start, end)
+
+
+def modifiers(text, start, end):
+    """The modifiers of the mention text[start:end] in a note of the one sentence text."""
+    return rule_extract_modifiers(text, sentence(None, text), start, end, RuleBackend().modifier_words)
 
 
 class TestValueUnit:
@@ -137,16 +152,16 @@ class TestModifiers:
     def test_adjacent_modifier(self):
         text = "severe chest pain"
         s = text.index("chest pain")
-        assert rule_extract_modifiers(text, s, s + 10) == ["severe"]
+        assert modifiers(text, s, s + 10) == ["severe"]
 
     def test_distant_modifier_ignored(self):
         text = "severe and worsening chest pain"
         s = text.index("chest pain")
-        assert "severe" not in rule_extract_modifiers(text, s, s + 10)
+        assert "severe" not in modifiers(text, s, s + 10)
 
     def test_comment_lines_are_not_modifiers(self):
         words = RuleBackend().modifier_words
-        assert rule_extract_modifiers("pain side", 0, 4, words) == []
+        assert modifiers("pain side", 0, 4) == []
         data = resources.files("ehrstruct.data").joinpath("modifiers.txt").read_text(encoding="utf-8")
         comment_words = {
             w for line in data.lower().splitlines() if line.lstrip().startswith("#") for w in line.split()

@@ -81,6 +81,29 @@ class TestStructure:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "text, phrase, key, across_a_blank_line, in_one_sentence",
+        [
+            ("Exam left{}knee pain today.", "pain", "locations", ["knee"], ["left knee"]),
+            ("Exam done. Severe{}headache noted.", "headache", "modifiers", None, ["Severe"]),
+            ("Fever noted{}105 F later.", "Fever", "value", None, "105"),
+            ("Patient says no{}fever today.", "fever", "assertion_status", "Present", "Absent"),
+        ],
+        ids=["direction", "modifier", "value", "trigger"],
+    )
+    def test_a_mention_reads_no_word_across_its_sentence_end(
+        self, tmp_path, lexicon_args, text, phrase, key, across_a_blank_line, in_one_sentence
+    ):
+        # a blank line ends a sentence; a space, the control, does not
+        notes = tmp_path / "notes.jsonl"
+        rows = [{"note_id": "blank", "text": text.format("\n\n")}, {"note_id": "space", "text": text.format(" ")}]
+        notes.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["structure", *lexicon_args, str(notes), str(out)]) == 0
+        got = {r["note_id"]: r[key] for r in map(json.loads, out.read_text(encoding="utf-8").splitlines())
+               if r["phrase"] == phrase}
+        assert got == {"blank": across_a_blank_line, "space": in_one_sentence}
+
     def test_the_packaged_rules_and_applicability_are_the_defaults(self, tmp_path, lexicon_args):
         # the files a user copies to start their own give the bytes of a run without them
         data_path = terminology.data_path

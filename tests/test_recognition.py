@@ -81,6 +81,13 @@ class TestRecognize:
         mentions = recognize(note, index)
         assert [(m.surface, m.raw_start) for m in mentions] == [("chest pain", 3)]
 
+    def test_a_dotted_capital_i_elsewhere_leaves_final_sigma_folded(self):
+        # Σ lowercases to the final ς at a word's end; a note holding an İ
+        # anywhere used to fold Σ to σ, and the surface stopped matching
+        index = TermIndex([("οδος pain", "C1", SemanticType.SIGN_SYMPTOM_OR_FINDING)])
+        for text in ("ΟΔΟΣ pain noted.", "İzmir trip.\n\nΟΔΟΣ pain noted."):
+            assert [m.surface for m in recognize(note_for(text), index)] == ["ΟΔΟΣ pain"]
+
     def test_oracle_offsets_survive_lengthening_lowercase(self):
         assert brute_force_recognize("İİ chest pain today", ["chest pain"]) == [(3, 13)]
 

@@ -2,10 +2,13 @@
 
 The trigger scan of `classify_mentions` and the anatomy scan of `SentenceLocations`
 against unfiltered scans (every trigger rule and every anatomy surface, each
-pattern compiled per call); and the scans made once per sentence or
-paragraph against the per-mention scans of tests/oracles.py."""
+pattern compiled per call); the scans made once per sentence or paragraph
+against the per-mention scans of tests/oracles.py; and a sentence searched
+where it stands in its note against the references run on the sentence
+alone."""
 
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +32,7 @@ from ehrstruct.attributes import (
     _word_before,
     rule_extract_modifiers,
 )
-from ehrstruct.preprocess import count_tokens
+from ehrstruct.preprocess import NormalizedNote, Sentence, count_tokens
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
     LOCATION,
@@ -63,13 +66,28 @@ def triggers(rules):
     return LiteralIndex((rule.trigger, rule) for rule in rules)
 
 
+def in_note(sentence, prefix="", suffix=""):
+    """A note of the sentence between prefix and suffix, and the sentence's
+    span in it, the sentence its own paragraph."""
+    text = prefix + sentence + suffix
+    start, end = len(prefix), len(prefix) + len(sentence)
+    return NormalizedNote("n", text, list(range(len(text)))), Sentence(start, end, start, end)
+
+
+def span(start, end):
+    """A mention as the rule path reads one: its span in the note."""
+    return SimpleNamespace(norm_start=start, norm_end=end)
+
+
 def classify(sentence, start, end, rules):
-    """classify_mentions of the one mention sentence[start:end], the sentence its own paragraph."""
-    return classify_mentions([(sentence, start, end, sentence, start)], rules)[0]
+    """classify_mentions of the one mention sentence[start:end], in a note of that one sentence."""
+    note, sent = in_note(sentence)
+    return classify_mentions(note, [span(start, end)], [sent], rules)[0]
 
 
 def locations(sentence, start, end, anatomy):
-    return SentenceLocations(sentence, LiteralIndex(anatomy.items())).nearest(start, end)
+    note, sent = in_note(sentence)
+    return SentenceLocations(note, sent, LiteralIndex(anatomy.items())).nearest(start, end)
 
 
 def unfiltered_classify(sentence, start, end, rules):
@@ -259,12 +277,12 @@ _SCAN_SEPARATORS = _SEPARATORS + ("\u00a0", "\u2003", " \u00a0 ", "\u2003\u2003\
 
 
 @st.composite
-def sentences_with_mentions(draw):
+def sentences_with_mentions(draw, pieces=_SCAN_PIECES):
     """A sentence and several mention spans in it: most are pieces, some
     arbitrary spans, so they repeat, nest and touch numbers and operators."""
     words = draw(
         st.lists(
-            st.tuples(st.sampled_from(_SCAN_PIECES), st.sampled_from(_CASES), st.sampled_from(_SCAN_SEPARATORS)),
+            st.tuples(st.sampled_from(pieces), st.sampled_from(_CASES), st.sampled_from(_SCAN_SEPARATORS)),
             min_size=1,
             max_size=30,
         )
@@ -295,8 +313,10 @@ def test_one_sentence_scan_answers_every_mention_as_the_per_mention_scans(case):
     sentence, mentions = case
     backend = RuleBackend()
     backend.anatomy = SCAN_ANATOMY
-    records, _, _ = backend.annotate(None, None, None, [(sentence, s, e) for s, e in mentions], ALL_KINDS * len(mentions))
-    scan = SentenceLocations(sentence, SCAN_ANATOMY)
+    note, sent = in_note(sentence)
+    spans = [span(s, e) for s, e in mentions]
+    records, _, _ = backend.annotate(note, None, spans, [sent] * len(spans), ALL_KINDS * len(spans))
+    scan = SentenceLocations(note, sent, SCAN_ANATOMY)
     for (s, e), record in zip(mentions, records):
         expected_locations = reference_locations(sentence, s, e, SCAN_ANATOMY)
         assert scan.nearest(s, e) == expected_locations
@@ -304,27 +324,66 @@ def test_one_sentence_scan_answers_every_mention_as_the_per_mention_scans(case):
         value_unit = reference_value_unit(sentence, s, e, backend.units)
         assert (record[VALUE], record[UNIT]) == value_unit
         modifiers = reference_modifiers(sentence, s, e, backend.modifier_words)
-        assert rule_extract_modifiers(sentence, s, e, backend.modifier_words) == modifiers
+        assert rule_extract_modifiers(note.text, sent, s, e, backend.modifier_words) == modifiers
         assert record[MODIFIER] == (modifiers or None)
-    contexts = [(sentence, s, e, sentence, s) for s, e in mentions]
     for rules in (RULES, sorted(RULES, key=lambda r: r.trigger)):
         expected = [reference_classify(sentence, s, e, rules) for s, e in mentions]
-        assert classify_mentions(contexts, triggers(rules)) == expected
+        assert classify_mentions(note, spans, [sent] * len(spans), triggers(rules)) == expected
         assert [classify(sentence, s, e, triggers(rules)) for s, e in mentions] == expected
+
+
+# What lies around a sentence in its note: triggers, direction and modifier
+# words, digits and the letters whose fold depends on their neighbours.
+_CONTEXT_PIECES = sorted(set(_SCAN_PIECES) | {"Σ", "ΟΔΟΣ", "σ", "ς", "İ", "İΣ", "5 mg"})
+# segment starts a sentence at the note's start or right after whitespace,
+# and ends it at the note's end or right after whitespace
+_WHITESPACE = (" ", "\n", "\n\n", "\u00a0", "\u2003", "  ")
+
+
+@st.composite
+def context(draw):
+    words = draw(st.lists(st.tuples(st.sampled_from(_CONTEXT_PIECES), st.sampled_from(_CASES)), max_size=8))
+    return " ".join(case(piece) for piece, case in words)
+
+
+@given(sentences_with_mentions(_CONTEXT_PIECES), context(), context(), st.sampled_from(_WHITESPACE),
+       st.sampled_from(_WHITESPACE))
+@example(("knee pain ", [(5, 9)]), "Exam left", "", "\n\n", " ")
+@example(("ΟΔΟΣ 105 F ", [(0, 4)]), "İ", "İΣ", " ", " ")
+@example(("fever today ", [(0, 5)]), "Patient says no", "denies", "\n", "\n")
+@example(("fever ", [(0, 5)]), "denies", "", " ", " ")  # a trigger before the sentence
+@example(("fever ruled", [(0, 5)]), "", "out", " ", " ")  # a trigger across the sentence's end
+@settings(max_examples=400, deadline=None)
+def test_a_sentence_scanned_in_its_note_answers_as_the_sentence_alone(case, prefix, suffix, before, after):
+    sentence, mentions = case
+    sentence += after if suffix else ""
+    note, sent = in_note(sentence, prefix + before if prefix else "", suffix)
+    spans = [span(sent.start + s, sent.start + e) for s, e in mentions]
+    backend = RuleBackend()
+    backend.anatomy = SCAN_ANATOMY
+    records, _, _ = backend.annotate(note, None, spans, [sent] * len(spans), ALL_KINDS * len(spans))
+    for (s, e), record in zip(mentions, records):
+        assert record[LOCATION] == (reference_locations(sentence, s, e, SCAN_ANATOMY) or None)
+        assert (record[VALUE], record[UNIT]) == reference_value_unit(sentence, s, e, backend.units)
+        assert record[MODIFIER] == (reference_modifiers(sentence, s, e, backend.modifier_words) or None)
+    expected = [reference_classify(sentence, s, e, RULES) for s, e in mentions]
+    assert classify_mentions(note, spans, [sent] * len(spans), load_triggers()) == expected
 
 
 @given(st.text(st.sampled_from("ab Z1-\t\n\u00a0\u2003\u2028é"), max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_adjacent_words_match_the_slicing_scans(sentence):
-    for pos in range(len(sentence) + 2):
-        assert _word_before(sentence, pos) == reference_word_before(sentence, pos)
-        assert _word_after(sentence, pos) == reference_word_after(sentence, pos)
+    # in a note that goes on past the sentence's ends with a word on either side
+    text, lo, hi = f"left{sentence}right", 4, 4 + len(sentence)
+    for pos in range(len(sentence) + 1):
+        assert _word_before(text, lo, lo + pos) == reference_word_before(sentence, pos)
+        assert _word_after(text, lo + pos, hi) == reference_word_after(sentence, pos)
 
 
 @given(st.text(st.sampled_from("ab Z1-.\t é"), max_size=14))
 @settings(max_examples=300, deadline=None)
 def test_token_counts_from_token_starts_match_count_tokens(sentence):
-    scan = SentenceTriggers(sentence, LiteralIndex([]))
+    scan = SentenceTriggers(*in_note(sentence), LiteralIndex([]))
     for a in range(len(sentence) + 1):
         for b in range(a, len(sentence) + 1):
             for window in range(4):

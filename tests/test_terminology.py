@@ -23,6 +23,7 @@ from ehrstruct.integrate import parse_entities
 from ehrstruct.llm_client import Transcript
 from ehrstruct import terminology
 from ehrstruct.pipeline import PipelineConfig, read_notes
+from ehrstruct.preprocess import segment
 from ehrstruct.terminology import (
     ATTRIBUTE_KINDS,
     PURPOSE,
@@ -33,6 +34,7 @@ from ehrstruct.terminology import (
     LoadReport,
     SemanticType,
     TermIndex,
+    fold_case,
     load_applicability,
     load_lexicon,
 )
@@ -773,6 +775,26 @@ def test_longest_match_agrees_with_brute_force(surfaces, text):
     index = TermIndex((s, f"C{i}", SemanticType.DISEASE) for i, s in enumerate(surfaces))
     expected = [(*match, SemanticType.DISEASE) for match in _brute_scan(text, surfaces)]
     assert index.scan(text) == expected
+
+
+def test_only_a_dotted_capital_i_lowercases_to_more_than_one_character():
+    """fold_case keeps each 'İ' and lowers the rest with str.lower, which
+    keeps the length only while no other code point lowercases longer."""
+    longer = [cp for cp in range(sys.maxunicode + 1) if len(chr(cp).lower()) > 1]
+    assert longer == [0x130]
+
+
+@given(st.text(st.sampled_from("ΣσςİΟΔaZé .:\n"), max_size=40))
+@example("İ.\nΟΔΟΣ")
+@example("ΟΔΟΣ.\n\nİ")
+@settings(max_examples=400, deadline=None)
+def test_the_fold_of_a_note_is_the_fold_of_each_sentence(text):
+    # every sentence boundary lies at the text's ends or right after
+    # whitespace, where no letter's fold looks across
+    folded = fold_case(text)
+    assert len(folded) == len(text)
+    for s in segment(text):
+        assert folded[s.start : s.end] == fold_case(text[s.start : s.end])
 
 
 class TestApplicability:
